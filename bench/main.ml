@@ -331,14 +331,9 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let scale_name = function
-  | Apps.Registry.Test -> "test"
-  | Apps.Registry.Bench -> "bench"
-  | Apps.Registry.Full -> "full"
-
 (* Machine-readable dump of every simulated cell (one per matrix entry). *)
 let dump_json file m =
-  let rm_scale = scale_name (Harness.Matrix.scale m) in
+  let rm_scale = Apps.Registry.scale_name (Harness.Matrix.scale m) in
   let cell (app, proto, np, r) =
     let meta = { Svm.Report_json.rm_app = app; rm_scale } in
     Obs.Json.Obj
@@ -443,27 +438,8 @@ let () =
               (fun () ->
                 output_string oc (Obs.Json.to_string_pretty (Harness.Perf.to_json results));
                 output_char oc '\n'))
-    | "chaos-soak" ->
-        if not (Harness.Soak.report ppf ~pool ~scale:o.scale ()) then incr failures
-    | "kill-soak" ->
-        if not (Harness.Soak.kill_report ppf ~pool ~scale:o.scale ()) then incr failures
-    | "availability" ->
-        if not (Harness.Soak.availability_report ppf ~pool ~scale:o.scale ()) then
-          incr failures
-    | "partition-soak" ->
-        if not (Harness.Soak.partition_report ppf ~pool ~scale:o.scale ()) then
-          incr failures
-    | "suspicion-soak" ->
-        if not (Harness.Soak.false_suspicion_report ppf ~pool ~scale:o.scale ()) then
-          incr failures
-    | "detector" ->
-        (* Homeless vs home-based: the detector's latency/false-positive
-           trade-off must hold on both protocol families. *)
-        List.iter
-          (fun proto ->
-            if not (Harness.Soak.detector_report ppf ~scale:o.scale ~proto ()) then
-              incr failures)
-          [ Svm.Config.Hlrc; Svm.Config.Lrc ]
+    | soak when List.mem soak Harness.Soak.names ->
+        if not (Harness.Soak.report ppf ~pool ~scale:o.scale soak) then incr failures
     | "profile" ->
         Harness.Profile.report ppf ~pool ~verify:o.verify ~chaos:o.chaos
           ~trace_cap:o.trace_cap ~scale:o.scale ~node_counts:o.nodes ()

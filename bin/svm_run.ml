@@ -414,7 +414,7 @@ let straggler_arg =
 
 let fault_seed_arg =
   let doc = "Seed for the fault-injection plan (independent of --seed)." in
-  Arg.(value & opt int 1 & info [ "fault-seed" ] ~docv:"SEED" ~doc)
+  Arg.(value & opt int Machine.Chaos.none.fault_seed & info [ "fault-seed" ] ~docv:"SEED" ~doc)
 
 let fault_batch_arg =
   let doc =
@@ -438,7 +438,7 @@ let detect_delay_arg =
   let doc =
     "Failure-detector delay in microseconds: failover runs this long after the kill."
   in
-  Arg.(value & opt float 500.0 & info [ "detect-delay" ] ~docv:"US" ~doc)
+  Arg.(value & opt float Machine.Chaos.none.detect_delay & info [ "detect-delay" ] ~docv:"US" ~doc)
 
 let pause_node_arg =
   let doc =
@@ -484,7 +484,7 @@ let detector_arg =
 
 let hb_interval_arg =
   let doc = "Heartbeat period in simulated microseconds (--detector heartbeat)." in
-  Arg.(value & opt float 200.0 & info [ "hb-interval" ] ~docv:"US" ~doc)
+  Arg.(value & opt float Svm.Config.default_hb_interval & info [ "hb-interval" ] ~docv:"US" ~doc)
 
 let hb_timeout_arg =
   let doc =
@@ -576,7 +576,9 @@ let kv_term =
 
 (* Bad flag values surface as [Failure]/[Invalid_argument] (from the parsers
    above, [Chaos.validate], or [Config.make]); turn them into a clean
-   one-line error and a nonzero exit instead of a backtrace. *)
+   one-line error and a nonzero exit instead of a backtrace. A run that
+   cannot finish exits 3 with the watchdog's dump; one whose results fail
+   the sequential reference exits 4. *)
 let run_safe a b c d e g h i j k l m n o p q s t u v w x y z a2 b2 c2 d2 e2 f2 g2 h2 i2 j2
     k2 l2 m2 n2 o2 =
   try
@@ -589,6 +591,9 @@ let run_safe a b c d e g h i j k l m n o p q s t u v w x y z a2 b2 c2 d2 e2 f2 g
   | Svm.System.Deadlock dump ->
       Printf.eprintf "svm_run: the run cannot make progress\n%s\n" dump;
       exit 3
+  | Apps.App_util.Verification_failed msg ->
+      Printf.eprintf "svm_run: verification failed: %s\n" msg;
+      exit 4
 
 let cmd =
   let doc = "run a Splash-2-style benchmark on the simulated SVM system" in

@@ -5,6 +5,8 @@
 
 type scale = Test | Bench | Full
 
+let scale_name = function Test -> "test" | Bench -> "bench" | Full -> "full"
+
 type t = {
   name : string;
   body : verify:bool -> Svm.Api.ctx -> unit;
@@ -102,8 +104,8 @@ let raytrace scale =
 let kvstore_params scale =
   match scale with
   | Test ->
-      (* Sized so a Test run lasts well past the soak harness's fault
-         windows (pauses/partitions land within the first ~10 ms). *)
+      (* A Test run lasts 1.3-2.0 simulated s; the soak harness's pauses
+         and partitions land at 35-40% of it. *)
       Kvstore.default
   | Bench ->
       {

@@ -6,6 +6,9 @@
     compute-to-communication ratios (longer wall-clock). *)
 type scale = Test | Bench | Full
 
+(** The command-line spelling of a scale (["test"] | ["bench"] | ["full"]). *)
+val scale_name : scale -> string
+
 type t = {
   name : string;
   body : verify:bool -> Svm.Api.ctx -> unit;

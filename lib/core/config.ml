@@ -107,6 +107,8 @@ let hb_timeout_effective t =
 
 let metrics_enabled t = t.metrics_interval > 0.
 
+let default_hb_interval = 200.
+
 let power_of_two n = n > 0 && n land (n - 1) = 0
 
 let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
@@ -115,7 +117,7 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     ?(paranoid = false) ?(seed = 42) ?(chaos = Machine.Chaos.none)
     ?(trace_cap = 1_000_000) ?(trace_spans = false) ?(fault_batch = 1) ?(replicas = 1)
     ?(repl_scheme = Inval) ?(metrics_interval = 0.) ?(detector = Oracle)
-    ?(hb_interval = 1000.) ?(hb_timeout = 0.) ~nprocs protocol =
+    ?(hb_interval = default_hb_interval) ?(hb_timeout = 0.) ~nprocs protocol =
   if nprocs <= 0 then
     invalid_arg (Printf.sprintf "Config.make: nprocs must be positive (got %d)" nprocs);
   if not (power_of_two page_words) then

@@ -158,8 +158,8 @@ type t = {
           detector-free outputs byte-identical. *)
   hb_interval : float;
       (** Heartbeat emission period in simulated microseconds
-          ([--hb-interval], default 1000); only meaningful with
-          [detector = Heartbeat]. *)
+          ([--hb-interval], default {!default_hb_interval}); only meaningful
+          with [detector = Heartbeat]. *)
   hb_timeout : float;
       (** Suspicion timeout in simulated microseconds ([--hb-timeout]).
           0 (the default) auto-sizes it from the interval and the chaos
@@ -183,6 +183,10 @@ val hb_timeout_effective : t -> float
 
 (** Whether the metrics flight recorder is on ([metrics_interval] > 0). *)
 val metrics_enabled : t -> bool
+
+(** The heartbeat period {!make} and [svm_run] default to: 200 us, which
+    auto-sizes the suspicion timeout to 700 us on a jitter-free network. *)
+val default_hb_interval : float
 
 (** Raises [Invalid_argument] with a descriptive message when a knob is out
     of range: [nprocs], [gc_threshold_bytes], [au_combine_words] or

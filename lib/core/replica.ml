@@ -28,9 +28,11 @@
 
    What is *not* recoverable: a diff in flight to the dead node at kill
    time (crash-stop loses it with the victim), and locks or barrier slots
-   the victim held. The harness therefore places kills after the victim's
-   last synchronization arrival; anything stronger would need a logging
-   protocol the paper's systems do not have. *)
+   the victim held; lock managers and tokens are not replicated at all.
+   The soak harness therefore places kills after the victim's last barrier
+   arrival and the run's last lock handoff, and prints the [svm_run] line
+   that replays any cell that still fails; anything stronger would need a
+   logging protocol the paper's systems do not have. *)
 
 open System
 
@@ -97,6 +99,17 @@ let causal_sort nprocs pulled =
    and let the parked fetches and stashed flushes drain. *)
 let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at =
   Hashtbl.remove sys.recovering page;
+  (* The new primary's own retained diffs need no message. Collected now,
+     not at promotion: its writes while recovery was in flight already went
+     into the copy about to be replaced, and exist nowhere else. *)
+  (match Hashtbl.find_opt b.own_diffs page with
+  | None -> ()
+  | Some diffs ->
+      List.iter
+        (fun (idx, diff, vt) ->
+          if idx > Proto.Vclock.get cut b.id then
+            rc.rc_pull <- (b.id, idx, diff, vt) :: rc.rc_pull)
+        diffs);
   let page_words = Mem.Layout.page_words sys.layout in
   let page_bytes = page_words * Mem.Layout.word_bytes in
   let base =
@@ -191,14 +204,6 @@ let promote sys ~page ~dead ~to_ ~at =
       rc_outstanding = 0;
     }
   in
-  (* The new primary's own retained diffs need no message. *)
-  (match Hashtbl.find_opt b.own_diffs page with
-  | None -> ()
-  | Some diffs ->
-      List.iter
-        (fun (idx, diff, vt) ->
-          if idx > Proto.Vclock.get cut to_ then rc.rc_pull <- (to_, idx, diff, vt) :: rc.rc_pull)
-        diffs);
   Hashtbl.replace sys.recovering page rc;
   pull sys b ~page ~cut ~rc ~at
     ~complete:(fun ~at -> complete_recovery sys b ~page ~cut ~warm ~rc ~at)

@@ -1,669 +1,501 @@
-(* Differential soundness under fault injection.
+(* Differential soundness under injected faults.
 
-   The property: chaos (drops, duplicates, jitter, stragglers) may change
-   timing and traffic, but never the computed result. For every protocol x
-   application cell we run once fault-free and once per fault seed, and
-   require (a) the application's own verification against its sequential
-   reference to pass, and (b) the final shared-memory digest
-   ({!Svm.Runtime.report.r_mem_digest}) to be bit-identical to the
-   fault-free run's. Any divergence is a lost or misordered update that
-   slipped past the transport's reliability layer. *)
+   One property behind six artifacts: faults (drops, duplicates, jitter,
+   stragglers, crash-stops, pauses, partitions) may change timing and
+   traffic, never the computed result. A scenario names a fault-free twin
+   configuration and derives its faulted configuration(s) from the twin's
+   report and trace. The runner runs both: every run must verify against
+   the application's sequential reference, and every faulted run must end
+   with the twin's shared-memory digest
+   ({!Svm.Runtime.report.r_mem_digest}). The artifacts differ only in their
+   scenario lists, their columns and a few table-wide checks. *)
 
-type row = {
-  s_app : string;
-  s_proto : Svm.Config.protocol;
-  s_fault_seed : int;
-  s_ok : bool;
-  s_digest : int64;
-  s_expected : int64;
-  s_slowdown : float;  (** elapsed(chaos) / elapsed(fault-free) *)
-  s_drops : int;
-  s_retransmits : int;
-}
+let nprocs = 4
 
-let default_params ~fault_seed =
-  {
-    Machine.Chaos.none with
-    Machine.Chaos.drop_rate = 0.02;
-    dup_rate = 0.01;
-    jitter = 5.0;
-    straggler = 1.25;
-    fault_seed;
-  }
+(* Node faults hit the last node; node 0 hosts the lock and barrier managers
+   and cannot fail. *)
+let victim = nprocs - 1
 
-let protocols =
-  List.filter_map Svm.Config.protocol_of_string Svm.Config.protocol_strings
+let protocols = List.filter_map Svm.Config.protocol_of_string Svm.Config.protocol_strings
 
-let sum_counter (r : Svm.Runtime.report) f =
-  Array.fold_left (fun acc n -> acc + f n.Svm.Runtime.nr_counters) 0 r.Svm.Runtime.r_nodes
+(* Eager protocols have no replica machinery (Config rejects --replicas > 1). *)
+let replicable = List.filter (fun p -> p <> Svm.Config.Aurc && p <> Svm.Config.Rc) protocols
 
-let run_one ~nprocs ~chaos proto (app : Apps.Registry.t) =
-  let cfg = Svm.Config.make ~nprocs ~chaos proto in
-  Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true)
-
-(* The sweep is embarrassingly parallel at (protocol x application)
-   granularity: one task runs the fault-free twin plus every fault seed of
-   its cell (the seeds need the twin's digest), and tasks are enumerated in
-   the sequential nesting order so the concatenated rows — and therefore
-   the report — are identical for any pool width. *)
-let sweep ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) ?(nprocs = 4)
-    ?(fault_seeds = [ 1; 2; 3 ]) ?params () =
-  let params = match params with Some p -> p | None -> default_params ~fault_seed:0 in
-  let apps =
-    List.filter_map (fun name -> Apps.Registry.find name scale) Apps.Registry.names
-  in
-  let tasks =
-    List.concat_map
-      (fun proto -> List.map (fun (app : Apps.Registry.t) -> (proto, app)) apps)
-      protocols
-  in
-  Pool.map pool
-    (fun (proto, (app : Apps.Registry.t)) ->
-      let clean = run_one ~nprocs ~chaos:Machine.Chaos.none proto app in
-      let expected = clean.Svm.Runtime.r_mem_digest in
-      List.map
-        (fun fault_seed ->
-          let chaos = { params with Machine.Chaos.fault_seed } in
-          let r = run_one ~nprocs ~chaos proto app in
-          {
-            s_app = app.Apps.Registry.name;
-            s_proto = proto;
-            s_fault_seed = fault_seed;
-            s_ok = Int64.equal r.Svm.Runtime.r_mem_digest expected;
-            s_digest = r.Svm.Runtime.r_mem_digest;
-            s_expected = expected;
-            s_slowdown = r.Svm.Runtime.r_elapsed /. clean.Svm.Runtime.r_elapsed;
-            s_drops = sum_counter r (fun c -> c.Svm.Stats.msg_drops);
-            s_retransmits = sum_counter r (fun c -> c.Svm.Stats.msg_retransmits);
-          })
-        fault_seeds)
-    tasks
-  |> List.concat
-
-let report ppf ?pool ?scale ?nprocs ?fault_seeds ?params () =
-  let rows = sweep ?pool ?scale ?nprocs ?fault_seeds ?params () in
-  Format.fprintf ppf "@.=== Chaos soak: differential soundness ===@.@.";
-  Format.fprintf ppf "%-10s %-6s %5s  %8s %8s %9s  %s@." "app" "proto" "seed" "drops"
-    "rexmits" "slowdown" "digest";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-6s %5d  %8d %8d %8.2fx  %016Lx %s@." r.s_app
-        (String.lowercase_ascii (Svm.Config.protocol_name r.s_proto))
-        r.s_fault_seed r.s_drops r.s_retransmits r.s_slowdown r.s_digest
-        (if r.s_ok then "ok" else Printf.sprintf "MISMATCH (expected %016Lx)" r.s_expected))
-    rows;
-  let bad = List.filter (fun r -> not r.s_ok) rows in
-  Format.fprintf ppf "@.%d cell(s), %d divergence(s)@." (List.length rows) (List.length bad);
-  bad = []
+let schemes = [ Svm.Config.Inval; Svm.Config.Backup ]
 
 (* ------------------------------------------------------------------ *)
-(* Node-kill differential sweep                                       *)
+(* Runs                                                               *)
 
-(* The property extends to crash-stops: with a replica degree >= 2, killing
-   a node after its last synchronization arrival (its committed history is
-   complete; only its cached copies die with it) must leave the final
-   shared-memory digest identical to the fault-free twin's — the failover
-   rebuilt every page the victim was hosting. *)
-
-type kill_row = {
-  k_app : string;
-  k_proto : Svm.Config.protocol;
-  k_scheme : Svm.Config.repl_scheme;
-  k_replicas : int;
-  k_kill_at : float;
-  k_ok : bool;
-  k_digest : int64;
-  k_expected : int64;
-  k_failovers : int;
-  k_stall_p99 : float;
+type facts = {
+  sync_tail : float;
+  first_suspect : float;
+  first_depose : float;
+  first_rejoin : float;
+  active_after : bool;
+  deposes : int;
+  rejoins : int;
 }
 
-(* Eager protocols push updates at write time and have no replica machinery
-   (Config rejects --replicas > 1 for them). *)
-let replicable =
-  List.filter (fun p -> p <> Svm.Config.Aurc && p <> Svm.Config.Rc) protocols
+let facts_of sink =
+  let arrive = ref 0. and lock = ref 0. and suspect = ref infinity and depose = ref infinity in
+  let rejoin = ref infinity and active = ref false and deposes = ref 0 and rejoins = ref 0 in
+  Obs.Trace.iter sink (fun { Obs.Trace.time = t; node; kind } ->
+      match kind with
+      | Obs.Trace.Barrier_arrive _ when node = victim ->
+          arrive := t;
+          if t > !rejoin then active := true
+      | Obs.Trace.Page_fetch _ when node = victim && t > !rejoin -> active := true
+      | Obs.Trace.Lock_acquire _ | Lock_grant _ | Lock_queued _ -> lock := Float.max !lock t
+      | Obs.Trace.Suspect { peer } when peer = victim -> suspect := Float.min !suspect t
+      | Obs.Trace.Depose { node } ->
+          incr deposes;
+          if node = victim then depose := Float.min !depose t
+      | Obs.Trace.Rejoin { node } ->
+          incr rejoins;
+          if node = victim then rejoin := Float.min !rejoin t
+      | _ -> ());
+  {
+    sync_tail = Float.max !arrive !lock;
+    first_suspect = !suspect;
+    first_depose = !depose;
+    first_rejoin = !rejoin;
+    active_after = !active;
+    deposes = !deposes;
+    rejoins = !rejoins;
+  }
 
-let stall_p99 (r : Svm.Runtime.report) =
-  match r.Svm.Runtime.r_failover_stalls with
+type run = { cfg : Svm.Config.t; result : (Svm.Runtime.report * facts, string) result }
+
+let run (app : Apps.Registry.t) cfg =
+  let sink = Obs.Trace.create_sink () in
+  let result =
+    match Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:true) with
+    | r -> Ok (r, facts_of sink)
+    | exception Svm.System.Deadlock _ -> Error "deadlock"
+    | exception Apps.App_util.Verification_failed msg -> Error ("verification failed: " ^ msg)
+  in
+  { cfg; result }
+
+type row = { app : string; label : string; twin : run; faulted : run list }
+
+type scenario = {
+  label : string;
+  twin : Svm.Config.t;
+  faults : Svm.Runtime.report -> facts -> Svm.Config.t list;
+}
+
+(* Scenarios of one cell that name the same twin share one run of it. *)
+let run_cell (app : Apps.Registry.t) scenarios =
+  let twins = ref [] in
+  List.map
+    (fun (s : scenario) ->
+      let twin =
+        match List.assoc_opt s.twin !twins with
+        | Some t -> t
+        | None ->
+            let t = run app s.twin in
+            twins := (s.twin, t) :: !twins;
+            t
+      in
+      let faulted =
+        match twin.result with Ok (r, f) -> List.map (run app) (s.faults r f) | Error _ -> []
+      in
+      { app = app.Apps.Registry.name; label = s.label; twin; faulted })
+    scenarios
+
+let replay_line ~scale ~app (c : Svm.Config.t) =
+  let f = Printf.sprintf "%.17g" and i = string_of_int and ch = c.chaos in
+  let fault = function
+    | Machine.Chaos.Kill { node; at } -> [ ("kill-node", i node); ("kill-at", f at) ]
+    | Pause { node; from_; until } ->
+        [ ("pause", i node); ("pause-at", f from_); ("resume-at", f until) ]
+    | Partition { group; from_; until } ->
+        [ ("partition", String.concat "," (List.map i group)); ("partition-at", f from_);
+          ("heal-at", f until) ]
+  in
+  let flags =
+    [ ("app", String.lowercase_ascii app);
+      ("protocol", String.lowercase_ascii (Svm.Config.protocol_name c.protocol));
+      ("nodes", i c.nprocs);
+      ("scale", Apps.Registry.scale_name scale); ("seed", i c.seed); ("replicas", i c.replicas);
+      ("repl-scheme", Svm.Config.repl_scheme_name c.repl_scheme);
+      ("detector", Svm.Config.detector_name c.detector);
+      ("hb-interval", f c.hb_interval); ("hb-timeout", f c.hb_timeout);
+      ("drop-rate", f ch.drop_rate); ("dup-rate", f ch.dup_rate); ("jitter", f ch.jitter);
+      ("straggler", f ch.straggler); ("fault-seed", i ch.fault_seed);
+      ("detect-delay", f ch.detect_delay) ]
+    @ List.concat_map fault ch.faults
+  in
+  let args = List.concat_map (fun (k, v) -> [ "--" ^ k; v ]) flags in
+  String.concat " " ("dune exec bin/svm_run.exe --" :: args)
+
+(* ------------------------------------------------------------------ *)
+(* Fault placement                                                    *)
+
+(* The sync tail: after the victim's last barrier arrival and the twin's
+   last lock handoff. Crash-stop loses whatever a node has not committed,
+   so an earlier kill loses work no protocol without logging can recover;
+   and lock managers and tokens are not replicated, so a kill before the
+   last handoff strands later acquires. The offset mixes an absolute trace
+   time with [r_elapsed], which is only the length of the timed window: in
+   18 of the 24 inval cells at K = 2 outside kvstore the fault lands before
+   the victim's last arrival after all (and still recovers). *)
+let tail_time (twin : Svm.Runtime.report) f =
+  f.sync_tail +. (0.5 *. (twin.r_elapsed -. f.sync_tail))
+
+(* A mid-run window: opens at fraction [at] of the twin's elapsed time and
+   lasts fraction [len] of it, but at least 3 ms (four suspicion timeouts
+   at the default heartbeat period, so a heartbeat quorum forms inside it
+   and refutation only follows the heal) and at most 100 ms: kvstore runs
+   last 1.3-2.0 s, and a 300 ms cut there outlasts the transport's 10
+   retransmissions (250 ms still heals); an abandoned link deadlocks. *)
+let mid_window ~at ~len (twin : Svm.Runtime.report) =
+  let from_ = at *. twin.r_elapsed in
+  (from_, from_ +. Float.min 100_000. (Float.max 3000. (len *. twin.r_elapsed)))
+
+let with_faults (twin : Svm.Config.t) ?(detector = twin.detector) ?(hb_timeout = twin.hb_timeout)
+    faults =
+  { twin with chaos = { Machine.Chaos.none with faults }; detector; hb_timeout }
+
+(* A tail kill of the victim with [replicas] copies per page. *)
+let tail_kill ~label proto ~replicas scheme =
+  let twin = Svm.Config.make ~nprocs ~replicas ~repl_scheme:scheme proto in
+  let kill r f = [ with_faults twin [ Kill { node = victim; at = tail_time r f } ] ] in
+  { label; twin; faults = kill }
+
+(* ------------------------------------------------------------------ *)
+(* Columns                                                            *)
+
+let failure (r : row) = List.find_opt (fun x -> Result.is_error x.result) (r.twin :: r.faulted)
+let completed x = match x.result with Ok rf -> rf | Error e -> invalid_arg ("Soak: " ^ e)
+let report x = fst (completed x)
+let facts x = snd (completed x)
+let digest x = (report x).r_mem_digest
+let elapsed x = match x.result with Ok (r, _) -> r.r_elapsed | Error _ -> nan
+let matches (r : row) = List.for_all (fun x -> Int64.equal (digest x) (digest r.twin)) r.faulted
+
+let sum (r : Svm.Runtime.report) f =
+  Array.fold_left (fun acc (n : Svm.Runtime.node_report) -> acc + f n.nr_counters) 0 r.r_nodes
+
+let the_faulted r = match r.faulted with [ x ] -> x | _ -> invalid_arg "Soak: one faulted run"
+
+let digest_col r =
+  Printf.sprintf "%016Lx %s" (digest (the_faulted r))
+    (if matches r then "ok" else Printf.sprintf "MISMATCH (expected %016Lx)" (digest r.twin))
+
+let proto_col p = String.lowercase_ascii (Svm.Config.protocol_name p)
+
+(* Nearest-rank p99 of an ascending list. *)
+let p99 = function
   | [] -> 0.
   | stalls ->
-      let a = Array.of_list stalls (* sorted ascending *) in
+      let a = Array.of_list stalls in
       let n = Array.length a in
       a.(min (n - 1) (max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1)))
 
-(* Place the kill in the victim's synchronization tail: after its last
-   barrier arrival in the fault-free twin (watched through a trace sink),
-   before the run's end. Anything earlier loses computation no protocol
-   without logging can recover (crash-stop semantics), and the app's own
-   verification would rightly fail. *)
-let run_killed ~nprocs ~replicas ~scheme proto (app : Apps.Registry.t) =
-  let sink = Obs.Trace.create_sink () in
-  let cfg = Svm.Config.make ~nprocs ~replicas ~repl_scheme:scheme proto in
-  let clean = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:true) in
-  let victim = nprocs - 1 in
-  let last = ref 0. in
-  Obs.Trace.iter sink (fun ev ->
-      if ev.Obs.Trace.node = victim then
-        match ev.Obs.Trace.kind with
-        | Obs.Trace.Barrier_arrive _ -> last := ev.Obs.Trace.time
-        | _ -> ());
-  let kill_at = !last +. (0.5 *. (clean.Svm.Runtime.r_elapsed -. !last)) in
-  let chaos =
-    {
-      Machine.Chaos.none with
-      Machine.Chaos.faults = [ Machine.Chaos.Kill { node = victim; at = kill_at } ];
-    }
-  in
-  let cfg = Svm.Config.make ~nprocs ~replicas ~repl_scheme:scheme ~chaos proto in
-  let killed = Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true) in
-  (clean, killed, kill_at)
-
-let kill_sweep ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) ?(nprocs = 4)
-    ?(replicas = 2) () =
-  let apps =
-    List.filter_map (fun name -> Apps.Registry.find name scale) Apps.Registry.names
-  in
-  let tasks =
-    List.concat_map
-      (fun proto -> List.map (fun (app : Apps.Registry.t) -> (proto, app)) apps)
-      replicable
-  in
-  Pool.map pool
-    (fun (proto, (app : Apps.Registry.t)) ->
-      List.map
-        (fun scheme ->
-          let clean, killed, kill_at = run_killed ~nprocs ~replicas ~scheme proto app in
-          let expected = clean.Svm.Runtime.r_mem_digest in
-          {
-            k_app = app.Apps.Registry.name;
-            k_proto = proto;
-            k_scheme = scheme;
-            k_replicas = replicas;
-            k_kill_at = kill_at;
-            k_ok = Int64.equal killed.Svm.Runtime.r_mem_digest expected;
-            k_digest = killed.Svm.Runtime.r_mem_digest;
-            k_expected = expected;
-            k_failovers = sum_counter killed (fun c -> c.Svm.Stats.failovers);
-            k_stall_p99 = stall_p99 killed;
-          })
-        [ Svm.Config.Inval; Svm.Config.Backup ])
-    tasks
-  |> List.concat
-
-let kill_report ppf ?pool ?scale ?nprocs ?replicas () =
-  let rows = kill_sweep ?pool ?scale ?nprocs ?replicas () in
-  Format.fprintf ppf "@.=== Kill soak: failover differential soundness ===@.@.";
-  Format.fprintf ppf "%-10s %-6s %-7s %2s %10s %9s %9s  %s@." "app" "proto" "scheme" "K"
-    "kill_at" "failovers" "p99stall" "digest";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-6s %-7s %2d %10.0f %9d %8.0fu  %016Lx %s@." r.k_app
-        (String.lowercase_ascii (Svm.Config.protocol_name r.k_proto))
-        (Svm.Config.repl_scheme_name r.k_scheme)
-        r.k_replicas r.k_kill_at r.k_failovers r.k_stall_p99 r.k_digest
-        (if r.k_ok then "ok" else Printf.sprintf "MISMATCH (expected %016Lx)" r.k_expected))
-    rows;
-  let bad = List.filter (fun r -> not r.k_ok) rows in
-  Format.fprintf ppf "@.%d cell(s), %d divergence(s)@." (List.length rows) (List.length bad);
-  bad = []
-
 (* ------------------------------------------------------------------ *)
-(* Availability cost                                                  *)
+(* Tables                                                             *)
 
-(* What replication costs when nothing fails (extra traffic, slowdown vs
-   K = 1) and what a failure costs when it happens (recovery stalls), per
-   protocol x application x degree x scheme. *)
-
-type avail_row = {
-  a_app : string;
-  a_proto : Svm.Config.protocol;
-  a_replicas : int;
-  a_scheme : Svm.Config.repl_scheme option;  (** [None] at K = 1 (no replication). *)
-  a_repl_msgs : int;  (** Replication updates + invalidations, fault-free run. *)
-  a_repl_bytes : int;
-  a_overhead : float;  (** elapsed(K, scheme) / elapsed(K = 1), fault-free. *)
-  a_failovers : int;  (** From the killed run; 0 at K = 1 (no kill attempted). *)
-  a_stall_mean : float;
-  a_stall_p99 : float;
-  a_ok : bool;  (** Killed-run digest matches fault-free; vacuously true at K = 1. *)
+type table = {
+  title : string;
+  header : string;
+  unit : string;
+  protocols : Svm.Config.protocol list;
+  apps : string list;
+  scenarios : string -> Svm.Config.protocol -> scenario list;
+  values : row list -> row -> string;  (** measured columns of a row whose runs all finished *)
+  verdict : row list -> string list * string * bool;
+      (** table-wide checks over the finished rows: extra lines, summary tail, pass *)
 }
 
-let availability ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) ?(nprocs = 4)
-    ?(degrees = [ 2; 3 ]) () =
-  let apps =
-    List.filter_map (fun name -> Apps.Registry.find name scale) Apps.Registry.names
+let divergences rows =
+  let bad = List.filter (fun r -> not (matches r)) rows in
+  ([], Printf.sprintf ", %d divergence(s)" (List.length bad), bad = [])
+
+let table ?(unit = "cell(s)") ?(protocols = replicable) ?(apps = Apps.Registry.names)
+    ?(verdict = divergences) title header scenarios values =
+  { title; header; unit; protocols; apps; scenarios; values; verdict }
+
+let chaos_soak =
+  let plan =
+    { Machine.Chaos.none with drop_rate = 0.02; dup_rate = 0.01; jitter = 5.0; straggler = 1.25 }
   in
-  let tasks =
-    List.concat_map
-      (fun proto -> List.map (fun (app : Apps.Registry.t) -> (proto, app)) apps)
-      replicable
-  in
-  Pool.map pool
-    (fun (proto, (app : Apps.Registry.t)) ->
-      let base = run_one ~nprocs ~chaos:Machine.Chaos.none proto app in
-      let base_row =
-        {
-          a_app = app.Apps.Registry.name;
-          a_proto = proto;
-          a_replicas = 1;
-          a_scheme = None;
-          a_repl_msgs = 0;
-          a_repl_bytes = 0;
-          a_overhead = 1.;
-          a_failovers = 0;
-          a_stall_mean = 0.;
-          a_stall_p99 = 0.;
-          a_ok = true;
-        }
-      in
-      base_row
+  table ~protocols "Chaos soak: differential soundness"
+    (Printf.sprintf "%-10s %-6s %5s  %8s %8s %9s  %s" "app" "proto" "seed" "drops" "rexmits"
+       "slowdown" "digest")
+    (fun app proto ->
+      let twin = Svm.Config.make ~nprocs proto in
+      List.map
+        (fun fault_seed ->
+          let label = Printf.sprintf "%-10s %-6s %5d" app (proto_col proto) fault_seed in
+          { label; twin; faults = (fun _ _ -> [ { twin with chaos = { plan with fault_seed } } ]) })
+        [ 1; 2; 3 ])
+    (fun _ r ->
+      let x = report (the_faulted r) in
+      Printf.sprintf "  %8d %8d %8.2fx  %s"
+        (sum x (fun c -> c.msg_drops))
+        (sum x (fun c -> c.msg_retransmits))
+        (x.r_elapsed /. elapsed r.twin) (digest_col r))
+
+let kill_soak =
+  table "Kill soak: failover differential soundness"
+    (Printf.sprintf "%-10s %-6s %-7s %2s %10s %9s %9s  %s" "app" "proto" "scheme" "K" "kill_at"
+       "failovers" "p99stall" "digest")
+    (fun app proto ->
+      List.map
+        (fun scheme ->
+          let scheme_name = Svm.Config.repl_scheme_name scheme in
+          let label = Printf.sprintf "%-10s %-6s %-7s %2d" app (proto_col proto) scheme_name 2 in
+          tail_kill ~label proto ~replicas:2 scheme)
+        schemes)
+    (fun _ r ->
+      let x = the_faulted r in
+      let k = report x in
+      Printf.sprintf " %10.0f %9d %8.0fu  %s"
+        (match Machine.Chaos.first_kill x.cfg.chaos with Some (_, at) -> at | None -> nan)
+        (sum k (fun c -> c.failovers))
+        (p99 k.r_failover_stalls) (digest_col r))
+
+(* What replication costs when nothing fails (traffic, slowdown vs K = 1)
+   and what a failure costs when it happens (recovery stalls). *)
+let availability =
+  table "Availability cost: replication traffic and recovery stalls"
+    (Printf.sprintf "%-10s %-6s %2s %-7s %9s %10s %9s %9s %10s %10s" "app" "proto" "K" "scheme"
+       "repl_msgs" "repl_bytes" "overhead" "failovers" "stall_mean" "stall_p99")
+    (fun app proto ->
+      let label k scheme = Printf.sprintf "%-10s %-6s %2d %-7s" app (proto_col proto) k scheme in
+      { label = label 1 "-"; twin = Svm.Config.make ~nprocs proto; faults = (fun _ _ -> []) }
       :: List.concat_map
            (fun replicas ->
              List.map
                (fun scheme ->
-                 let clean, killed, _ = run_killed ~nprocs ~replicas ~scheme proto app in
-                 let stalls = killed.Svm.Runtime.r_failover_stalls in
-                 let n = List.length stalls in
-                 {
-                   a_app = app.Apps.Registry.name;
-                   a_proto = proto;
-                   a_replicas = replicas;
-                   a_scheme = Some scheme;
-                   a_repl_msgs =
-                     sum_counter clean (fun c -> c.Svm.Stats.repl_updates)
-                     + sum_counter clean (fun c -> c.Svm.Stats.repl_invals);
-                   a_repl_bytes = sum_counter clean (fun c -> c.Svm.Stats.repl_bytes);
-                   a_overhead =
-                     clean.Svm.Runtime.r_elapsed /. base.Svm.Runtime.r_elapsed;
-                   a_failovers = sum_counter killed (fun c -> c.Svm.Stats.failovers);
-                   a_stall_mean =
-                     (if n = 0 then 0.
-                      else List.fold_left ( +. ) 0. stalls /. float_of_int n);
-                   a_stall_p99 = stall_p99 killed;
-                   a_ok =
-                     Int64.equal killed.Svm.Runtime.r_mem_digest
-                       clean.Svm.Runtime.r_mem_digest;
-                 })
-               [ Svm.Config.Inval; Svm.Config.Backup ])
-           degrees)
-    tasks
-  |> List.concat
+                 let label = label replicas (Svm.Config.repl_scheme_name scheme) in
+                 tail_kill ~label proto ~replicas scheme)
+               schemes)
+           [ 2; 3 ])
+    (fun rows r ->
+      let base =
+        List.find
+          (fun b ->
+            b.app = r.app && b.twin.cfg.protocol = r.twin.cfg.protocol && b.twin.cfg.replicas = 1)
+          rows
+      in
+      let t = report r.twin and killed = List.map report r.faulted in
+      let stalls = List.concat_map (fun (k : Svm.Runtime.report) -> k.r_failover_stalls) killed in
+      let n = List.length stalls in
+      Printf.sprintf " %9d %10d %8.3fx %9d %9.0fu %9.0fu%s"
+        (sum t (fun c -> c.repl_updates + c.repl_invals))
+        (sum t (fun c -> c.repl_bytes))
+        (t.r_elapsed /. elapsed base.twin)
+        (List.fold_left (fun acc k -> acc + sum k (fun c -> c.failovers)) 0 killed)
+        (if n = 0 then 0. else List.fold_left ( +. ) 0. stalls /. float_of_int n)
+        (p99 stalls)
+        (if matches r then "" else "  DIGEST MISMATCH"))
 
-let availability_report ppf ?pool ?scale ?nprocs ?degrees () =
-  let rows = availability ?pool ?scale ?nprocs ?degrees () in
-  Format.fprintf ppf "@.=== Availability cost: replication traffic and recovery stalls ===@.@.";
-  Format.fprintf ppf "%-10s %-6s %2s %-7s %9s %10s %9s %9s %10s %10s@." "app" "proto" "K"
-    "scheme" "repl_msgs" "repl_bytes" "overhead" "failovers" "stall_mean" "stall_p99";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-6s %2d %-7s %9d %10d %8.3fx %9d %9.0fu %9.0fu%s@." r.a_app
-        (String.lowercase_ascii (Svm.Config.protocol_name r.a_proto))
-        r.a_replicas
-        (match r.a_scheme with None -> "-" | Some s -> Svm.Config.repl_scheme_name s)
-        r.a_repl_msgs r.a_repl_bytes r.a_overhead r.a_failovers r.a_stall_mean r.a_stall_p99
-        (if r.a_ok then "" else "  DIGEST MISMATCH"))
-    rows;
-  let bad = List.filter (fun r -> not r.a_ok) rows in
-  Format.fprintf ppf "@.%d cell(s), %d divergence(s)@." (List.length rows) (List.length bad);
-  bad = []
-
-(* ------------------------------------------------------------------ *)
-(* Partition differential sweep                                       *)
-
-(* The property extends to network partitions: a partition that heals
-   before the run ends may stall progress (links are severed; the reliable
-   transport retransmits across the heal) and — under the heartbeat
-   detector — falsely depose the minority side, but it must never change
-   the computed result. Every cell's digest is compared against its
-   fault-free twin's, under both detectors: [Oracle] exercises pure
-   retransmission healing (no failover can happen), [Heartbeat] exercises
-   the whole suspicion -> quorum depose -> failover -> refute -> rejoin
-   cycle. *)
-
-type part_row = {
-  p_app : string;
-  p_proto : Svm.Config.protocol;
-  p_group : int list;  (** the side cut off from the rest *)
-  p_detector : Svm.Config.detector;
-  p_ok : bool;
-  p_digest : int64;
-  p_expected : int64;
-  p_suspicions : int;
-  p_refutations : int;
-  p_deposes : int;
-  p_rejoins : int;
-  p_fenced : int;
-}
-
-(* Place the partition mid-run, wide enough that a suspicion timeout at the
-   default heartbeat cadence (~700 us) always elapses inside the window. *)
-let partition_window elapsed =
-  let from_ = 0.35 *. elapsed in
-  (from_, from_ +. Float.max 3000. (0.2 *. elapsed))
-
-let count_kind sink pred =
-  let n = ref 0 in
-  Obs.Trace.iter sink (fun ev -> if pred ev.Obs.Trace.kind then incr n);
-  !n
-
-let run_partitioned ~nprocs ~replicas ~detector ~group proto (app : Apps.Registry.t) =
-  let cfg = Svm.Config.make ~nprocs ~replicas proto in
-  let clean = Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true) in
-  let from_, until = partition_window clean.Svm.Runtime.r_elapsed in
-  let chaos =
-    {
-      Machine.Chaos.none with
-      Machine.Chaos.faults = [ Machine.Chaos.Partition { group; from_; until } ];
-    }
+(* A partition that heals before the run ends may stall progress and, under
+   the heartbeat detector, falsely depose the minority side, but never
+   change the result. [Oracle] exercises pure retransmission healing,
+   [Heartbeat] the whole suspicion -> depose -> failover -> refute ->
+   rejoin cycle. *)
+let partition_soak =
+  let group_name g = String.concat "," (List.map string_of_int g) in
+  let impossible r =
+    let x = the_faulted r in
+    let suspected = sum (report x) (fun c -> c.suspicions) and deposed = (facts x).deposes in
+    let cut = match Machine.Chaos.partitions x.cfg.chaos with (g, _, _) :: _ -> g | [] -> [] in
+    (* Over the whole table, since whether a given cell deposes depends on
+       timing: an oracle never suspects, and an even split never deposes. *)
+    if
+      (x.cfg.detector = Svm.Config.Oracle && (deposed > 0 || suspected > 0))
+      || (2 * List.length cut >= nprocs && deposed > 0)
+    then
+      Some
+        (Printf.sprintf "IMPOSSIBLE: %s/%s cut=%s %s deposed %d suspected %d" r.app
+           (Svm.Config.protocol_name x.cfg.protocol)
+           (group_name cut)
+           (Svm.Config.detector_name x.cfg.detector)
+           deposed suspected)
+    else None
   in
-  let cfg = Svm.Config.make ~nprocs ~replicas ~chaos ~detector proto in
-  let sink = Obs.Trace.create_sink () in
-  let parted = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:true) in
-  (clean, parted, sink)
-
-(* Two placements: a lone minority node (the quorum deposes it under the
-   heartbeat detector) and an even split (neither side can muster a strict
-   majority — nobody may be deposed, the partition only stalls). *)
-let default_groups ~nprocs = [ [ nprocs - 1 ]; List.init (nprocs / 2) (fun i -> nprocs - 1 - i) ]
-
-let partition_sweep ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) ?(nprocs = 4)
-    ?(replicas = 2) ?groups () =
-  let groups = match groups with Some g -> g | None -> default_groups ~nprocs in
-  let apps =
-    List.filter_map (fun name -> Apps.Registry.find name scale) Apps.Registry.names
-  in
-  let tasks =
-    List.concat_map
-      (fun proto -> List.map (fun (app : Apps.Registry.t) -> (proto, app)) apps)
-      replicable
-  in
-  Pool.map pool
-    (fun (proto, (app : Apps.Registry.t)) ->
+  table "Partition soak: healed partitions never change results"
+    (Printf.sprintf "%-10s %-6s %-6s %-9s %8s %7s %7s %7s %7s  %s" "app" "proto" "cut" "detector"
+       "suspects" "refutes" "deposes" "rejoins" "fenced" "digest")
+    (fun app proto ->
+      let twin = Svm.Config.make ~nprocs ~replicas:2 proto in
+      (* A lone minority node (the heartbeat quorum deposes it) and an even
+         split (no side has a strict majority, so nobody may be deposed). *)
       List.concat_map
         (fun group ->
           List.map
             (fun detector ->
-              let clean, parted, sink =
-                run_partitioned ~nprocs ~replicas ~detector ~group proto app
+              let label =
+                Printf.sprintf "%-10s %-6s %-6s %-9s" app (proto_col proto) (group_name group)
+                  (Svm.Config.detector_name detector)
               in
-              let expected = clean.Svm.Runtime.r_mem_digest in
-              {
-                p_app = app.Apps.Registry.name;
-                p_proto = proto;
-                p_group = group;
-                p_detector = detector;
-                p_ok = Int64.equal parted.Svm.Runtime.r_mem_digest expected;
-                p_digest = parted.Svm.Runtime.r_mem_digest;
-                p_expected = expected;
-                p_suspicions = sum_counter parted (fun c -> c.Svm.Stats.suspicions);
-                p_refutations = sum_counter parted (fun c -> c.Svm.Stats.refutations);
-                p_deposes =
-                  count_kind sink (function Obs.Trace.Depose _ -> true | _ -> false);
-                p_rejoins =
-                  count_kind sink (function Obs.Trace.Rejoin _ -> true | _ -> false);
-                p_fenced = sum_counter parted (fun c -> c.Svm.Stats.fenced_fetches);
-              })
+              let cut r _ =
+                let from_, until = mid_window ~at:0.35 ~len:0.2 r in
+                [ with_faults ~detector twin [ Partition { group; from_; until } ] ]
+              in
+              { label; twin; faults = cut })
             [ Svm.Config.Oracle; Svm.Config.Heartbeat ])
-        groups)
-    tasks
-  |> List.concat
+        [ [ victim ]; List.init (nprocs / 2) (fun i -> victim - i) ])
+    (fun _ r ->
+      let x = the_faulted r in
+      let k = report x in
+      Printf.sprintf " %8d %7d %7d %7d %7d  %s"
+        (sum k (fun c -> c.suspicions))
+        (sum k (fun c -> c.refutations))
+        (facts x).deposes (facts x).rejoins
+        (sum k (fun c -> c.fenced_fetches))
+        (digest_col r))
+    ~verdict:(fun rows ->
+      let impossible = List.filter_map impossible rows in
+      let _, divergent, ok = divergences rows in
+      ( impossible,
+        Printf.sprintf "%s, %d impossible detector outcome(s)" divergent (List.length impossible),
+        ok && impossible = [] ))
 
-let group_name g = String.concat "," (List.map string_of_int g)
-
-let partition_report ppf ?pool ?scale ?nprocs ?replicas ?groups () =
-  let rows = partition_sweep ?pool ?scale ?nprocs ?replicas ?groups () in
-  Format.fprintf ppf "@.=== Partition soak: healed partitions never change results ===@.@.";
-  Format.fprintf ppf "%-10s %-6s %-6s %-9s %8s %7s %7s %7s %7s  %s@." "app" "proto" "cut"
-    "detector" "suspects" "refutes" "deposes" "rejoins" "fenced" "digest";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-6s %-6s %-9s %8d %7d %7d %7d %7d  %016Lx %s@." r.p_app
-        (String.lowercase_ascii (Svm.Config.protocol_name r.p_proto))
-        (group_name r.p_group)
-        (Svm.Config.detector_name r.p_detector)
-        r.p_suspicions r.p_refutations r.p_deposes r.p_rejoins r.p_fenced r.p_digest
-        (if r.p_ok then "ok" else Printf.sprintf "MISMATCH (expected %016Lx)" r.p_expected))
-    rows;
-  (* Sanity over the whole table, not per cell (whether a *given* cell
-     deposes depends on timing): oracle cells must never depose, and no
-     even-split cell may ever depose anyone (no strict majority exists). *)
-  let impossible =
-    List.filter
-      (fun r ->
-        (r.p_detector = Svm.Config.Oracle && (r.p_deposes > 0 || r.p_suspicions > 0))
-        || (2 * List.length r.p_group >= (match nprocs with Some n -> n | None -> 4)
-           && r.p_deposes > 0))
-      rows
+(* Pause the victim past the suspicion timeout so the quorum wrongly
+   deposes it (a gray failure: it is alive), let it resume, and require the
+   twin's digest (no split brain, no lost update) with the victim deposed,
+   rejoined and demonstrably active after the heal. *)
+let suspicion_soak =
+  let rehabilitated r =
+    let f = facts (the_faulted r) in
+    Float.is_finite f.first_depose && Float.is_finite f.first_rejoin && f.active_after
   in
-  let bad = List.filter (fun r -> not r.p_ok) rows in
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "IMPOSSIBLE: %s/%s cut=%s %s deposed %d suspected %d@." r.p_app
-        (Svm.Config.protocol_name r.p_proto) (group_name r.p_group)
-        (Svm.Config.detector_name r.p_detector)
-        r.p_deposes r.p_suspicions)
-    impossible;
-  Format.fprintf ppf "@.%d cell(s), %d divergence(s), %d impossible detector outcome(s)@."
-    (List.length rows) (List.length bad) (List.length impossible);
-  bad = [] && impossible = []
-
-(* ------------------------------------------------------------------ *)
-(* False-suspicion soak                                               *)
-
-(* The sharpest robustness property of the detector stack: pause a node
-   past the suspicion timeout so the quorum *wrongly* deposes it (it is
-   alive — a gray failure), let it resume, and require (a) the digest to
-   match the fault-free twin — no split brain, no lost update — and (b) the
-   victim to be deposed, to rejoin, and to demonstrably participate after
-   the heal. *)
-
-type suspicion_row = {
-  f_app : string;
-  f_proto : Svm.Config.protocol;
-  f_scheme : Svm.Config.repl_scheme;
-  f_ok : bool;
-  f_digest : int64;
-  f_expected : int64;
-  f_deposed : bool;
-  f_rejoined : bool;
-  f_active_after : bool;  (** the victim fetched or synchronized post-rejoin *)
-  f_detect_us : float;  (** first suspicion of the victim minus pause start *)
-}
-
-let run_suspected ~nprocs ~replicas ~scheme proto (app : Apps.Registry.t) =
-  let cfg = Svm.Config.make ~nprocs ~replicas ~repl_scheme:scheme proto in
-  let clean = Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true) in
-  let victim = nprocs - 1 in
-  let from_ = 0.4 *. clean.Svm.Runtime.r_elapsed in
-  (* Four suspicion timeouts: the quorum always deposes well inside the
-     window, and the refutation only arrives after the resume. *)
-  let until = from_ +. Float.max 3000. (4. *. 700.) in
-  let chaos =
-    {
-      Machine.Chaos.none with
-      Machine.Chaos.faults = [ Machine.Chaos.Pause { node = victim; from_; until } ];
-    }
-  in
-  let cfg =
-    Svm.Config.make ~nprocs ~replicas ~repl_scheme:scheme ~chaos
-      ~detector:Svm.Config.Heartbeat proto
-  in
-  let sink = Obs.Trace.create_sink () in
-  let paused = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:true) in
-  (clean, paused, sink, victim, from_)
-
-let false_suspicion_sweep ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test)
-    ?(nprocs = 4) ?(replicas = 2) () =
-  let apps =
-    List.filter_map (fun name -> Apps.Registry.find name scale) Apps.Registry.names
-  in
-  let tasks =
-    List.concat_map
-      (fun proto -> List.map (fun (app : Apps.Registry.t) -> (proto, app)) apps)
-      replicable
-  in
-  Pool.map pool
-    (fun (proto, (app : Apps.Registry.t)) ->
+  table "False-suspicion soak: wrongly deposed nodes rejoin without split brain"
+    (Printf.sprintf "%-10s %-6s %-7s %8s %8s %7s %10s  %s" "app" "proto" "scheme" "deposed"
+       "rejoined" "active" "detect_us" "digest")
+    (fun app proto ->
       List.map
         (fun scheme ->
-          let clean, paused, sink, victim, pause_at =
-            run_suspected ~nprocs ~replicas ~scheme proto app
+          let twin = Svm.Config.make ~nprocs ~replicas:2 ~repl_scheme:scheme proto in
+          let label =
+            Printf.sprintf "%-10s %-6s %-7s" app (proto_col proto)
+              (Svm.Config.repl_scheme_name scheme)
           in
-          let expected = clean.Svm.Runtime.r_mem_digest in
-          let deposed = ref false and rejoin_at = ref Float.infinity in
-          let active_after = ref false and first_suspect = ref Float.infinity in
-          Obs.Trace.iter sink (fun ev ->
-              match ev.Obs.Trace.kind with
-              | Obs.Trace.Depose { node } when node = victim -> deposed := true
-              | Obs.Trace.Rejoin { node } when node = victim ->
-                  rejoin_at := Float.min !rejoin_at ev.Obs.Trace.time
-              | Obs.Trace.Suspect { peer } when peer = victim ->
-                  first_suspect := Float.min !first_suspect ev.Obs.Trace.time
-              | (Obs.Trace.Page_fetch _ | Obs.Trace.Barrier_arrive _)
-                when ev.Obs.Trace.node = victim && ev.Obs.Trace.time > !rejoin_at ->
-                  active_after := true
-              | _ -> ());
-          {
-            f_app = app.Apps.Registry.name;
-            f_proto = proto;
-            f_scheme = scheme;
-            f_ok = Int64.equal paused.Svm.Runtime.r_mem_digest expected;
-            f_digest = paused.Svm.Runtime.r_mem_digest;
-            f_expected = expected;
-            f_deposed = !deposed;
-            f_rejoined = Float.is_finite !rejoin_at;
-            f_active_after = !active_after;
-            f_detect_us =
-              (if Float.is_finite !first_suspect then !first_suspect -. pause_at else nan);
-          })
-        [ Svm.Config.Inval; Svm.Config.Backup ])
-    tasks
-  |> List.concat
+          let pause r _ =
+            let from_, until = mid_window ~at:0.4 ~len:0. r in
+            [ with_faults ~detector:Heartbeat twin [ Pause { node = victim; from_; until } ] ]
+          in
+          { label; twin; faults = pause })
+        schemes)
+    (fun _ r ->
+      let x = the_faulted r in
+      let f = facts x in
+      let paused_at =
+        match Machine.Chaos.first_pause x.cfg.chaos with Some (_, at, _) -> at | None -> nan
+      in
+      Printf.sprintf " %8b %8b %7b %10.0f  %s" (Float.is_finite f.first_depose)
+        (Float.is_finite f.first_rejoin) f.active_after
+        (if Float.is_finite f.first_suspect then f.first_suspect -. paused_at else nan)
+        (digest_col r))
+    ~verdict:(fun rows ->
+      let bad = List.filter (fun r -> not (matches r && rehabilitated r)) rows in
+      ([], Printf.sprintf ", %d failing" (List.length bad), bad = []))
 
-let false_suspicion_report ppf ?pool ?scale ?nprocs ?replicas () =
-  let rows = false_suspicion_sweep ?pool ?scale ?nprocs ?replicas () in
-  Format.fprintf ppf
-    "@.=== False-suspicion soak: wrongly deposed nodes rejoin without split brain ===@.@.";
-  Format.fprintf ppf "%-10s %-6s %-7s %8s %8s %7s %10s  %s@." "app" "proto" "scheme"
-    "deposed" "rejoined" "active" "detect_us" "digest";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%-10s %-6s %-7s %8b %8b %7b %10.0f  %016Lx %s@." r.f_app
-        (String.lowercase_ascii (Svm.Config.protocol_name r.f_proto))
-        (Svm.Config.repl_scheme_name r.f_scheme)
-        r.f_deposed r.f_rejoined r.f_active_after r.f_detect_us r.f_digest
-        (if r.f_ok then "ok" else Printf.sprintf "MISMATCH (expected %016Lx)" r.f_expected))
-    rows;
-  let bad =
-    List.filter
-      (fun r -> not (r.f_ok && r.f_deposed && r.f_rejoined && r.f_active_after))
-      rows
-  in
-  Format.fprintf ppf "@.%d cell(s), %d failing@." (List.length rows) (List.length bad);
-  bad = []
-
-(* ------------------------------------------------------------------ *)
-(* Detector characterization                                          *)
-
-(* The classic failure-detector trade-off, measured: a short suspicion
-   timeout detects real crashes quickly but wrongly deposes nodes that are
-   merely slow (a paused-and-resumed gray failure); a long one never errs
-   but leaves the cluster blocked on a dead home for longer. One row per
-   timeout: detection latency of a real kill (depose time - kill time) and
-   whether an equally-long pause was falsely deposed. *)
-
-type detector_row = {
-  d_timeout : float;  (** suspicion timeout, us *)
-  d_detect_us : float;  (** real kill: quorum depose latency, us *)
-  d_false_depose : bool;  (** pause of [d_pause_us]: was the victim deposed? *)
-  d_pause_us : float;  (** gray-failure pause length, us *)
-  d_ok : bool;  (** both runs' digests match their fault-free twins *)
-}
-
-let detector_sweep ?(scale = Apps.Registry.Test) ?(nprocs = 4) ?(replicas = 2)
-    ?(timeouts = [ 400.; 800.; 1600.; 3200.; 6400. ]) ?(proto = Svm.Config.Hlrc) () =
-  let app =
-    match Apps.Registry.find "lu" scale with
-    | Some a -> a
-    | None -> invalid_arg "Soak.detector_sweep: no lu application"
-  in
-  let sink = Obs.Trace.create_sink () in
-  let cfg = Svm.Config.make ~nprocs ~replicas proto in
-  let clean = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:true) in
-  let expected = clean.Svm.Runtime.r_mem_digest in
-  let victim = nprocs - 1 in
-  (* Like {!kill_sweep}: the fault lands in the victim's synchronization
-     tail, where a crash-stop loses no unreplicated computation and the
-     pause's false depose is recoverable by rejoin. *)
-  let last = ref 0. in
-  Obs.Trace.iter sink (fun ev ->
-      if ev.Obs.Trace.node = victim then
-        match ev.Obs.Trace.kind with
-        | Obs.Trace.Barrier_arrive _ -> last := ev.Obs.Trace.time
-        | _ -> ());
-  let fault_at = !last +. (0.5 *. (clean.Svm.Runtime.r_elapsed -. !last)) in
+(* The failure-detector trade-off on LU: a short suspicion timeout detects
+   a real kill quickly but wrongly deposes a node that is merely paused; a
+   long one never errs but leaves the cluster blocked on a dead home for
+   longer. Each row injects both, at the same sync-tail instant. *)
+let detector proto =
   let pause_us = 2000. in
-  List.map
-    (fun hb_timeout ->
-      let run faults =
-        let chaos = { Machine.Chaos.none with Machine.Chaos.faults } in
-        let cfg =
-          Svm.Config.make ~nprocs ~replicas ~chaos ~detector:Svm.Config.Heartbeat
-            ~hb_timeout proto
-        in
-        let sink = Obs.Trace.create_sink () in
-        let r = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:true) in
-        let depose_at = ref Float.infinity in
-        Obs.Trace.iter sink (fun ev ->
-            match ev.Obs.Trace.kind with
-            | Obs.Trace.Depose { node } when node = victim ->
-                depose_at := Float.min !depose_at ev.Obs.Trace.time
-            | _ -> ());
-        (r, !depose_at)
-      in
-      let killed, kill_depose =
-        run [ Machine.Chaos.Kill { node = victim; at = fault_at } ]
-      in
-      let paused, pause_depose =
-        run
-          [ Machine.Chaos.Pause { node = victim; from_ = fault_at; until = fault_at +. pause_us } ]
-      in
-      {
-        d_timeout = hb_timeout;
-        d_detect_us =
-          (if Float.is_finite kill_depose then kill_depose -. fault_at else infinity);
-        d_false_depose = Float.is_finite pause_depose;
-        d_pause_us = pause_us;
-        d_ok =
-          Int64.equal killed.Svm.Runtime.r_mem_digest expected
-          && Int64.equal paused.Svm.Runtime.r_mem_digest expected;
-      })
-    timeouts
-
-let detector_report ppf ?scale ?nprocs ?replicas ?timeouts ?proto () =
-  let rows = detector_sweep ?scale ?nprocs ?replicas ?timeouts ?proto () in
-  Format.fprintf ppf
-    "@.=== Detector characterization (%s): detection latency vs false failover ===@.@."
-    (Svm.Config.protocol_name (Option.value ~default:Svm.Config.Hlrc proto));
-  Format.fprintf ppf "%10s %12s %13s %10s  %s@." "timeout_us" "detect_us" "false_depose"
-    "pause_us" "digests";
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "%10.0f %12.0f %13b %10.0f  %s@." r.d_timeout r.d_detect_us
-        r.d_false_depose r.d_pause_us
-        (if r.d_ok then "ok" else "MISMATCH"))
-    rows;
-  (* Monotonicity is the point of the table: latency must not decrease with
-     the timeout, and once a timeout is too long for the pause to trigger,
-     every longer one must be quiet too. *)
+  let deposed_at r i = (facts (List.nth r.faulted i)).first_depose in
+  let detect_us r =
+    match Machine.Chaos.first_kill (List.hd r.faulted).cfg.chaos with
+    | Some (_, at) when Float.is_finite (deposed_at r 0) -> deposed_at r 0 -. at
+    | _ -> infinity
+  in
+  let false_depose r = Float.is_finite (deposed_at r 1) in
+  (* Latency must not decrease with the timeout, and once a timeout is too
+     long for the pause to trigger, every longer one is quiet too. *)
   let rec monotone = function
     | a :: (b :: _ as rest) ->
-        a.d_detect_us <= b.d_detect_us
-        && (a.d_false_depose || not b.d_false_depose)
-        && monotone rest
+        detect_us a <= detect_us b && (false_depose a || not (false_depose b)) && monotone rest
     | _ -> true
   in
-  let ok = List.for_all (fun r -> r.d_ok) rows && monotone rows in
-  Format.fprintf ppf "@.%d timeout(s)%s@." (List.length rows)
-    (if monotone rows then "" else ", NON-MONOTONE detection latency");
-  ok
+  table ~unit:"timeout(s)" ~protocols:[ proto ] ~apps:[ "lu" ]
+    (Printf.sprintf "Detector characterization (%s): detection latency vs false failover"
+       (Svm.Config.protocol_name proto))
+    (Printf.sprintf "%10s %12s %13s %10s  %s" "timeout_us" "detect_us" "false_depose" "pause_us"
+       "digests")
+    (fun _ proto ->
+      let twin = Svm.Config.make ~nprocs ~replicas:2 proto in
+      List.map
+        (fun hb_timeout ->
+          let both r f =
+            let at = tail_time r f in
+            List.map
+              (fun fault -> with_faults ~detector:Heartbeat ~hb_timeout twin [ fault ])
+              [
+                Kill { node = victim; at };
+                Pause { node = victim; from_ = at; until = at +. pause_us };
+              ]
+          in
+          { label = Printf.sprintf "%10.0f" hb_timeout; twin; faults = both })
+        [ 400.; 800.; 1600.; 3200.; 6400. ])
+    (fun _ r ->
+      Printf.sprintf " %12.0f %13b %10.0f  %s" (detect_us r) (false_depose r) pause_us
+        (if matches r then "ok" else "MISMATCH"))
+    ~verdict:(fun rows ->
+      let ok = monotone rows in
+      let tail = if ok then "" else ", NON-MONOTONE detection latency" in
+      ([], tail, ok && List.for_all matches rows))
+
+let artifacts =
+  [
+    ("chaos-soak", [ chaos_soak ]);
+    ("kill-soak", [ kill_soak ]);
+    ("availability", [ availability ]);
+    ("partition-soak", [ partition_soak ]);
+    ("suspicion-soak", [ suspicion_soak ]);
+    (* Homeless and home-based: the trade-off must hold on both families. *)
+    ("detector", [ detector Svm.Config.Hlrc; detector Svm.Config.Lrc ]);
+  ]
+
+let names = List.map fst artifacts
+
+(* ------------------------------------------------------------------ *)
+(* Runner and printer                                                 *)
+
+(* One pool task per (protocol x application) cell, enumerated in the
+   sequential nesting order, so the rows are identical at any pool width. *)
+let sweep ~pool ~scale t =
+  let cells =
+    List.concat_map
+      (fun proto ->
+        List.filter_map
+          (fun name -> Option.map (fun a -> (proto, a)) (Apps.Registry.find name scale))
+          t.apps)
+      t.protocols
+  in
+  Pool.map pool
+    (fun (proto, (app : Apps.Registry.t)) -> run_cell app (t.scenarios app.name proto))
+    cells
+  |> List.concat
+
+let print ppf ~scale t rows =
+  Format.fprintf ppf "@.=== %s ===@.@.%s@." t.title t.header;
+  List.iter
+    (fun r ->
+      match failure r with
+      | None -> Format.fprintf ppf "%s%s@." r.label (t.values rows r)
+      | Some x ->
+          Format.fprintf ppf "%s  FAILED (%s)@.  replay: %s@." r.label
+            (match x.result with Error e -> e | Ok _ -> "")
+            (replay_line ~scale ~app:r.app x.cfg))
+    rows;
+  let finished = List.filter (fun r -> Option.is_none (failure r)) rows in
+  let failed = List.length rows - List.length finished in
+  let lines, tail, ok = t.verdict finished in
+  List.iter (Format.fprintf ppf "%s@.") lines;
+  Format.fprintf ppf "@.%d %s%s%s@." (List.length rows) t.unit tail
+    (if failed = 0 then "" else Printf.sprintf ", %d failed run(s) (replay lines above)" failed);
+  ok && failed = 0
+
+let report ppf ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) name =
+  match List.assoc_opt name artifacts with
+  | None -> invalid_arg (Printf.sprintf "Soak.report: unknown artifact %S" name)
+  | Some tables ->
+      List.fold_left (fun ok t -> print ppf ~scale t (sweep ~pool ~scale t) && ok) true tables

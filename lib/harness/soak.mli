@@ -1,259 +1,45 @@
-(** Differential soundness under fault injection.
+(** Differential soundness under injected faults: the six soak artifacts as
+    scenario lists over one runner.
 
-    Chaos may change timing and traffic, never results: every
-    protocol x application cell is run fault-free and once per fault seed
-    (each run also self-verifies against its sequential reference), and the
-    final shared-memory digests must be bit-identical. *)
+    A scenario names a fault-free twin configuration and derives its faulted
+    configuration(s) from the twin's report and trace. Faults may change
+    timing and traffic, never results: every run must pass the
+    application's own verification against its sequential reference, and
+    every faulted run must end with the twin's shared-memory digest. Runs
+    use 4 nodes, and node faults always hit node 3. Two placement rules
+    serve all node faults: the sync tail (after the victim's last barrier
+    arrival and the twin's last lock handoff) for kills and the detector's
+    faults, and a mid-run window for partitions and pauses.
 
-type row = {
-  s_app : string;
-  s_proto : Svm.Config.protocol;
-  s_fault_seed : int;
-  s_ok : bool;  (** digest matches the fault-free run *)
-  s_digest : int64;
-  s_expected : int64;
-  s_slowdown : float;  (** elapsed(chaos) / elapsed(fault-free) *)
-  s_drops : int;
-  s_retransmits : int;
-}
+    Work is split into (protocol x application) cells run through a
+    {!Pool}; rows come back in the sequential order, so output is identical
+    at any pool width. A run that deadlocks or fails verification does not
+    abort the artifact: its row says how it failed and prints the
+    {!replay_line} of the failed run. *)
 
-(** The fault plan used when [?params] is omitted: 2% drops, 1% duplicates,
-    5 us jitter, 1.25x straggler cap. *)
-val default_params : fault_seed:int -> Machine.Chaos.params
+(** The artifacts, in bench order: [chaos-soak] (drops, duplicates, jitter
+    and stragglers under three fault seeds, every protocol), [kill-soak]
+    (a tail kill at K = 2 under both replication schemes), [availability]
+    (replication traffic and overhead at K = 1, 2, 3, plus recovery stalls
+    of a tail kill), [partition-soak] (a lone node and an even split cut
+    off mid-run, under both detectors), [suspicion-soak] (a replicated home
+    paused past the heartbeat timeout) and [detector] (LU on HLRC and LRC:
+    detection latency of a kill vs false deposes of a 2 ms pause, per
+    suspicion timeout). *)
+val names : string list
 
-(** Every protocol x registered application (at [scale], default [Test])
-    x fault seed (default [[1; 2; 3]]), on [nprocs] nodes (default 4).
-    [params.fault_seed] is overridden per row. The (protocol x application)
-    cells are independent simulations and run through [pool] (default
-    {!Pool.sequential}); rows come back in the sequential nesting order
-    regardless of pool width. *)
-val sweep :
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?fault_seeds:int list ->
-  ?params:Machine.Chaos.params ->
-  unit ->
-  row list
-
-(** Run {!sweep}, print one line per row plus a summary, and return whether
-    every cell matched. *)
+(** [report ppf ?pool ?scale name] runs artifact [name] (at [scale], default
+    [Test], on [pool], default {!Pool.sequential}), prints its table(s) and
+    returns whether every cell finished and passed, including the
+    table-wide checks: no impossible detector outcome in [partition-soak],
+    monotone latency and false deposes in [detector].
+    @raise Invalid_argument if [name] is not in {!names}. *)
 val report :
-  Format.formatter ->
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?fault_seeds:int list ->
-  ?params:Machine.Chaos.params ->
-  unit ->
-  bool
+  Format.formatter -> ?pool:Pool.t -> ?scale:Apps.Registry.scale -> string -> bool
 
-(** {1 Node-kill differential sweep}
-
-    Crash-stop a node mid-run with a replica degree >= 2 and require the
-    final shared-memory digest to match the fault-free twin's: the failover
-    must have rebuilt every page the victim hosted. The kill lands in the
-    victim's synchronization tail (after its last barrier arrival in the
-    fault-free twin) — earlier kills lose committed-but-unreplicated work
-    that crash-stop semantics cannot recover. *)
-
-type kill_row = {
-  k_app : string;
-  k_proto : Svm.Config.protocol;
-  k_scheme : Svm.Config.repl_scheme;
-  k_replicas : int;
-  k_kill_at : float;  (** Derived kill time, microseconds. *)
-  k_ok : bool;  (** digest matches the fault-free twin *)
-  k_digest : int64;
-  k_expected : int64;
-  k_failovers : int;
-  k_stall_p99 : float;  (** p99 recovery stall of re-routed fetches, us. *)
-}
-
-(** Every replicable protocol (eager AURC / RC excluded) x registered
-    application x scheme ([Inval] and [Backup]), killing node
-    [nprocs - 1] with [replicas] (default 2) copies per page. *)
-val kill_sweep :
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  unit ->
-  kill_row list
-
-(** Run {!kill_sweep}, print one line per row plus a summary, and return
-    whether every cell matched. *)
-val kill_report :
-  Format.formatter ->
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  unit ->
-  bool
-
-(** {1 Availability cost}
-
-    The price of surviving a home failure: fault-free replication traffic
-    and slowdown versus an unreplicated run, and the recovery stalls a
-    kill actually causes, per protocol x application x degree x scheme. *)
-
-type avail_row = {
-  a_app : string;
-  a_proto : Svm.Config.protocol;
-  a_replicas : int;
-  a_scheme : Svm.Config.repl_scheme option;  (** [None] at K = 1. *)
-  a_repl_msgs : int;  (** Replication updates + invals, fault-free run. *)
-  a_repl_bytes : int;
-  a_overhead : float;  (** elapsed(K, scheme) / elapsed(K = 1), fault-free. *)
-  a_failovers : int;  (** From the killed run; 0 at K = 1. *)
-  a_stall_mean : float;
-  a_stall_p99 : float;
-  a_ok : bool;  (** Killed-run digest matches; vacuously true at K = 1. *)
-}
-
-(** Replicable protocols x applications x degrees (default [[2; 3]], plus
-    the K = 1 baseline row) x schemes; each K >= 2 cell also runs a tail
-    kill to measure recovery. *)
-val availability :
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?degrees:int list ->
-  unit ->
-  avail_row list
-
-(** Run {!availability}, print the table, and return whether every killed
-    cell's digest matched its fault-free twin. *)
-val availability_report :
-  Format.formatter ->
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?degrees:int list ->
-  unit ->
-  bool
-
-(** {1 Partition differential sweep}
-
-    A network partition that heals before the run ends may stall progress
-    and — under the heartbeat detector — falsely depose the minority side,
-    but must never change the computed result. Every replicable protocol
-    x application x cut placement runs under both detectors and its digest
-    is compared against a fault-free twin. *)
-
-type part_row = {
-  p_app : string;
-  p_proto : Svm.Config.protocol;
-  p_group : int list;  (** the side cut off from the rest *)
-  p_detector : Svm.Config.detector;
-  p_ok : bool;  (** digest matches the fault-free twin *)
-  p_digest : int64;
-  p_expected : int64;
-  p_suspicions : int;
-  p_refutations : int;
-  p_deposes : int;
-  p_rejoins : int;
-  p_fenced : int;  (** stale-authority serves refused by the epoch fence *)
-}
-
-(** Cut placements exercised when [?groups] is omitted: the lone last node
-    (a strict majority exists and deposes it under the heartbeat detector)
-    and the upper half (an even split — nobody can be deposed). *)
-val partition_sweep :
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  ?groups:int list list ->
-  unit ->
-  part_row list
-
-(** Run {!partition_sweep}, print the table, and return whether every cell
-    matched its twin and no detector-impossible outcome occurred (an oracle
-    cell that suspected anyone, or a depose without a strict majority). *)
-val partition_report :
-  Format.formatter ->
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  ?groups:int list list ->
-  unit ->
-  bool
-
-(** {1 False-suspicion soak}
-
-    Pause the last node past the suspicion timeout so the quorum wrongly
-    deposes it (a gray failure — the node is alive), resume it, and require
-    the digest to match the fault-free twin with the victim deposed,
-    rejoined, and demonstrably active after the heal. *)
-
-type suspicion_row = {
-  f_app : string;
-  f_proto : Svm.Config.protocol;
-  f_scheme : Svm.Config.repl_scheme;
-  f_ok : bool;  (** digest matches the fault-free twin *)
-  f_digest : int64;
-  f_expected : int64;
-  f_deposed : bool;
-  f_rejoined : bool;
-  f_active_after : bool;  (** the victim fetched or synchronized post-rejoin *)
-  f_detect_us : float;  (** first suspicion of the victim minus pause start *)
-}
-
-val false_suspicion_sweep :
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  unit ->
-  suspicion_row list
-
-(** Run {!false_suspicion_sweep}, print the table, and return whether every
-    cell matched, deposed, rejoined, and stayed active post-heal. *)
-val false_suspicion_report :
-  Format.formatter ->
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  unit ->
-  bool
-
-(** {1 Detector characterization}
-
-    The failure-detector trade-off, measured on LU: per suspicion timeout,
-    the quorum's detection latency for a real kill and whether a fixed
-    gray-failure pause was falsely deposed. Detection latency must grow
-    monotonically with the timeout; false deposes must stop once the
-    timeout outlasts the pause. *)
-
-type detector_row = {
-  d_timeout : float;  (** suspicion timeout, us *)
-  d_detect_us : float;  (** real kill: quorum depose latency, us *)
-  d_false_depose : bool;  (** was the paused (alive) victim deposed? *)
-  d_pause_us : float;  (** gray-failure pause length, us *)
-  d_ok : bool;  (** both runs' digests match the fault-free twin *)
-}
-
-val detector_sweep :
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  ?timeouts:float list ->
-  ?proto:Svm.Config.protocol ->
-  unit ->
-  detector_row list
-
-(** Run {!detector_sweep}, print the table, and return whether every digest
-    matched and the latency column is monotone. *)
-val detector_report :
-  Format.formatter ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?replicas:int ->
-  ?timeouts:float list ->
-  ?proto:Svm.Config.protocol ->
-  unit ->
-  bool
+(** [replay_line ~scale ~app cfg] is the [svm_run] command line that
+    replays a run of registry application [app] under [cfg]. It spells out
+    every knob the runner sets, floats as [%.17g], so it does not depend on
+    the CLI's defaults. [svm_run] takes one fault of each kind; so do the
+    soak schedules. *)
+val replay_line : scale:Apps.Registry.scale -> app:string -> Svm.Config.t -> string

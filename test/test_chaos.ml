@@ -273,20 +273,6 @@ let test_chaos_report_valid () =
   check Alcotest.bool "report carries transport counters" true (contains s "msg_retransmits");
   check Alcotest.bool "report carries the memory digest" true (contains s "mem_digest")
 
-(* --- Differential soundness across the matrix --------------------------- *)
-
-let test_soak_sweep () =
-  let rows = Harness.Soak.sweep ~scale:Apps.Registry.Test ~nprocs:4 ~fault_seeds:[ 1; 2; 3 ] () in
-  check Alcotest.bool "sweep covers all six protocols" true
-    (List.length (List.sort_uniq compare (List.map (fun r -> r.Harness.Soak.s_proto) rows)) = 6);
-  List.iter
-    (fun (r : Harness.Soak.row) ->
-      if not r.Harness.Soak.s_ok then
-        Alcotest.failf "%s/%s seed %d: digest %016Lx, fault-free %016Lx" r.Harness.Soak.s_app
-          (Svm.Config.protocol_name r.Harness.Soak.s_proto)
-          r.Harness.Soak.s_fault_seed r.Harness.Soak.s_digest r.Harness.Soak.s_expected)
-    rows
-
 (* --- Watchdog ----------------------------------------------------------- *)
 
 let test_watchdog_on_dropped_lock_grant () =
@@ -324,6 +310,5 @@ let suite =
     ("config rejects bad chaos", `Quick, test_config_rejects_bad_chaos);
     ("zero chaos byte identical", `Quick, test_zero_chaos_byte_identical);
     ("chaos report valid", `Quick, test_chaos_report_valid);
-    ("soak sweep all protocols", `Slow, test_soak_sweep);
     ("watchdog on dropped lock grant", `Quick, test_watchdog_on_dropped_lock_grant);
   ]

@@ -1,7 +1,7 @@
 (* The heartbeat failure detector: suspicion, quorum depose, refutation,
    and rejoin.
 
-   Four properties pin the detector down. (1) Fault-free equivalence:
+   Five properties pin the detector down. (1) Fault-free equivalence:
    with no faults scheduled, selecting [--detector heartbeat] may add
    pings to the wire but must not change what the program computes — the
    memory digest and verified results equal the oracle run's, and no
@@ -10,7 +10,8 @@
    Rejoin, with the digest still equal to the fault-free twin's and the
    victim demonstrably active after rejoining. (3) A healed network
    partition likewise preserves the digest. (4) Quorum safety: an even
-   split leaves no side with a strict majority, so nobody is deposed. *)
+   split leaves no side with a strict majority, so nobody is deposed.
+   (5) A false depose loses no write of the node promoted in its place. *)
 
 let check = Alcotest.check
 
@@ -165,10 +166,40 @@ let test_even_split_deposes_nobody () =
   check Alcotest.bool "even-split digest intact" true
     (Int64.equal r.Svm.Runtime.r_mem_digest clean.Svm.Runtime.r_mem_digest)
 
+(* A false depose must not lose the promoted node's own writes. Pausing
+   node 3 of an OHLRC kvstore (inval scheme) gets it deposed; node 0 is
+   promoted for page 7, which it already caches, and write-faults it while
+   the recovery pull is still in flight. Installing the rebuilt master over
+   the page used to drop that write ("key 7 delta 0, expected 1"). *)
+let test_depose_keeps_promoted_writes () =
+  let app =
+    match Apps.Registry.find "kvstore" Apps.Registry.Test with
+    | Some a -> a
+    | None -> Alcotest.fail "kvstore/test app missing"
+  in
+  let cfg = Svm.Config.make ~nprocs:4 ~replicas:2 Svm.Config.Ohlrc in
+  let twin = Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true) in
+  let pause = Machine.Chaos.Pause { node = 3; from_ = 531017.; until = 534017. } in
+  let paused =
+    Svm.Runtime.run
+      {
+        cfg with
+        Svm.Config.chaos = { Machine.Chaos.none with Machine.Chaos.faults = [ pause ] };
+        detector = Svm.Config.Heartbeat;
+        hb_interval = 200.;
+      }
+      (app.Apps.Registry.body ~verify:true)
+  in
+  check Alcotest.bool "node 3 was deposed" true
+    (sum_counter paused (fun c -> c.Svm.Stats.failovers) > 0);
+  check Alcotest.bool "digest equals the fault-free twin's" true
+    (Int64.equal paused.Svm.Runtime.r_mem_digest twin.Svm.Runtime.r_mem_digest)
+
 let suite =
   [
     ("heartbeat matches oracle when fault-free", `Quick, test_heartbeat_matches_oracle);
     ("pause deposes then rejoins", `Quick, test_pause_deposes_then_rejoins);
     ("partition heals with digest intact", `Quick, test_partition_heals_digest_intact);
     ("even split deposes nobody", `Quick, test_even_split_deposes_nobody);
+    ("false depose keeps the promoted node's writes", `Quick, test_depose_keeps_promoted_writes);
   ]

@@ -134,9 +134,38 @@ let test_parallel_determinism () =
   check Alcotest.bool "trace events identical" true (e1 = e4);
   check Alcotest.int "trace drop count identical" d1 d4
 
+(* A failing soak cell prints the svm_run line that replays it: every knob
+   the runner sets, floats exact, one flag group per scheduled fault. *)
+let test_soak_replay_line () =
+  let chaos =
+    {
+      Machine.Chaos.none with
+      Machine.Chaos.jitter = 5.;
+      faults =
+        [
+          Machine.Chaos.Kill { node = 2; at = 0.1 };
+          Machine.Chaos.Pause { node = 3; from_ = 531017.15633475094; until = 534017.25 };
+          Machine.Chaos.Partition { group = [ 3; 1 ]; from_ = 1000.; until = 4000.5 };
+        ];
+    }
+  in
+  let cfg =
+    Svm.Config.make ~nprocs:4 ~replicas:2 ~repl_scheme:Svm.Config.Backup
+      ~detector:Svm.Config.Heartbeat ~hb_timeout:800. ~chaos Svm.Config.Ohlrc
+  in
+  check Alcotest.string "replay line"
+    "dune exec bin/svm_run.exe -- --app water-nsquared --protocol ohlrc --nodes 4 --scale test \
+     --seed 42 --replicas 2 --repl-scheme backup --detector heartbeat --hb-interval 200 \
+     --hb-timeout 800 --drop-rate 0 --dup-rate 0 --jitter 5 --straggler 1 --fault-seed 0 \
+     --detect-delay 500 --kill-node 2 --kill-at 0.10000000000000001 --pause 3 --pause-at \
+     531017.15633475094 --resume-at 534017.25 --partition 3,1 --partition-at 1000 --heal-at \
+     4000.5"
+    (Harness.Soak.replay_line ~scale:Apps.Registry.Test ~app:"Water-Nsquared" cfg)
+
 let suite =
   [
     ("matrix caches runs", `Quick, test_matrix_caches);
+    ("soak replay line", `Quick, test_soak_replay_line);
     ("cells canonical order", `Quick, test_cells_canonical_order);
     ("parallel determinism", `Slow, test_parallel_determinism);
     ("speedup definition", `Quick, test_speedup_definition);
