@@ -8,39 +8,10 @@
      dune exec bench/main.exe -- --scale full --nodes 8,32,64 table2
      dune exec bench/main.exe -- micro       -- Bechamel micro-benchmarks
 
-   Artifacts: table1 table2 table3 table4 table5 table6 figure3 figure4
-   sor-zero aurc ablation-homes ablation-network ablation-pagesize
-   ablation-locks ablation-migration ablation-fault-batch chaos-soak
-   kill-soak availability partition-soak suspicion-soak detector profile
-   timeline kvstore-skew perf micro all
+   The artifacts and every flag are described in --help; the flags shared
+   with svm_run are defined once, in Harness.Cli. *)
 
-   kvstore-skew sweeps the serving workload over protocol x Zipfian skew x
-   write mix; the --kv-* flags patch its workload parameters (--kv-theta /
-   --kv-write-ratio narrow the respective sweep axis to that one value).
-   Every flag that takes a value rejects a missing or malformed one at
-   parse time, before any cell is simulated. (The failure-detector and
-   partition knobs from the availability work were never bench flags —
-   they live on svm_run only; the soak artifacts build those plans
-   internally.)
-
-   --metrics-interval US turns on the sampled metrics recorder in every
-   matrix cell; with --json the dump then carries a per-cell timeline
-   block (the timeline artifact derives its own cadence and ignores it).
-
-   Fault injection: --drop-rate, --dup-rate, --jitter, --straggler and
-   --fault-seed apply one chaos plan to every simulated cell (chaos-soak
-   ignores them and sweeps its own plans). --fault-batch N enables batched
-   fault handling on every cell (ablation-fault-batch sweeps it itself).
-
-   perf runs the fixed microbenchmark cells (events/sec, minor words per
-   event, wall clock) and --perf-out FILE writes them as JSON for the CI
-   perf gate.
-
-   Parallelism: --jobs N evaluates independent cells on N domains
-   (default: recommended_domain_count - 1). Output is byte-identical to
-   --jobs 1. *)
-
-let default_nodes = [ 8; 32; 64 ]
+open Cmdliner
 
 let known_artifacts =
   [
@@ -50,217 +21,6 @@ let known_artifacts =
     "kill-soak"; "availability"; "partition-soak"; "suspicion-soak"; "detector";
     "profile"; "timeline"; "kvstore-skew"; "perf"; "micro"; "all";
   ]
-
-type options = {
-  mutable scale : Apps.Registry.scale;
-  mutable nodes : int list;
-  mutable verify : bool;
-  mutable artifacts : string list;
-  mutable json_out : string option;
-  mutable trace_out : string option;
-  mutable trace_format : Obs.Export.format;
-  mutable trace_cap : int;
-  mutable chaos : Machine.Chaos.params;
-  mutable jobs : int;
-  mutable fault_batch : int;
-  mutable perf_out : string option;
-  mutable metrics_interval : float;
-  (* kvstore workload overrides ([None] keeps the scale default); theta and
-     write-ratio also narrow the kvstore-skew sweep axes to that value. *)
-  mutable kv_ops : int option;
-  mutable kv_rate : float option;
-  mutable kv_keys : int option;
-  mutable kv_theta : float option;
-  mutable kv_write_ratio : float option;
-  mutable kv_txn_ratio : float option;
-  mutable kv_buckets : int option;
-}
-
-let parse_args () =
-  let o =
-    {
-      scale = Apps.Registry.Bench;
-      nodes = default_nodes;
-      verify = true;
-      artifacts = [];
-      json_out = None;
-      trace_out = None;
-      trace_format = Obs.Export.Jsonl;
-      trace_cap = 1_000_000;
-      chaos = Machine.Chaos.none;
-      jobs = Harness.Pool.default_jobs ();
-      fault_batch = 1;
-      perf_out = None;
-      metrics_interval = 0.;
-      kv_ops = None;
-      kv_rate = None;
-      kv_keys = None;
-      kv_theta = None;
-      kv_write_ratio = None;
-      kv_txn_ratio = None;
-      kv_buckets = None;
-    }
-  in
-  let rate name s =
-    match float_of_string_opt s with
-    | Some x -> x
-    | None -> failwith (Printf.sprintf "%s: expected a number, got %S" name s)
-  in
-  let missing flag = failwith (Printf.sprintf "%s: missing value" flag) in
-  let pos_int flag s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | Some n -> failwith (Printf.sprintf "%s: must be at least 1, got %d" flag n)
-    | None -> failwith (Printf.sprintf "%s: expected an integer, got %S" flag s)
-  in
-  let pos_float flag s =
-    match float_of_string_opt s with
-    | Some x when x > 0. -> x
-    | Some x -> failwith (Printf.sprintf "%s: must be positive, got %g" flag x)
-    | None -> failwith (Printf.sprintf "%s: expected a number, got %S" flag s)
-  in
-  let fraction flag s =
-    match float_of_string_opt s with
-    | Some x when x >= 0. && x <= 1. -> x
-    | Some x -> failwith (Printf.sprintf "%s: must be in [0,1], got %g" flag x)
-    | None -> failwith (Printf.sprintf "%s: expected a number, got %S" flag s)
-  in
-  let rec go = function
-    | [] -> ()
-    | [ (( "--scale" | "--nodes" | "--drop-rate" | "--dup-rate" | "--jitter"
-         | "--straggler" | "--fault-seed" | "--json" | "--trace-out" | "--trace-format"
-         | "--trace-cap" | "--jobs" | "--fault-batch" | "--perf-out"
-         | "--metrics-interval" | "--kv-ops" | "--kv-rate" | "--kv-keys" | "--kv-theta"
-         | "--kv-write-ratio" | "--kv-txn-ratio" | "--kv-buckets" ) as flag) ] ->
-        missing flag
-    | "--scale" :: s :: rest ->
-        (o.scale <-
-          (match String.lowercase_ascii s with
-          | "test" -> Apps.Registry.Test
-          | "bench" -> Apps.Registry.Bench
-          | "full" -> Apps.Registry.Full
-          | other -> failwith (Printf.sprintf "unknown scale %S" other)));
-        go rest
-    | "--nodes" :: s :: rest ->
-        o.nodes <-
-          List.map
-            (fun part ->
-              match int_of_string_opt part with
-              | Some n when n > 0 -> n
-              | Some n -> failwith (Printf.sprintf "--nodes: node count must be positive, got %d" n)
-              | None -> failwith (Printf.sprintf "--nodes: expected an integer, got %S" part))
-            (String.split_on_char ',' s);
-        go rest
-    | "--drop-rate" :: s :: rest ->
-        o.chaos <- { o.chaos with Machine.Chaos.drop_rate = rate "--drop-rate" s };
-        go rest
-    | "--dup-rate" :: s :: rest ->
-        o.chaos <- { o.chaos with Machine.Chaos.dup_rate = rate "--dup-rate" s };
-        go rest
-    | "--jitter" :: s :: rest ->
-        o.chaos <- { o.chaos with Machine.Chaos.jitter = rate "--jitter" s };
-        go rest
-    | "--straggler" :: s :: rest ->
-        o.chaos <- { o.chaos with Machine.Chaos.straggler = rate "--straggler" s };
-        go rest
-    | "--fault-seed" :: s :: rest ->
-        (o.chaos <-
-          {
-            o.chaos with
-            Machine.Chaos.fault_seed =
-              (match int_of_string_opt s with
-              | Some n -> n
-              | None -> failwith (Printf.sprintf "--fault-seed: expected an integer, got %S" s));
-          });
-        go rest
-    | "--no-verify" :: rest ->
-        o.verify <- false;
-        go rest
-    | "--json" :: file :: rest ->
-        o.json_out <- Some file;
-        go rest
-    | "--trace-out" :: file :: rest ->
-        o.trace_out <- Some file;
-        go rest
-    | "--trace-format" :: s :: rest ->
-        (o.trace_format <-
-          (match Obs.Export.format_of_string s with
-          | Some fmt -> fmt
-          | None -> failwith (Printf.sprintf "unknown trace format %S (jsonl|chrome)" s)));
-        go rest
-    | "--trace-cap" :: s :: rest ->
-        (o.trace_cap <-
-          (match int_of_string_opt s with
-          | Some n when n > 0 -> n
-          | Some n -> failwith (Printf.sprintf "--trace-cap: must be positive, got %d" n)
-          | None -> failwith (Printf.sprintf "--trace-cap: expected an integer, got %S" s)));
-        go rest
-    | "--fault-batch" :: s :: rest ->
-        (o.fault_batch <-
-          (match int_of_string_opt s with
-          | Some n when n >= 1 -> n
-          | Some n -> failwith (Printf.sprintf "--fault-batch: must be at least 1, got %d" n)
-          | None -> failwith (Printf.sprintf "--fault-batch: expected an integer, got %S" s)));
-        go rest
-    | "--perf-out" :: file :: rest ->
-        o.perf_out <- Some file;
-        go rest
-    | "--metrics-interval" :: s :: rest ->
-        (o.metrics_interval <-
-          (match float_of_string_opt s with
-          | Some x when x >= 0. -> x
-          | Some x -> failwith (Printf.sprintf "--metrics-interval: must be >= 0, got %g" x)
-          | None -> failwith (Printf.sprintf "--metrics-interval: expected a number, got %S" s)));
-        go rest
-    | "--kv-ops" :: s :: rest ->
-        o.kv_ops <- Some (pos_int "--kv-ops" s);
-        go rest
-    | "--kv-rate" :: s :: rest ->
-        o.kv_rate <- Some (pos_float "--kv-rate" s);
-        go rest
-    | "--kv-keys" :: s :: rest ->
-        o.kv_keys <- Some (pos_int "--kv-keys" s);
-        go rest
-    | "--kv-theta" :: s :: rest ->
-        (o.kv_theta <-
-          (match float_of_string_opt s with
-          | Some x when x >= 0. && x < 1. -> Some x
-          | Some x -> failwith (Printf.sprintf "--kv-theta: must be in [0,1), got %g" x)
-          | None -> failwith (Printf.sprintf "--kv-theta: expected a number, got %S" s)));
-        go rest
-    | "--kv-write-ratio" :: s :: rest ->
-        o.kv_write_ratio <- Some (fraction "--kv-write-ratio" s);
-        go rest
-    | "--kv-txn-ratio" :: s :: rest ->
-        o.kv_txn_ratio <- Some (fraction "--kv-txn-ratio" s);
-        go rest
-    | "--kv-buckets" :: s :: rest ->
-        o.kv_buckets <- Some (pos_int "--kv-buckets" s);
-        go rest
-    | "--jobs" :: s :: rest ->
-        (o.jobs <-
-          (match int_of_string_opt s with
-          | Some n when n > 0 -> n
-          | Some n -> failwith (Printf.sprintf "--jobs: must be positive, got %d" n)
-          | None -> failwith (Printf.sprintf "--jobs: expected an integer, got %S" s)));
-        go rest
-    | flag :: _ when String.length flag >= 2 && String.sub flag 0 2 = "--" ->
-        failwith (Printf.sprintf "unknown option %S" flag)
-    | arg :: rest ->
-        let artifact = String.lowercase_ascii arg in
-        if not (List.mem artifact known_artifacts) then
-          failwith
-            (Printf.sprintf "unknown artifact %S (expected one of: %s)" arg
-               (String.concat " " known_artifacts));
-        o.artifacts <- o.artifacts @ [ artifact ];
-        go rest
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  (match Machine.Chaos.validate o.chaos with
-  | Ok () -> ()
-  | Error msg -> failwith msg);
-  if o.artifacts = [] then o.artifacts <- [ "all" ];
-  o
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot protocol primitives             *)
@@ -299,12 +59,12 @@ let micro () =
       Test.make ~name:"vclock-leq" (Staged.stage (fun () -> ignore (Proto.Vclock.leq vt_a vt_b)));
       Test.make ~name:"event-queue-push-pop"
         (Staged.stage (fun () ->
-             let h = Sim.Heap.create ~capacity:64 () in
+             let q = Sim.Cqueue.create ~capacity:64 () in
              for i = 0 to 63 do
-               Sim.Heap.push h ~key:(float_of_int ((i * 7919) mod 101)) i
+               Sim.Cqueue.push q ~key:(float_of_int ((i * 7919) mod 101)) i
              done;
-             while not (Sim.Heap.is_empty h) do
-               ignore (Sim.Heap.pop_min h)
+             while not (Sim.Cqueue.is_empty q) do
+               ignore (Sim.Cqueue.pop_min q)
              done));
     ]
   in
@@ -359,24 +119,16 @@ let dump_json file m =
       output_string oc (Obs.Json.to_string_pretty doc);
       output_char oc '\n')
 
-let () =
-  let o =
-    try parse_args () with
-    | Failure msg | Invalid_argument msg ->
-        Printf.eprintf "bench: %s\n" msg;
-        exit 2
-  in
+let main (c : Harness.Cli.common) ~nodes ~jobs ~perf_out artifacts =
   let ppf = Format.std_formatter in
   let sink =
-    match o.trace_out with
-    | None -> None
-    | Some _ -> Some (Obs.Trace.create_sink ~capacity:o.trace_cap ())
+    Option.map (fun _ -> Obs.Trace.create_sink ~capacity:c.trace_cap ()) c.trace_out
   in
   let m =
-    Harness.Matrix.create ~verify:o.verify ?sink ~chaos:o.chaos
-      ~fault_batch:o.fault_batch ~metrics_interval:o.metrics_interval ~scale:o.scale ()
+    Harness.Matrix.create ~verify:c.verify ?sink ~chaos:c.chaos ~fault_batch:c.fault_batch
+      ~metrics_interval:c.metrics_interval ~scale:c.scale ()
   in
-  let pool = Harness.Pool.create ~jobs:o.jobs in
+  let pool = Harness.Pool.create ~jobs in
   let failures = ref 0 in
   Harness.Matrix.on_progress m (fun s -> Format.eprintf "  [%s]@." s);
   (* With --jobs 1 the prefetch is skipped entirely and every cell is
@@ -385,97 +137,68 @@ let () =
      order, so progress lines and trace events keep the sequential order)
      and the renderer then reads them from the memo cache. *)
   let prefetch cells = if Harness.Pool.jobs pool > 1 then Harness.Matrix.prefetch m pool cells in
+  let scale = c.scale and node_counts = nodes in
+  let np = match nodes with n :: _ when n >= 2 -> n | _ -> 8 in
   let rec run = function
     | "table1" ->
         prefetch (Harness.Tables.table1_cells m);
         Harness.Tables.table1 ppf m
     | "table2" ->
-        prefetch (Harness.Tables.table2_cells m ~node_counts:o.nodes);
-        Harness.Tables.table2 ppf m ~node_counts:o.nodes
+        prefetch (Harness.Tables.table2_cells m ~node_counts);
+        Harness.Tables.table2 ppf m ~node_counts
     | "table3" -> Harness.Tables.table3 ppf
     | "table4" ->
-        prefetch (Harness.Tables.table4_cells m ~node_counts:o.nodes);
-        Harness.Tables.table4 ppf m ~node_counts:o.nodes
+        prefetch (Harness.Tables.table4_cells m ~node_counts);
+        Harness.Tables.table4 ppf m ~node_counts
     | "table5" ->
-        prefetch (Harness.Tables.table5_cells m ~node_counts:o.nodes);
-        Harness.Tables.table5 ppf m ~node_counts:o.nodes
+        prefetch (Harness.Tables.table5_cells m ~node_counts);
+        Harness.Tables.table5 ppf m ~node_counts
     | "table6" ->
-        prefetch (Harness.Tables.table6_cells m ~node_counts:o.nodes);
-        Harness.Tables.table6 ppf m ~node_counts:o.nodes
+        prefetch (Harness.Tables.table6_cells m ~node_counts);
+        Harness.Tables.table6 ppf m ~node_counts
     | "figure3" ->
-        prefetch (Harness.Tables.figure3_cells m ~node_counts:o.nodes);
-        Harness.Tables.figure3 ppf m ~node_counts:o.nodes
+        prefetch (Harness.Tables.figure3_cells m ~node_counts);
+        Harness.Tables.figure3 ppf m ~node_counts
     | "figure4" ->
-        prefetch (Harness.Tables.figure4_cells m ~node_counts:o.nodes);
-        Harness.Tables.figure4 ppf m ~node_counts:o.nodes ~epoch:9
+        prefetch (Harness.Tables.figure4_cells m ~node_counts);
+        Harness.Tables.figure4 ppf m ~node_counts ~epoch:9
     | "sor-zero" ->
-        prefetch (Harness.Tables.sor_zero_cells m ~node_counts:o.nodes);
-        Harness.Tables.sor_zero ppf m ~node_counts:o.nodes
-    | "ablation-homes" ->
-        Harness.Ablations.home_placement ppf ~pool ~scale:o.scale ~node_counts:o.nodes ()
-    | "ablation-network" ->
-        Harness.Ablations.network_sensitivity ppf ~pool ~scale:o.scale ~node_counts:o.nodes ()
-    | "ablation-pagesize" ->
-        Harness.Ablations.page_size ppf ~pool ~scale:o.scale ~node_counts:o.nodes ()
-    | "ablation-locks" ->
-        Harness.Ablations.coproc_locks ppf ~pool ~scale:o.scale ~node_counts:o.nodes ()
+        prefetch (Harness.Tables.sor_zero_cells m ~node_counts);
+        Harness.Tables.sor_zero ppf m ~node_counts
+    | "ablation-homes" -> Harness.Ablations.home_placement ppf ~pool ~scale ~node_counts ()
+    | "ablation-network" -> Harness.Ablations.network_sensitivity ppf ~pool ~scale ~node_counts ()
+    | "ablation-pagesize" -> Harness.Ablations.page_size ppf ~pool ~scale ~node_counts ()
+    | "ablation-locks" -> Harness.Ablations.coproc_locks ppf ~pool ~scale ~node_counts ()
     | "aurc" | "protocols" ->
-        prefetch (Harness.Ablations.aurc_cells m ~node_counts:o.nodes);
-        Harness.Ablations.aurc_comparison ppf m ~node_counts:o.nodes
-    | "ablation-migration" ->
-        Harness.Ablations.home_migration ppf ~pool ~scale:o.scale ~node_counts:o.nodes ()
-    | "ablation-fault-batch" ->
-        Harness.Ablations.fault_batch ppf ~pool ~scale:o.scale ~node_counts:o.nodes ()
+        prefetch (Harness.Ablations.aurc_cells m ~node_counts);
+        Harness.Ablations.aurc_comparison ppf m ~node_counts
+    | "ablation-migration" -> Harness.Ablations.home_migration ppf ~pool ~scale ~node_counts ()
+    | "ablation-fault-batch" -> Harness.Ablations.fault_batch ppf ~pool ~scale ~node_counts ()
     | "perf" ->
         let results = Harness.Perf.run_all () in
         Harness.Perf.pp_table ppf results;
-        (match o.perf_out with
-        | None -> ()
-        | Some file ->
+        Option.iter
+          (fun file ->
             let oc = open_out file in
             Fun.protect
               ~finally:(fun () -> close_out oc)
               (fun () ->
                 output_string oc (Obs.Json.to_string_pretty (Harness.Perf.to_json results));
                 output_char oc '\n'))
+          perf_out
     | soak when List.mem soak Harness.Soak.names ->
-        if not (Harness.Soak.report ppf ~pool ~scale:o.scale soak) then incr failures
+        if not (Harness.Soak.report ppf ~pool ~scale soak) then incr failures
     | "profile" ->
-        Harness.Profile.report ppf ~pool ~verify:o.verify ~chaos:o.chaos
-          ~trace_cap:o.trace_cap ~scale:o.scale ~node_counts:o.nodes ()
-    | "timeline" ->
-        let np = match o.nodes with n :: _ when n >= 2 -> n | _ -> 8 in
-        Harness.Timeline.report ppf ~pool ~verify:o.verify ~scale:o.scale ~np ()
+        Harness.Profile.report ppf ~pool ~verify:c.verify ~chaos:c.chaos ~trace_cap:c.trace_cap
+          ~scale ~node_counts ()
+    | "timeline" -> Harness.Timeline.report ppf ~pool ~verify:c.verify ~scale ~np ()
     | "kvstore-skew" ->
-        let np = match o.nodes with n :: _ when n >= 2 -> n | _ -> 8 in
-        let base = Apps.Registry.kvstore_params o.scale in
-        let ov v dflt = Option.value v ~default:dflt in
-        let tp = base.Apps.Kvstore.traffic in
-        let params =
-          {
-            base with
-            Apps.Kvstore.buckets = ov o.kv_buckets base.Apps.Kvstore.buckets;
-            traffic =
-              {
-                tp with
-                Traffic.ops = ov o.kv_ops tp.Traffic.ops;
-                rate = ov o.kv_rate tp.Traffic.rate;
-                keys = ov o.kv_keys tp.Traffic.keys;
-                txn_ratio = ov o.kv_txn_ratio tp.Traffic.txn_ratio;
-              };
-          }
-        in
         (* --kv-theta / --kv-write-ratio pin the corresponding sweep axis. *)
-        let thetas =
-          match o.kv_theta with Some t -> [ t ] | None -> Harness.Serving.default_thetas
-        in
-        let write_ratios =
-          match o.kv_write_ratio with
-          | Some w -> [ w ]
-          | None -> Harness.Serving.default_write_ratios
-        in
-        Harness.Serving.report ppf ~pool ~scale:o.scale ~nprocs:np ~thetas ~write_ratios
-          ~params ()
+        let pin v dflt = match v with Some x -> [ x ] | None -> dflt in
+        Harness.Serving.report ppf ~pool ~scale ~nprocs:np
+          ~thetas:(pin c.kv.theta Harness.Serving.default_thetas)
+          ~write_ratios:(pin c.kv.write_ratio Harness.Serving.default_write_ratios)
+          ~params:(Harness.Cli.kvstore_params c) ()
     | "micro" -> micro ()
     | "all" ->
         List.iter run
@@ -484,12 +207,73 @@ let () =
             "figure4"; "sor-zero"; "ablation-homes"; "ablation-network";
             "ablation-pagesize"; "ablation-locks"; "aurc"; "ablation-migration"; "micro";
           ]
-    | other -> failwith (Printf.sprintf "unknown artifact %S" other)
+    | _ -> assert false (* the ARTIFACT converter admits only [known_artifacts] *)
   in
-  List.iter run o.artifacts;
-  (match o.json_out with None -> () | Some file -> dump_json file m);
-  (match (o.trace_out, sink) with
-  | Some file, Some s -> Obs.Export.write_file o.trace_format file s
+  List.iter run (if artifacts = [] then [ "all" ] else artifacts);
+  Option.iter (fun file -> dump_json file m) c.json;
+  (match (c.trace_out, sink) with
+  | Some file, Some s -> Obs.Export.write_file c.trace_format file s
   | _ -> ());
   Format.pp_print_flush ppf ();
   if !failures > 0 then exit 1
+
+let () =
+  let nodes =
+    Arg.(
+      value
+      & opt (list Harness.Cli.pos_int) [ 8; 32; 64 ]
+      & info [ "nodes" ] ~docv:"LIST"
+          ~doc:
+            "Comma-separated node counts of the sweeps; timeline and kvstore-skew use the first \
+             (if at least 2, else 8).")
+  in
+  let jobs =
+    Arg.(
+      value
+      & opt Harness.Cli.pos_int (Harness.Pool.default_jobs ())
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "Evaluate independent cells on $(docv) domains (default: the recommended domain \
+             count - 1). Output is byte-identical to --jobs 1.")
+  in
+  let perf_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "perf-out" ] ~docv:"FILE"
+          ~doc:"Write the perf artifact's cells (events/sec, minor words/event, wall) as JSON.")
+  in
+  let artifacts =
+    Arg.(
+      value
+      & pos_all (Harness.Cli.one_of ~what:"artifact" known_artifacts) []
+      & info [] ~docv:"ARTIFACT"
+          ~doc:
+            ("Artifacts to regenerate (default: all): " ^ String.concat " " known_artifacts ^ "."))
+  in
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "kvstore-skew sweeps the serving workload over protocol x Zipfian skew x write mix; \
+         the --kv-* flags patch its workload.";
+      `P
+        "--metrics-interval turns on the sampled metrics recorder in every matrix cell; with \
+         --json the dump then carries a per-cell timeline block (the timeline artifact derives \
+         its own cadence).";
+      `P
+        "The chaos flags apply one plan to every simulated cell and --fault-batch applies to \
+         every cell; chaos-soak and ablation-fault-batch sweep their own. The fault-schedule \
+         and failure-detector knobs are svm_run's; the soak artifacts build those plans \
+         internally.";
+      `P "perf runs the fixed cells of the CI perf gate; --perf-out writes them as JSON.";
+    ]
+  in
+  let doc = "regenerate the paper's tables and figures on the simulated SVM system" in
+  let c, nodes, jobs, perf_out, artifacts =
+    Harness.Cli.eval (Cmd.info "bench" ~doc ~man)
+      Term.(
+        const (fun c n j p a -> (c, n, j, p, a))
+        $ Harness.Cli.common $ nodes $ jobs $ perf_out $ artifacts)
+  in
+  main c ~nodes ~jobs ~perf_out artifacts

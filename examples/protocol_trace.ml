@@ -40,7 +40,9 @@ let () =
     (fun protocol ->
       Printf.printf "==== %s ====\n" (Svm.Config.protocol_name protocol);
       let cfg = Svm.Config.make ~nprocs:3 protocol in
-      let trace t s = Printf.printf "[%9.1f us] %s\n" t s in
-      ignore (Svm.Runtime.run ~trace cfg app);
+      let tap (e : Obs.Trace.event) =
+        Option.iter (Printf.printf "[%9.1f us] %s\n" e.time) (Obs.Trace.legacy_line e)
+      in
+      ignore (Svm.Runtime.run ~sink:(Obs.Trace.create_sink ~capacity:0 ~tap ()) cfg app);
       print_newline ())
     Svm.Config.extended_protocols

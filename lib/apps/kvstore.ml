@@ -67,17 +67,21 @@ let reference p =
   done;
   (counts, deltas)
 
-let body ?(verify = true) p ctx =
+let validate ~page_words p =
   Traffic.validate p.traffic;
-  if p.buckets < 1 then invalid_arg "Kvstore.body: buckets must be >= 1";
-  if p.op_us < 0. then invalid_arg "Kvstore.body: op_us must be >= 0";
-  let tp = p.traffic in
-  let page_words = Svm.Api.page_words ctx in
-  let slots = (tp.Traffic.keys + p.buckets - 1) / p.buckets in
+  if p.buckets < 1 then invalid_arg "Kvstore: buckets must be >= 1";
+  if p.op_us < 0. then invalid_arg "Kvstore: op_us must be >= 0";
+  let keys = p.traffic.Traffic.keys in
+  let slots = (keys + p.buckets - 1) / p.buckets in
   if 2 * slots > page_words then
     invalid_arg
-      (Printf.sprintf "Kvstore.body: %d keys / %d buckets need %d words per page (have %d)"
-         tp.Traffic.keys p.buckets (2 * slots) page_words);
+      (Printf.sprintf "Kvstore: %d keys / %d buckets need %d words per page (have %d)" keys
+         p.buckets (2 * slots) page_words)
+
+let body ?(verify = true) p ctx =
+  let page_words = Svm.Api.page_words ctx in
+  validate ~page_words p;
+  let tp = p.traffic in
   let me = Svm.Api.pid ctx and np = Svm.Api.nprocs ctx in
   if me = 0 then
     (* One page per bucket, homed at the bucket's lock manager so lock

@@ -26,6 +26,11 @@ val name : string
     replay of the whole plan; the SVM run must agree exactly. *)
 val reference : params -> int array * int array
 
+(** Raises [Invalid_argument] if the plan fails [Traffic.validate], a
+    bucket count or op cost is out of range, or a bucket's keys do not fit
+    in a page of [page_words] words. {!body} checks this first. *)
+val validate : page_words:int -> params -> unit
+
 (** The SPMD process body; with [~verify:true] process 0 replays the plan
     and checks every cell plus global delta conservation. *)
 val body : ?verify:bool -> params -> Svm.Api.ctx -> unit

@@ -79,7 +79,6 @@ type t = {
   paranoid : bool;
   seed : int;
   chaos : Machine.Chaos.params;
-  trace_cap : int;
   trace_spans : bool;
   fault_batch : int;
   replicas : int;
@@ -115,7 +114,7 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     ?(home_policy = Round_robin) ?(gc_threshold_bytes = 2 * 1024 * 1024)
     ?(coproc_locks = false) ?(au_combine_words = 32) ?(home_migration = false)
     ?(paranoid = false) ?(seed = 42) ?(chaos = Machine.Chaos.none)
-    ?(trace_cap = 1_000_000) ?(trace_spans = false) ?(fault_batch = 1) ?(replicas = 1)
+    ?(trace_spans = false) ?(fault_batch = 1) ?(replicas = 1)
     ?(repl_scheme = Inval) ?(metrics_interval = 0.) ?(detector = Oracle)
     ?(hb_interval = default_hb_interval) ?(hb_timeout = 0.) ~nprocs protocol =
   if nprocs <= 0 then
@@ -132,9 +131,6 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     invalid_arg
       (Printf.sprintf "Config.make: au_combine_words must be positive (got %d)"
          au_combine_words);
-  if trace_cap <= 0 then
-    invalid_arg
-      (Printf.sprintf "Config.make: trace_cap must be positive (got %d)" trace_cap);
   if fault_batch < 1 then
     invalid_arg
       (Printf.sprintf "Config.make: fault_batch must be at least 1 (got %d)" fault_batch);
@@ -173,7 +169,11 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
       match f with
       | Machine.Chaos.Kill { node; _ } -> check "kill" node
       | Machine.Chaos.Pause { node; _ } -> check "pause" node
-      | Machine.Chaos.Partition { group; _ } -> List.iter (check "partition") group)
+      | Machine.Chaos.Partition { group; _ } ->
+          List.iter (check "partition") group;
+          (* [group] is repeat-free (checked above), so this is "all nodes". *)
+          if List.length group >= nprocs then
+            invalid_arg "Config.make: partition group must leave the other side non-empty")
     chaos.Machine.Chaos.faults;
   if not (hb_interval > 0.) then
     invalid_arg
@@ -194,7 +194,6 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     paranoid;
     seed;
     chaos;
-    trace_cap;
     trace_spans;
     fault_batch;
     replicas;

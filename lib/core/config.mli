@@ -119,10 +119,6 @@ type t = {
           {!Machine.Chaos.none} (the default) the run is fault-free and
           the reliable-transport layer is bypassed entirely, so reports
           are byte-identical to a build without the chaos machinery. *)
-  trace_cap : int;
-      (** Capacity of the trace sink the drivers create for [--trace-out]
-          / [--profile] (default 1,000,000 events); overflow is counted in
-          {!Obs.Trace.dropped} and surfaced in reports. *)
   trace_spans : bool;
       (** Emit the causal layer — {!Obs.Trace.Wait_begin}/[Wait_end] spans,
           memory counter samples, and diff-reply correlation events — into
@@ -189,15 +185,15 @@ val metrics_enabled : t -> bool
 val default_hb_interval : float
 
 (** Raises [Invalid_argument] with a descriptive message when a knob is out
-    of range: [nprocs], [gc_threshold_bytes], [au_combine_words] or
-    [trace_cap] non-positive, [page_words] not a positive power of two,
-    [fault_batch] < 1, [metrics_interval] negative, an invalid chaos plan
-    (rates outside [0, 1], negative jitter, straggler < 1, or a malformed
-    fault schedule — see {!Machine.Chaos.validate}; killing or pausing
-    node 0, the lock/barrier manager, is rejected there), a scheduled
-    fault naming a node >= [nprocs], [hb_interval] non-positive,
-    [hb_timeout] negative, [replicas] outside [1, nprocs], or [replicas]
-    > 1 combined with AURC/RC or with [home_migration]. *)
+    of range: [nprocs], [gc_threshold_bytes] or [au_combine_words]
+    non-positive, [page_words] not a positive power of two, [fault_batch]
+    < 1, [metrics_interval] negative, an invalid chaos plan (rates outside
+    [0, 1], negative jitter, straggler < 1, or a malformed fault schedule —
+    see {!Machine.Chaos.validate}; killing or pausing node 0, the
+    lock/barrier manager, is rejected there), a scheduled fault naming a
+    node >= [nprocs], a partition group holding every node, [hb_interval]
+    non-positive, [hb_timeout] negative, [replicas] outside [1, nprocs], or
+    [replicas] > 1 combined with AURC/RC or with [home_migration]. *)
 val make :
   ?page_words:int ->
   ?costs:Machine.Costs.t ->
@@ -209,7 +205,6 @@ val make :
   ?paranoid:bool ->
   ?seed:int ->
   ?chaos:Machine.Chaos.params ->
-  ?trace_cap:int ->
   ?trace_spans:bool ->
   ?fault_batch:int ->
   ?replicas:int ->

@@ -297,9 +297,8 @@ let collect sys =
             });
   }
 
-let run ?trace ?sink cfg app =
+let run ?sink cfg app =
   let sys = System.create cfg in
-  sys.System.trace <- trace;
   sys.System.sink <- sink;
   if Config.metrics_enabled cfg then begin
     let interval = cfg.Config.metrics_interval in

@@ -74,13 +74,10 @@ val total_protocol_bytes : report -> int
 (** Maximum peak protocol memory over the nodes, bytes. *)
 val max_mem_peak : report -> int
 
-(** [run ?trace ?sink cfg app] executes the simulation. [sink] receives the
-    typed protocol trace events ({!Obs.Trace}); [trace] is the legacy
-    string callback, now an adapter rendering the same typed stream (kinds
-    without a legacy line are skipped), so its output is unchanged from the
-    pre-typed tracer. Both may be active at once. *)
+(** [run ?sink cfg app] executes the simulation. [sink] receives the typed
+    protocol trace events ({!Obs.Trace}); a tap on it can print them as they
+    happen ({!Obs.Trace.create_sink}). *)
 val run :
-  ?trace:(float -> string -> unit) ->
   ?sink:Obs.Trace.sink ->
   Config.t ->
   (Api.ctx -> unit) ->

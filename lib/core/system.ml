@@ -222,8 +222,6 @@ type t = {
          (hysteresis: move only on two consecutive agreeing epochs) *)
   mutable gc_nodes_done : int;  (* GC rendezvous counter (homeless GC) *)
   gc_on_done : (int, unit -> unit) Hashtbl.t;  (* per-node GC completions *)
-  mutable trace : (float -> string -> unit) option;
-      (* legacy string tracer: fed by rendering the typed events *)
   mutable sink : Obs.Trace.sink option;  (* typed trace-event sink *)
   mutable next_span : int;  (* wait-span id allocator (causal layer) *)
   mutable finished_count : int;
@@ -277,21 +275,12 @@ let header_bytes = 32
 
 (* Whether anyone is listening; hot paths use this to skip constructing
    event payloads when tracing is off. *)
-let observing t = t.sink <> None || t.trace <> None
+let observing t = t.sink <> None
 
-(* Emit one typed trace event attributed to [node] at time [time]. The
-   typed sink stores it as-is; the legacy string callback receives the
-   rendered legacy line (kinds with no legacy rendering are skipped), so
-   the old [?trace] interface is a thin adapter over the typed stream. *)
+(* Emit one typed trace event attributed to [node] at time [time]. *)
 let event_at t ~node ~time kind =
-  (match t.sink with
+  match t.sink with
   | Some sink -> Obs.Trace.emit sink { Obs.Trace.time; node; kind }
-  | None -> ());
-  match t.trace with
-  | Some emit -> (
-      match Obs.Trace.render kind with
-      | Some line -> emit time (Printf.sprintf "[node %d] %s" node line)
-      | None -> ())
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -473,7 +462,6 @@ let create (cfg : Config.t) =
       migration_prev = Hashtbl.create 64;
       gc_nodes_done = 0;
       gc_on_done = Hashtbl.create 8;
-      trace = None;
       sink = None;
       next_span = 0;
       finished_count = 0;

@@ -177,7 +177,6 @@ type t = {
   migration_prev : (int, int) Hashtbl.t;
   mutable gc_nodes_done : int;
   gc_on_done : (int, unit -> unit) Hashtbl.t;
-  mutable trace : (float -> string -> unit) option;
   mutable sink : Obs.Trace.sink option;
   mutable next_span : int;  (** Wait-span id allocator (causal layer). *)
   mutable finished_count : int;
@@ -276,13 +275,11 @@ val metrics_diff : t -> int -> unit
 
 (** {1 Structured observability}
 
-    Protocol modules report what they do as typed {!Obs.Trace.kind} events.
-    Events flow to the run's typed sink (when installed) and, rendered
-    through {!Obs.Trace.render}, to the legacy string-trace callback —
-    which is therefore a thin adapter over the typed stream. *)
+    Protocol modules report what they do as typed {!Obs.Trace.kind} events,
+    which flow to the run's sink when one is installed. *)
 
-(** Whether a sink or the legacy callback is installed; hot paths check
-    this before constructing event payloads. *)
+(** Whether a sink is installed; hot paths check this before constructing
+    event payloads. *)
 val observing : t -> bool
 
 (** Emit an event attributed to [node] at its current virtual clock

@@ -18,16 +18,15 @@ type t = {
   scale : Apps.Registry.scale;
   verify : bool;
   sink : Obs.Trace.sink option;
-  chaos : Machine.Chaos.params;
-  fault_batch : int;
-  metrics_interval : float;
+  chaos : Machine.Chaos.params option;  (* [None]: Config.make's defaults *)
+  fault_batch : int option;
+  metrics_interval : float option;
   cache : (key, Svm.Runtime.report) Hashtbl.t;
   mu : Mutex.t;  (* guards [cache] and serializes [progress] calls *)
   mutable progress : (string -> unit) option;
 }
 
-let create ?(verify = true) ?sink ?(chaos = Machine.Chaos.none) ?(fault_batch = 1)
-    ?(metrics_interval = 0.) ~scale () =
+let create ?(verify = true) ?sink ?chaos ?fault_batch ?metrics_interval ~scale () =
   {
     scale;
     verify;
@@ -59,8 +58,8 @@ let announce t (app : Apps.Registry.t) proto np =
 
 let run_cell t ?sink (app : Apps.Registry.t) proto np =
   let cfg =
-    Svm.Config.make ~nprocs:np ~chaos:t.chaos ~fault_batch:t.fault_batch
-      ~metrics_interval:t.metrics_interval proto
+    Svm.Config.make ~nprocs:np ?chaos:t.chaos ?fault_batch:t.fault_batch
+      ?metrics_interval:t.metrics_interval proto
   in
   Svm.Runtime.run ?sink cfg (app.Apps.Registry.body ~verify:t.verify)
 

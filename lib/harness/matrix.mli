@@ -9,11 +9,10 @@ type t
 (** [create ~scale ()] builds an empty matrix; [verify] (default true)
     checks every run against its sequential reference. [sink] receives the
     typed trace events of every uncached run (see {!Obs.Trace}). [chaos]
-    (default {!Machine.Chaos.none}) applies one fault-injection plan to
-    every cell. [fault_batch] (default 1) sets {!Svm.Config.fault_batch}
-    on every cell. [metrics_interval] (default 0. = off) sets
-    {!Svm.Config.metrics_interval} on every cell, so cached reports carry
-    a timeline ([r_metrics]). *)
+    applies one fault-injection plan to every cell, [fault_batch] sets
+    {!Svm.Config.fault_batch} and [metrics_interval] sets
+    {!Svm.Config.metrics_interval} on every cell (so cached reports carry a
+    timeline, [r_metrics]); each defaults to {!Svm.Config.make}'s. *)
 val create :
   ?verify:bool ->
   ?sink:Obs.Trace.sink ->

@@ -11,14 +11,14 @@
 
 let pct finish x = if finish > 0. then 100. *. x /. finish else 0.
 
-let cell ~verify ~chaos ~trace_cap app proto np =
-  let cfg = Svm.Config.make ~nprocs:np ~chaos ~trace_cap ~trace_spans:true proto in
-  let sink = Obs.Trace.create_sink ~capacity:trace_cap () in
+let cell ~verify ~chaos ?trace_cap app proto np =
+  let cfg = Svm.Config.make ~nprocs:np ~chaos ~trace_spans:true proto in
+  let sink = Obs.Trace.create_sink ?capacity:trace_cap () in
   let r = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify) in
   (r, Obs.Critical_path.analyze sink, sink)
 
 let report ppf ?(pool = Pool.sequential) ?(verify = true) ?(chaos = Machine.Chaos.none)
-    ?(trace_cap = 1_000_000) ?(protocols = Svm.Config.all_protocols) ~scale ~node_counts ()
+    ?trace_cap ?(protocols = Svm.Config.all_protocols) ~scale ~node_counts ()
     =
   Format.fprintf ppf "@.=== Critical-path composition (on-path blame, %% of finish time) ===@.@.";
   Format.fprintf ppf
@@ -38,7 +38,7 @@ let report ppf ?(pool = Pool.sequential) ?(verify = true) ?(chaos = Machine.Chao
   let rows =
     Pool.map pool
       (fun (app, proto, np) ->
-        let _, cp, sink = cell ~verify ~chaos ~trace_cap app proto np in
+        let _, cp, sink = cell ~verify ~chaos ?trace_cap app proto np in
         ((app, proto, np), cp, sink))
       grid
   in

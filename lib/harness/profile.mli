@@ -11,11 +11,12 @@
     bounded the run rather than by per-node averages. *)
 
 (** Run one profiled cell: the report, its critical-path analysis, and the
-    trace sink (for export or occupancy checks). *)
+    trace sink (for export or occupancy checks) of capacity [trace_cap]
+    (default {!Obs.Trace.default_capacity}). *)
 val cell :
   verify:bool ->
   chaos:Machine.Chaos.params ->
-  trace_cap:int ->
+  ?trace_cap:int ->
   Apps.Registry.t ->
   Svm.Config.protocol ->
   int ->

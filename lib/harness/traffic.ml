@@ -14,11 +14,11 @@ let validate p =
   if p.ops < 0 then invalid_arg "Traffic: ops must be >= 0";
   if not (p.rate > 0.) then invalid_arg "Traffic: rate must be > 0";
   if p.keys < 1 then invalid_arg "Traffic: keys must be >= 1";
-  if p.theta < 0. || p.theta >= 1. then
-    invalid_arg "Traffic: theta must be in [0, 1)";
-  if p.write_ratio < 0. || p.write_ratio > 1. then
+  (* Written so that NaN fails every range. *)
+  if not (p.theta >= 0. && p.theta < 1.) then invalid_arg "Traffic: theta must be in [0, 1)";
+  if not (p.write_ratio >= 0. && p.write_ratio <= 1.) then
     invalid_arg "Traffic: write-ratio must be in [0, 1]";
-  if p.txn_ratio < 0. || p.txn_ratio > 1. then
+  if not (p.txn_ratio >= 0. && p.txn_ratio <= 1.) then
     invalid_arg "Traffic: txn-ratio must be in [0, 1]"
 
 let arrival_us p j = float_of_int j *. 1_000_000. /. p.rate

@@ -190,8 +190,8 @@ let to_json ev =
     :: kind_fields ev.kind)
 
 (* Exact reproductions of the strings the pre-typed tracer emitted at each
-   site; the legacy callback adapter in the runtime depends on this mapping
-   staying verbatim. *)
+   site; [svm_run -t] prints them from a sink tap, so this mapping must stay
+   verbatim. *)
 let render = function
   | Page_fetch { page; home } ->
       Some (Printf.sprintf "page fault: fetch page %d from home %d" page home)
@@ -273,6 +273,8 @@ let render = function
   | Wait_end _ | Mem_sample _ | Diff_reply _ ->
       None
 
+let legacy_line ev = Option.map (Printf.sprintf "[node %d] %s" ev.node) (render ev.kind)
+
 (* ------------------------------------------------------------------ *)
 (* Bounded sink: a growing array capped at [capacity]; overflow is      *)
 (* counted, not stored, so tracing a long run cannot exhaust memory.    *)
@@ -283,18 +285,22 @@ type sink = {
   capacity : int;
   mutable n_dropped : int;
   drop_kinds : (string, int ref) Hashtbl.t;  (* kind_name -> drops of that kind *)
+  tap : (event -> unit) option;  (* sees every event, stored or not *)
 }
 
 let dummy = { time = 0.; node = 0; kind = Gc_done }
 
-let create_sink ?(capacity = 1_000_000) () =
-  if capacity <= 0 then invalid_arg "Trace.create_sink: capacity must be positive";
+let default_capacity = 1_000_000
+
+let create_sink ?(capacity = default_capacity) ?tap () =
+  if capacity < 0 then invalid_arg "Trace.create_sink: capacity must be >= 0";
   {
     buf = Array.make (min capacity 1024) dummy;
     len = 0;
     capacity;
     n_dropped = 0;
     drop_kinds = Hashtbl.create 8;
+    tap;
   }
 
 let count_drop s name n =
@@ -302,7 +308,7 @@ let count_drop s name n =
   | Some r -> r := !r + n
   | None -> Hashtbl.add s.drop_kinds name (ref n)
 
-let emit s ev =
+let store s ev =
   if s.len >= s.capacity then begin
     s.n_dropped <- s.n_dropped + 1;
     count_drop s (kind_name ev.kind) 1
@@ -317,7 +323,12 @@ let emit s ev =
     s.len <- s.len + 1
   end
 
-(* Append [src]'s stored events (and its overflow count) to [dst]. Replaying
+let emit s ev =
+  (match s.tap with Some f -> f ev | None -> ());
+  store s ev
+
+(* Append [src]'s stored events (and its overflow count) to [dst], without
+   calling [dst]'s tap: the events were emitted into [src], not [dst]. Replaying
    per-cell sinks into a shared one in deterministic cell order makes a
    parallel sweep's merged trace byte-identical to a sequential run's: the
    shared sink stores the same first-[capacity] events and counts the same
@@ -326,7 +337,7 @@ let emit s ev =
    sink would have dropped. *)
 let absorb dst src =
   for i = 0 to src.len - 1 do
-    emit dst src.buf.(i)
+    store dst src.buf.(i)
   done;
   dst.n_dropped <- dst.n_dropped + src.n_dropped;
   Hashtbl.iter (fun name r -> count_drop dst name !r) src.drop_kinds

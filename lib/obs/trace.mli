@@ -9,11 +9,10 @@
     {!Export} then serialize the sink to JSONL or Chrome [trace_event]
     format.
 
-    The legacy [(float -> string -> unit)] trace callback of
-    {!Svm.Runtime.run} is a thin adapter over this stream: {!render} maps
-    each kind back to exactly the human-readable line the old string-based
-    tracer printed ([None] for kinds that had no legacy line, such as
-    message send/receive). *)
+    The human-readable trace of [svm_run -t] is a consumer of this stream:
+    a sink {e tap} prints, for each event, its {!legacy_line} — exactly
+    what the old string-based tracer printed ([None] for kinds that had no
+    legacy line, such as message send/receive). *)
 
 (** Figure-3 wait bucket of a {!Wait_begin}/{!Wait_end} span. [Wb_home]
     annotates a home-wait nested inside an outer lock/barrier wait (the
@@ -135,22 +134,33 @@ val to_json : event -> Json.t
     reported. *)
 val render : kind -> string option
 
+(** The legacy tracer's line for the event without its timestamp:
+    ["[node N] "] followed by {!render} of its kind. *)
+val legacy_line : event -> string option
+
 (** {1 Bounded sink} *)
 
 type sink
 
-(** [create_sink ?capacity ()] holds up to [capacity] events (default
-    [1_000_000]); later events are counted in {!dropped} but not stored,
-    keeping memory bounded on long runs. *)
-val create_sink : ?capacity:int -> unit -> sink
+(** The capacity {!create_sink} defaults to: 1,000,000 events. *)
+val default_capacity : int
+
+(** [create_sink ?capacity ?tap ()] holds up to [capacity] events (default
+    {!default_capacity}); later events are counted in {!dropped} but not
+    stored, keeping memory bounded on long runs. [tap] is called on every
+    event {!emit}ted into the sink, stored or not, so a capacity-0 sink with
+    a tap is a pure streaming consumer that retains nothing. Events copied
+    in by {!absorb} do not reach the tap. *)
+val create_sink : ?capacity:int -> ?tap:(event -> unit) -> unit -> sink
 
 val emit : sink -> event -> unit
 
-(** [absorb dst src] re-emits [src]'s stored events into [dst] (in order)
-    and adds [src]'s overflow count to [dst]'s. Used to merge per-cell
-    sinks of a parallel sweep into one shared sink in a deterministic cell
-    order; when both sinks share a capacity, the merged contents and drop
-    count are identical to emitting everything into [dst] directly. *)
+(** [absorb dst src] stores [src]'s stored events into [dst] (in order,
+    bypassing [dst]'s tap) and adds [src]'s overflow count to [dst]'s. Used
+    to merge per-cell sinks of a parallel sweep into one shared sink in a
+    deterministic cell order; when both sinks share a capacity, the merged
+    contents and drop count are identical to emitting everything into [dst]
+    directly. *)
 val absorb : sink -> sink -> unit
 
 (** Stored events, in emission order. *)

@@ -153,6 +153,7 @@ let test_soak_replay_line () =
     Svm.Config.make ~nprocs:4 ~replicas:2 ~repl_scheme:Svm.Config.Backup
       ~detector:Svm.Config.Heartbeat ~hb_timeout:800. ~chaos Svm.Config.Ohlrc
   in
+  let line = Harness.Soak.replay_line ~scale:Apps.Registry.Test ~app:"Water-Nsquared" cfg in
   check Alcotest.string "replay line"
     "dune exec bin/svm_run.exe -- --app water-nsquared --protocol ohlrc --nodes 4 --scale test \
      --seed 42 --replicas 2 --repl-scheme backup --detector heartbeat --hb-interval 200 \
@@ -160,7 +161,19 @@ let test_soak_replay_line () =
      --detect-delay 500 --kill-node 2 --kill-at 0.10000000000000001 --pause 3 --pause-at \
      531017.15633475094 --resume-at 534017.25 --partition 3,1 --partition-at 1000 --heal-at \
      4000.5"
-    (Harness.Soak.replay_line ~scale:Apps.Registry.Test ~app:"Water-Nsquared" cfg)
+    line;
+  (* The line replays: svm_run's parser rebuilds exactly this config, so no
+     knob is omitted and every flag is spelled as the CLI spells it. *)
+  let args =
+    match String.split_on_char ' ' line with
+    | "dune" :: "exec" :: _exe :: "--" :: args -> args
+    | _ -> Alcotest.fail line
+  in
+  match Test_cli.parse_run args with
+  | Ok o ->
+      check Alcotest.bool "parsed config = printed config" true (o.Harness.Cli.cfg = cfg);
+      check Alcotest.string "application" "Water-Nsquared" o.Harness.Cli.app.Apps.Registry.name
+  | Error e -> Alcotest.fail e
 
 let suite =
   [

@@ -16,6 +16,7 @@ let () =
       ("apps", Test_apps.suite);
       ("pool", Test_pool.suite);
       ("harness", Test_harness.suite);
+      ("cli", Test_cli.suite);
       ("overlap", Test_overlap.suite);
       ("aurc", Test_aurc.suite);
       ("migration", Test_migration.suite);

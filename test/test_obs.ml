@@ -1,6 +1,6 @@
 (* Observability layer: JSON printer/parser, bounded sink, trace-event
-   determinism, the JSONL and Chrome exporters, the legacy string-trace
-   adapter, and report-JSON schema validation. *)
+   determinism, the JSONL and Chrome exporters, the legacy trace lines a
+   sink tap prints, and report-JSON schema validation. *)
 
 let check = Alcotest.check
 
@@ -225,30 +225,32 @@ let test_write_file_reports_errors () =
         (contains msg "cannot write trace file")
 
 (* ------------------------------------------------------------------ *)
-(* Legacy string-trace adapter *)
+(* Legacy string-trace lines: a tap on the sink *)
 
 let test_legacy_adapter_matches_typed_stream () =
-  (* Run once with both the legacy callback and the typed sink active: every
-     legacy line must be exactly the rendering of the corresponding typed
-     event, so the adapter cannot drift from the stream it wraps. *)
+  (* [svm_run -t] prints from a tap on a capacity-0 sink. The tap must see
+     exactly the stream a storing sink records, so every printed line is the
+     rendering of the corresponding typed event, and it must retain none of
+     it. *)
   let app = Apps.Registry.lu Apps.Registry.Test in
-  let lines = ref [] in
-  let trace t s = lines := (t, s) :: !lines in
-  let sink = Obs.Trace.create_sink () in
   let cfg = Svm.Config.make ~nprocs:4 Svm.Config.Hlrc in
-  ignore (Svm.Runtime.run ~trace ~sink cfg (app.Apps.Registry.body ~verify:false));
-  let rendered =
-    List.filter_map
-      (fun e ->
-        match Obs.Trace.render e.Obs.Trace.kind with
-        | Some line ->
-            Some (e.Obs.Trace.time, Printf.sprintf "[node %d] %s" e.Obs.Trace.node line)
-        | None -> None)
-      (Obs.Trace.events sink)
-  in
+  let line (e : Obs.Trace.event) = Option.map (fun l -> (e.time, l)) (Obs.Trace.legacy_line e) in
+  let lines = ref [] in
+  let tap e = Option.iter (fun l -> lines := l :: !lines) (line e) in
+  let tapped = Obs.Trace.create_sink ~capacity:0 ~tap () in
+  ignore (Svm.Runtime.run ~sink:tapped cfg (app.Apps.Registry.body ~verify:false));
+  let sink = Obs.Trace.create_sink () in
+  ignore (Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:false));
   check Alcotest.bool "legacy lines were produced" true (!lines <> []);
-  check Alcotest.bool "adapter output = rendered typed stream" true
-    (List.rev !lines = rendered)
+  check Alcotest.bool "tap output = rendered typed stream" true
+    (List.rev !lines = List.filter_map line (Obs.Trace.events sink));
+  check Alcotest.int "tap-only sink retains nothing" 0 (Obs.Trace.length tapped);
+  (* Absorbed events were emitted into another sink: they reach no tap. *)
+  let tapped_dst = ref 0 in
+  let dst = Obs.Trace.create_sink ~tap:(fun _ -> incr tapped_dst) () in
+  Obs.Trace.absorb dst sink;
+  check Alcotest.int "absorb stores every event" (Obs.Trace.length sink) (Obs.Trace.length dst);
+  check Alcotest.int "absorb bypasses the tap" 0 !tapped_dst
 
 let test_legacy_render_exact_strings () =
   let cases =
@@ -267,7 +269,11 @@ let test_legacy_render_exact_strings () =
     (fun (kind, expected) ->
       check Alcotest.bool (Obs.Trace.kind_name kind) true
         (Obs.Trace.render kind = expected))
-    cases
+    cases;
+  check
+    Alcotest.(option string)
+    "legacy line prefixes the node" (Some "[node 2] gc: discarded diffs and interval records")
+    (Obs.Trace.legacy_line { Obs.Trace.time = 1.; node = 2; kind = Obs.Trace.Gc_done })
 
 (* ------------------------------------------------------------------ *)
 (* Report JSON schema *)
