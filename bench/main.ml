@@ -35,6 +35,10 @@ let micro () =
     if i mod 16 = 0 then Mem.Words.set sparse i (Mem.Words.get sparse i +. 1.0);
     Mem.Words.set dense i (Mem.Words.get dense i +. 1.0)
   done;
+  (* One changed word mid-page: the shape of a kvstore put's diff, where
+     the fill pass scans only the changed span. *)
+  let one_word = Mem.Words.copy twin in
+  Mem.Words.set one_word 500 0.5;
   let sparse_diff = Mem.Diff.create ~page:0 ~twin ~current:sparse in
   let dense_diff = Mem.Diff.create ~page:0 ~twin ~current:dense in
   let target = Mem.Words.copy twin in
@@ -47,6 +51,8 @@ let micro () =
     [
       Test.make ~name:"diff-create-sparse"
         (Staged.stage (fun () -> ignore (Mem.Diff.create ~page:0 ~twin ~current:sparse)));
+      Test.make ~name:"diff-create-one-word"
+        (Staged.stage (fun () -> ignore (Mem.Diff.create ~page:0 ~twin ~current:one_word)));
       Test.make ~name:"diff-create-dense"
         (Staged.stage (fun () -> ignore (Mem.Diff.create ~page:0 ~twin ~current:dense)));
       Test.make ~name:"diff-apply-sparse"

@@ -77,12 +77,14 @@ let reapply_own_diffs sys node pi entry =
 (* ------------------------------------------------------------------ *)
 (* Home-based fetch                                                   *)
 
-(* Install a page copy received from the home, preserving any uncommitted
-   local writes (possible when a false-sharing invalidation hit a page the
-   node was still writing). Under write-through (AURC) the home copy
-   already contains them, so the snapshot installs as-is. *)
-let install_home_copy ~write_through entry (data : Mem.Words.t) =
-  match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
+(* Install a received page copy, keeping any uncommitted local writes
+   (possible when a false-sharing invalidation hit a page the node was
+   still writing); under AURC's write-through the copy already holds them.
+   The replaced copy goes back on the run's free list, after the node's
+   own writes were diffed out of it. *)
+let install_copy sys entry (data : Mem.Words.t) =
+  let old = entry.Mem.Page_table.data in
+  (match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
   | true, Some twin ->
       let own =
         Mem.Diff.create ~page:entry.Mem.Page_table.page ~twin
@@ -91,14 +93,21 @@ let install_home_copy ~write_through entry (data : Mem.Words.t) =
       entry.Mem.Page_table.data <- Some data;
       entry.Mem.Page_table.twin <- Some (Mem.Words.copy data);
       Mem.Diff.apply own data
-  | true, None when write_through -> entry.Mem.Page_table.data <- Some data
-  | true, None -> invalid_arg "install_home_copy: dirty page without twin"
+  | true, None when aurc sys -> entry.Mem.Page_table.data <- Some data
+  | true, None -> invalid_arg "install_copy: dirty page without twin"
   | false, _ ->
       entry.Mem.Page_table.data <- Some data;
-      entry.Mem.Page_table.twin <- None
+      entry.Mem.Page_table.twin <- None);
+  match old with Some frame -> Mem.Words.release sys.frames frame | None -> ()
+
+(* A home-fetch reply: install the snapshot and open the page up. *)
+let install_fetched sys entry snapshot =
+  install_copy sys entry snapshot;
+  entry.Mem.Page_table.prot <-
+    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
+     else Mem.Page_table.Read_only)
 
 let rec fetch_from_home sys node page ~on_valid =
-  let c = costs sys in
   let pi = page_info sys node page in
   let home = home_of sys page in
   let home_node = sys.nodes.(home) in
@@ -142,7 +151,7 @@ let rec fetch_from_home sys node page ~on_valid =
               hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
               d
         in
-        let snapshot = Mem.Words.copy master in
+        let snapshot = Mem.Words.take sys.frames master in
         let hp = home_page sys home_node page in
         let flush = Proto.Vclock.copy hp.hp_flush in
         let bytes =
@@ -150,19 +159,18 @@ let rec fetch_from_home sys node page ~on_valid =
         in
         send sys ~src:home_node ~dst:node.id ~at:done_t ~bytes
           ~update:(Mem.Layout.page_bytes sys.layout) (fun reply_at ->
-            if node.fetch_gen = gen then begin
+            if node.fetch_gen <> gen then Mem.Words.release sys.frames snapshot
+            else begin
               Machine.Node.sync_to node.mach reply_at;
               (* The node may have flushed its own writes mid-fault (a remote
                  lock request ended its interval); if the snapshot predates
                  them, retry so they are not lost. *)
-              if not (Proto.Vclock.leq pi.needed flush) then
+              if not (Proto.Vclock.leq pi.needed flush) then begin
+                Mem.Words.release sys.frames snapshot;
                 fetch_from_home sys node page ~on_valid
+              end
               else begin
-                let entry = Mem.Page_table.ensure node.pt page in
-                install_home_copy ~write_through:(aurc sys) entry snapshot;
-                entry.Mem.Page_table.prot <-
-                  (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-                   else Mem.Page_table.Read_only);
+                install_fetched sys (Mem.Page_table.ensure node.pt page) snapshot;
                 on_valid ()
               end
             end)
@@ -175,8 +183,7 @@ let rec fetch_from_home sys node page ~on_valid =
           { pf_needed = needed; pf_serve = serve_fetch; pf_requester = node.id }
           :: hp.hp_pending;
         event sys home_node (Obs.Trace.Page_fetch_pending { page })
-      end);
-  ignore c
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Batched home-based fetch (--fault-batch N > 1)                      *)
@@ -259,7 +266,7 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
             (fun (q, vc) ->
               let hq = home_page sys home_node q in
               if Proto.Vclock.leq vc hq.hp_flush then
-                Some (q, Mem.Words.copy (master_of q), Proto.Vclock.copy hq.hp_flush)
+                Some (q, Mem.Words.take sys.frames (master_of q), Proto.Vclock.copy hq.hp_flush)
               else None)
             extra_needed
         in
@@ -267,7 +274,7 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
         let done_t =
           serve sys home_node ~arrival:at ~cost:(request_service_cost *. float_of_int pages)
         in
-        let snapshot = Mem.Words.copy (master_of page) in
+        let snapshot = Mem.Words.take sys.frames (master_of page) in
         let hp = home_page sys home_node page in
         let flush = Proto.Vclock.copy hp.hp_flush in
         let vclock_bytes =
@@ -279,7 +286,10 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
           ~bytes:(header_bytes + (pages * pb) + vclock_bytes)
           ~update:(pages * pb)
           (fun reply_at ->
-            if node.fetch_gen <> gen then ()
+            if node.fetch_gen <> gen then begin
+              List.iter (fun (_, snap, _) -> Mem.Words.release sys.frames snap) served;
+              Mem.Words.release sys.frames snapshot
+            end
             else begin
             Machine.Node.sync_to node.mach reply_at;
             (* Install prefetched extras first; each re-checks that the
@@ -288,25 +298,18 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
             List.iter
               (fun (q, snap, qflush) ->
                 let entry = Mem.Page_table.ensure node.pt q in
-                let qi = page_info sys node q in
                 if
                   entry.Mem.Page_table.prot = Mem.Page_table.No_access
-                  && Proto.Vclock.leq qi.needed qflush
-                then begin
-                  install_home_copy ~write_through:(aurc sys) entry snap;
-                  entry.Mem.Page_table.prot <-
-                    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-                     else Mem.Page_table.Read_only)
-                end)
+                  && Proto.Vclock.leq (page_info sys node q).needed qflush
+                then install_fetched sys entry snap
+                else Mem.Words.release sys.frames snap)
               served;
-            if not (Proto.Vclock.leq pi.needed flush) then
+            if not (Proto.Vclock.leq pi.needed flush) then begin
+              Mem.Words.release sys.frames snapshot;
               fetch_from_home sys node page ~on_valid
+            end
             else begin
-              let entry = Mem.Page_table.ensure node.pt page in
-              install_home_copy ~write_through:(aurc sys) entry snapshot;
-              entry.Mem.Page_table.prot <-
-                (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-                 else Mem.Page_table.Read_only);
+              install_fetched sys (Mem.Page_table.ensure node.pt page) snapshot;
               on_valid ()
             end
             end)
@@ -573,18 +576,7 @@ let fetch_full_page sys node page ~on_valid =
             if node.fetch_gen <> gen then ()
             else begin
             Machine.Node.sync_to node.mach reply_at;
-            (match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
-            | true, Some twin ->
-                let own =
-                  Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry)
-                in
-                entry.Mem.Page_table.data <- Some snapshot;
-                entry.Mem.Page_table.twin <- Some (Mem.Words.copy snapshot);
-                Mem.Diff.apply own snapshot
-            | true, None -> invalid_arg "fetch_full_page: dirty page without twin"
-            | false, _ ->
-                entry.Mem.Page_table.data <- Some snapshot;
-                entry.Mem.Page_table.twin <- None);
+            install_copy sys entry snapshot;
             Proto.Vclock.merge_into pi.applied applied;
             reapply_own_diffs sys node pi entry;
             (* Eager RC: updates that raced the transfer were parked in the

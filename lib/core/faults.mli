@@ -35,6 +35,12 @@ val still_missing : System.page_info -> Proto.Interval.t list
     garbage collector. *)
 val collect_diffs : System.t -> System.node_state -> int -> on_valid:(unit -> unit) -> unit
 
+(** Install a received page copy over the node's, re-applying its
+    uncommitted writes, and put the replaced copy on [sys.frames]: the one
+    install path for home fetches, homeless full-page fetches and failover
+    recovery. *)
+val install_copy : System.t -> Mem.Page_table.entry -> Mem.Words.t -> unit
+
 (** One home-based fetch round trip for [page]; [on_valid] runs once the
     snapshot is installed. Exposed for [Replica]'s rejoin path, which
     converts a falsely-deposed ex-home's parked local waits into remote

@@ -132,19 +132,8 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
   c.Stats.diffs_applied <- c.Stats.diffs_applied + List.length ordered;
   let done_t = serve sys b ~arrival:at ~cost:apply_cost in
   let entry = Mem.Page_table.ensure b.pt page in
-  (match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
-  | true, Some twin ->
-      (* Uncommitted local writes ride on top of the rebuilt master: diff
-         them out of the old copy, install, and re-apply (the same dance as
-         [Faults.install_home_copy]). *)
-      let own = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
-      entry.Mem.Page_table.data <- Some base;
-      entry.Mem.Page_table.twin <- Some (Mem.Words.copy base);
-      Mem.Diff.apply own base
-  | true, None -> invalid_arg "Replica: dirty page without twin on a replicated run"
-  | false, _ ->
-      entry.Mem.Page_table.data <- Some base;
-      entry.Mem.Page_table.twin <- None);
+  (* Uncommitted local writes ride on top of the rebuilt master. *)
+  Faults.install_copy sys entry base;
   let hp = home_page sys b page in
   Proto.Vclock.merge_into hp.hp_flush cut;
   List.iter

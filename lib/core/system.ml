@@ -255,6 +255,9 @@ type t = {
   mutable serving : serving option;
       (* per-op latency accumulator; installed lazily at the first
          [record_op], so non-serving apps pay nothing *)
+  frames : Mem.Words.free_list;
+      (* free page frames for home-fetch snapshots, per run since homes
+         take them and readers release them *)
 }
 
 (* The effects through which application processes enter the runtime. Only
@@ -477,6 +480,7 @@ let create (cfg : Config.t) =
       transport = None;
       metrics = None;
       serving = None;
+      frames = Mem.Words.free_list ~poison:cfg.Config.paranoid;
     }
   in
   (match chaos with

@@ -210,6 +210,9 @@ type t = {
   mutable serving : serving option;
       (** Serving-workload op log; installed lazily at the first
           {!record_op}. *)
+  frames : Mem.Words.free_list;
+      (** Free page frames for home-fetch snapshots (poisoned under
+          [Config.paranoid]); see [Faults.install_copy]. *)
 }
 
 (** The effects through which application processes enter the runtime; only

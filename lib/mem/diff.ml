@@ -28,23 +28,16 @@ let size_bytes t = header_bytes + (entry_bytes * Array.length t.offsets)
 let created_event t = Obs.Trace.Diff_create { page = t.page; words = word_count t; bytes = size_bytes t }
 
 (* Two passes — count, then fill exactly-sized arrays — so creation never
-   builds an intermediate list. *)
+   builds an intermediate list. The counting pass also notes the last
+   changed word, and the fill pass walks down from it and stops at the
+   first, so it scans only the changed span: a sparse writer's page is
+   read once rather than twice, while a dense writer's span is the whole
+   page either way. *)
 let create ~page ~twin ~current =
   let n = Words.length current in
   if Words.length twin <> n then
     invalid_arg "Diff.create: twin and current differ in length";
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    let a = Words.unsafe_get twin i and b = Words.unsafe_get current i in
-    let same =
-      if a = b then a <> 0.0 || 1.0 /. a = 1.0 /. b
-      else a <> a && b <> b && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-    in
-    if not same then incr count
-  done;
-  let offsets = Array.make !count 0 in
-  let values = Array.make !count 0.0 in
-  let j = ref 0 in
+  let count = ref 0 and last = ref (-1) in
   for i = 0 to n - 1 do
     let a = Words.unsafe_get twin i and b = Words.unsafe_get current i in
     let same =
@@ -52,10 +45,25 @@ let create ~page ~twin ~current =
       else a <> a && b <> b && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
     in
     if not same then begin
-      Array.unsafe_set offsets !j i;
-      Array.unsafe_set values !j b;
-      incr j
+      last := i;
+      incr count
     end
+  done;
+  let offsets = Array.make !count 0 in
+  let values = Array.make !count 0.0 in
+  let j = ref (!count - 1) and i = ref !last in
+  while !j >= 0 do
+    let a = Words.unsafe_get twin !i and b = Words.unsafe_get current !i in
+    let same =
+      if a = b then a <> 0.0 || 1.0 /. a = 1.0 /. b
+      else a <> a && b <> b && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    in
+    if not same then begin
+      Array.unsafe_set offsets !j !i;
+      Array.unsafe_set values !j b;
+      decr j
+    end;
+    decr i
   done;
   { page; offsets; values }
 

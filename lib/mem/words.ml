@@ -44,3 +44,22 @@ let iteri f (a : t) =
   for i = 0 to length a - 1 do
     f i (Bigarray.Array1.unsafe_get a i)
   done
+
+type free_list = { poison : bool; mutable frames : t list }
+
+let free_list ~poison = { poison; frames = [] }
+
+let take fl src =
+  match fl.frames with
+  | frame :: rest ->
+      fl.frames <- rest;
+      blit ~src ~dst:frame;
+      frame
+  | [] -> copy src
+
+let release fl frame =
+  if fl.poison then begin
+    if List.memq frame fl.frames then invalid_arg "Words.release: frame is already free";
+    fill frame Float.nan
+  end;
+  fl.frames <- frame :: fl.frames

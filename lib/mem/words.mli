@@ -9,7 +9,17 @@
 
     [get]/[set] are bounds-checked; the [unsafe_] variants are not and are
     reserved for loops whose index range is already validated against
-    {!length}. *)
+    {!length}.
+
+    A Bigarray that survives a minor collection adds its size to the major
+    GC's pacing ([caml_alloc_custom_mem]), however little else is promoted.
+    The page copies a home-based fetch installs live until the page is
+    next invalidated, so a fresh one per fetch drove most of a serving
+    run's major collections; they are recycled through a {!free_list}.
+    Twins are not. A sparse writer's twins die young, and a dense writer's
+    (SOR keeps its twins for a whole iteration) are what paces the major
+    GC that reclaims LRC's retained diffs: recycling them saved nothing on
+    the kvstore and raised SOR's peak RSS by 18%. *)
 
 type t = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -40,3 +50,23 @@ val to_array : t -> float array
 val iter : (float -> unit) -> t -> unit
 
 val iteri : (int -> float -> unit) -> t -> unit
+
+(** {1 Recycled frames} *)
+
+(** A LIFO list of free equal-length frames. One per simulated run: frames
+    move between nodes (a home takes one, the reader that installs it
+    releases the one it replaces), so per-node lists would drift. *)
+type free_list
+
+(** An empty list. With [~poison:true], every released frame is filled with
+    NaN first, so a read through a stale alias shows up as a wrong value,
+    and releasing a frame that is already free raises [Invalid_argument]. *)
+val free_list : poison:bool -> free_list
+
+(** [take fl src] is a copy of [src] in the most recently released frame of
+    [fl], or in a fresh one when [fl] is empty. *)
+val take : free_list -> t -> t
+
+(** [release fl frame] puts [frame] on [fl]. The caller must hold the only
+    reference to it. *)
+val release : free_list -> t -> unit

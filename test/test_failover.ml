@@ -82,7 +82,9 @@ let test_kill_home_mid_critical_section () =
       List.iter
         (fun scheme ->
           let name = cell_name proto scheme in
-          let cfg = Svm.Config.make ~nprocs:4 ~replicas:2 ~repl_scheme:scheme proto in
+          let cfg =
+            Svm.Config.make ~paranoid:true ~nprocs:4 ~replicas:2 ~repl_scheme:scheme proto
+          in
           let sink = Obs.Trace.create_sink () in
           let clean = Svm.Runtime.run ~sink cfg (kill_app ~checks:true) in
           let kill_at = last_arrival sink +. 50. in
@@ -97,7 +99,8 @@ let test_kill_home_mid_critical_section () =
             }
           in
           let cfg =
-            Svm.Config.make ~nprocs:4 ~replicas:2 ~repl_scheme:scheme ~chaos proto
+            Svm.Config.make ~paranoid:true ~nprocs:4 ~replicas:2 ~repl_scheme:scheme ~chaos
+              proto
           in
           let killed = Svm.Runtime.run cfg (kill_app ~checks:true) in
           check Alcotest.bool

@@ -18,16 +18,21 @@ let test_all_apps_paranoid () =
         Svm.Config.extended_protocols)
     (Apps.Registry.all Apps.Registry.Test)
 
+(* Also the install paths over poisoned recycled frames: single and
+   batched home fetches, AURC write-through and migrated homes, on the
+   serving store as well as a scientific kernel. *)
 let test_paranoid_with_extensions () =
-  let app = Apps.Registry.water_nsq Apps.Registry.Test in
   List.iter
-    (fun protocol ->
-      let cfg =
-        Svm.Config.make ~paranoid:true ~home_migration:true ~coproc_locks:true ~nprocs:8
-          protocol
-      in
-      ignore (Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true)))
-    [ Svm.Config.Hlrc; Svm.Config.Ohlrc; Svm.Config.Aurc ]
+    (fun (app : Apps.Registry.t) ->
+      List.iter
+        (fun protocol ->
+          let cfg =
+            Svm.Config.make ~paranoid:true ~home_migration:true ~coproc_locks:true
+              ~fault_batch:4 ~nprocs:8 protocol
+          in
+          ignore (Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:true)))
+        [ Svm.Config.Hlrc; Svm.Config.Ohlrc; Svm.Config.Aurc ])
+    [ Apps.Registry.water_nsq Apps.Registry.Test; Apps.Registry.kvstore Apps.Registry.Test ]
 
 let test_paranoid_under_gc_pressure () =
   let cfg =

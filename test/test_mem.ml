@@ -208,9 +208,43 @@ let page_gen n = QCheck.Gen.(array_size (return n) word_gen)
 
 let pair_gen n = QCheck.Gen.pair (page_gen n) (page_gen n)
 
+let quiet_nan payload = Int64.float_of_bits (Int64.logor 0x7FF8_0000_0000_0000L payload)
+
+(* A twin and a copy of it with 0-3 edits, on a full 1,024-word page: the
+   changed span is empty, one word, or bounded by the page's edges, which
+   the offsets favour. Each edit sets the twin's and the copy's word to a
+   pair that may differ only in a zero's sign or a NaN's payload. *)
+let sparse_pair_gen =
+  let n = 1024 in
+  let edit =
+    QCheck.Gen.(
+      pair
+        (frequency [ (1, return 0); (1, return (n - 1)); (3, int_bound (n - 1)) ])
+        (oneof
+           [
+             pair word_gen word_gen;
+             oneofl [ (0.0, -0.0); (-0.0, 0.0) ];
+             map2
+               (fun a b -> (quiet_nan (Int64.of_int a), quiet_nan (Int64.of_int b)))
+               (int_bound 2) (int_bound 2);
+           ]))
+  in
+  QCheck.Gen.(
+    map2
+      (fun base edits ->
+        let twin = Array.copy base and current = Array.copy base in
+        List.iter
+          (fun (o, (a, b)) ->
+            twin.(o) <- a;
+            current.(o) <- b)
+          edits;
+        (twin, current))
+      (page_gen n)
+      (list_size (int_bound 3) edit))
+
 let prop_diff_matches_reference =
   QCheck.Test.make ~name:"bigarray diff == array-backed reference" ~count:500
-    (QCheck.make (pair_gen 32)) (fun (a, b) ->
+    (QCheck.make (QCheck.Gen.oneof [ pair_gen 32; sparse_pair_gen ])) (fun (a, b) ->
       let d_new = Mem.Diff.create ~page:7 ~twin:(Mem.Words.of_array a) ~current:(Mem.Words.of_array b) in
       let d_ref = Ref.create ~page:7 ~twin:a ~current:b in
       entries_new d_new = entries_ref d_ref
@@ -234,6 +268,23 @@ let prop_diff_merge_matches_reference =
       let d1_ref = Ref.create ~page:3 ~twin:base ~current:c1 in
       let d2_ref = Ref.create ~page:3 ~twin:c1 ~current:c2 in
       entries_new (Mem.Diff.merge d1_new d2_new) = entries_ref (Ref.merge d1_ref d2_ref))
+
+(* ------------------------------------------------------------------ *)
+(* Recycled frames *)
+
+let test_free_list_recycles () =
+  let fl = Mem.Words.free_list ~poison:true in
+  let frame = Mem.Words.take fl (Mem.Words.of_array [| 1.; 2.; 3. |]) in
+  Mem.Words.release fl frame;
+  check Alcotest.bool "released frame is poisoned" true (Float.is_nan (Mem.Words.get frame 0));
+  Alcotest.check_raises "double release" (Invalid_argument "Words.release: frame is already free")
+    (fun () -> Mem.Words.release fl frame);
+  let src = Mem.Words.of_array [| 4.; 5.; 6. |] in
+  let reused = Mem.Words.take fl src in
+  check Alcotest.bool "next take returns the released frame" true (reused == frame);
+  check Alcotest.(array (float 0.)) "with the new contents" [| 4.; 5.; 6. |]
+    (Mem.Words.to_array reused);
+  check Alcotest.bool "an empty list allocates" true (Mem.Words.take fl src != frame)
 
 (* ------------------------------------------------------------------ *)
 (* Page table *)
@@ -310,6 +361,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_diff_offsets_sorted;
     QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_diff_merge_matches_reference;
+    ("free list recycles frames", `Quick, test_free_list_recycles);
     ("page table ensure", `Quick, test_page_table_ensure);
     ("page table missing entry", `Quick, test_page_table_entry_missing);
     ("page table twin", `Quick, test_page_table_twin);
