@@ -11,37 +11,13 @@ open Cmdliner
 
 let run (o : Harness.Cli.run) ~trace ~breakdown =
   let c = o.common and cfg = o.cfg and app = o.app in
-  (* -t is a tap on the sink printing each event's legacy line; it stores
-     nothing unless --trace-out or --profile also asked for the events. *)
-  let stored = c.trace_out <> None || o.profile in
+  (* -t prints each event's legacy line from a tap on the sink. *)
   let tap (e : Obs.Trace.event) =
     Option.iter (Printf.printf "[%12.1f us] %s\n" e.time) (Obs.Trace.legacy_line e)
   in
-  let sink =
-    if stored || trace then
-      Some
-        (Obs.Trace.create_sink
-           ~capacity:(if stored then c.trace_cap else 0)
-           ?tap:(if trace then Some tap else None)
-           ())
-    else None
-  in
-  let t0 = Unix.gettimeofday () in
-  let r = Svm.Runtime.run ?sink cfg (app.Apps.Registry.body ~verify:c.verify) in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Only a storing sink is reported: -t alone adds no trace section. *)
-  let sink = if stored then sink else None in
-  let critical_path =
-    match sink with
-    | Some sink when o.profile -> Some (Obs.Critical_path.analyze sink)
-    | _ -> None
-  in
-  let meta =
-    { Svm.Report_json.rm_app = app.Apps.Registry.name; rm_scale = Apps.Registry.scale_name c.scale }
-  in
-  (match c.json with
-  | None -> ()
-  | Some file -> Svm.Report_json.write ~meta ?critical_path ?trace:sink file r);
+  let out = Harness.Cli.execute ?tap:(if trace then Some tap else None) o in
+  let r = out.report and sink = out.sink and critical_path = out.critical_path in
+  Option.iter (fun file -> Svm.Report_json.write file (Harness.Cli.report_json o out)) c.json;
   (match (c.trace_out, sink) with
   | Some file, Some sink -> Obs.Export.write_file c.trace_format file sink
   | _ -> ());
@@ -54,7 +30,7 @@ let run (o : Harness.Cli.run) ~trace ~breakdown =
   Format.printf "application : %s (%s)@." app.Apps.Registry.name app.Apps.Registry.description;
   Format.printf "protocol    : %s, %d nodes@." (Svm.Config.protocol_name cfg.protocol) cfg.nprocs;
   Format.printf "elapsed     : %.3f simulated seconds (%.2f s wall, %d events)@."
-    (r.Svm.Runtime.r_elapsed /. 1e6) wall r.Svm.Runtime.r_events;
+    (r.Svm.Runtime.r_elapsed /. 1e6) out.wall r.Svm.Runtime.r_events;
   Format.printf "shared mem  : %d KB application, %d KB peak protocol (max node)@."
     (r.Svm.Runtime.r_shared_bytes / 1024)
     (Svm.Runtime.max_mem_peak r / 1024);

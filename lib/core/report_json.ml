@@ -394,12 +394,12 @@ let encode ?meta ?critical_path ?trace (r : Runtime.report) =
 let to_string ?meta ?critical_path ?trace r =
   to_string_pretty (encode ?meta ?critical_path ?trace r)
 
-let write ?meta ?critical_path ?trace file r =
+let write file doc =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_string ?meta ?critical_path ?trace r);
+      output_string oc (to_string_pretty doc);
       output_char oc '\n')
 
 (* --- validation ------------------------------------------------------- *)

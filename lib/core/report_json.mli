@@ -40,14 +40,9 @@ val to_string :
   Runtime.report ->
   string
 
-(** Write the report to [file]. *)
-val write :
-  ?meta:run_meta ->
-  ?critical_path:Obs.Critical_path.t ->
-  ?trace:Obs.Trace.sink ->
-  string ->
-  Runtime.report ->
-  unit
+(** Write an {!encode}d document to [file]: its pretty serialization
+    plus a newline. *)
+val write : string -> Obs.Json.t -> unit
 
 (** Structural schema check of a parsed report: version, config, totals,
     the per-node records, and — when present — the optional [meta],

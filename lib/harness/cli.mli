@@ -53,6 +53,23 @@ type run = {
     [--kv-*] with an application other than kvstore is an error. *)
 val svm_run : run Cmdliner.Term.t
 
+(** What one [svm_run] invocation simulated: the report, the sink when
+    [--trace-out] or [--profile] asked it to store events, the critical
+    path under [--profile], and the run's host wall-clock seconds. *)
+type outcome = {
+  report : Svm.Runtime.report;
+  sink : Obs.Trace.sink option;
+  critical_path : Obs.Critical_path.t option;
+  wall : float;
+}
+
+(** Simulate [run]; [tap] sees every event (svm_run's [-t]). *)
+val execute : ?tap:(Obs.Trace.event -> unit) -> run -> outcome
+
+(** The document [svm_run --json] writes: the report with its [meta],
+    [trace] and [critical_path] sections. *)
+val report_json : run -> outcome -> Obs.Json.t
+
 (** Converters for the executables' own flags: an integer >= 1, and one of
     [names] (case-insensitive). *)
 val pos_int : int Cmdliner.Arg.conv
@@ -62,3 +79,7 @@ val one_of : what:string -> string list -> string Cmdliner.Arg.conv
 (** [eval info term] evaluates [term] on [Sys.argv]. On [--help] it prints
     the help and exits 0; on a usage error it prints it and exits 124. *)
 val eval : Cmdliner.Cmd.info -> 'a Cmdliner.Term.t -> 'a
+
+(** [svm_run ARGS] through the flag table without exiting: the parsed run,
+    or the usage error the CLI would print. *)
+val parse_svm_run : string list -> (run, string) result

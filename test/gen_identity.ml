@@ -12,7 +12,11 @@
    arithmetic, report encoding, trace stream — fails the suite. The
    committed golden was produced by the array-backed, binary-heap seed;
    the Bigarray/calendar-queue rewrite must reproduce it byte for byte.
-   After an *intentional* behavior change, refresh with [dune promote]. *)
+   After an *intentional* behavior change, refresh with [dune promote].
+
+   A second section pins the optional blocks the default flags never
+   produce: one line per {!Report_cases} argv with the MD5 of the file
+   [svm_run ARGV --json FILE] writes, [meta] included. *)
 
 let protocols =
   List.filter_map Svm.Config.protocol_of_string Svm.Config.protocol_strings
@@ -46,4 +50,9 @@ let () =
            (fun name -> Apps.Registry.find name Apps.Registry.Test)
            Apps.Registry.names))
     protocols;
+  List.iter
+    (fun args ->
+      Printf.fprintf oc "svm_run %s json %s\n" (String.concat " " args)
+        (md5 (Obs.Json.to_string_pretty (Report_cases.report args) ^ "\n")))
+    Report_cases.argvs;
   close_out oc

@@ -4,20 +4,7 @@
 
 let check = Alcotest.check
 
-(* [svm_run ARGS] through the flag table: the parsed run, or the usage
-   error the CLI would print. *)
-let parse_run args =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  let argv = Array.of_list ("svm_run" :: args) in
-  match
-    Cmdliner.Cmd.eval_value ~help:ppf ~err:ppf ~argv
-      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "svm_run") Harness.Cli.svm_run)
-  with
-  | Ok (`Ok o) -> Ok o
-  | Ok (`Help | `Version) | Error _ ->
-      Format.pp_print_flush ppf ();
-      Error (Buffer.contents buf)
+let parse_run = Harness.Cli.parse_svm_run
 
 let parse args =
   match parse_run args with
@@ -27,15 +14,10 @@ let parse args =
 (* The bytes [svm_run ARGS --json FILE] writes, with the report's echo of
    the configuration replaced by [echo]. *)
 let report ~echo (o : Harness.Cli.run) =
-  let app = o.app and c = o.common in
-  let r = Svm.Runtime.run o.cfg (app.Apps.Registry.body ~verify:c.Harness.Cli.verify) in
-  let meta =
-    {
-      Svm.Report_json.rm_app = app.Apps.Registry.name;
-      rm_scale = Apps.Registry.scale_name c.Harness.Cli.scale;
-    }
-  in
-  Svm.Report_json.to_string ~meta { r with Svm.Runtime.r_config = echo }
+  let out = Harness.Cli.execute o in
+  Obs.Json.to_string_pretty
+    (Harness.Cli.report_json o
+       { out with report = { out.report with Svm.Runtime.r_config = echo } })
 
 let cell app proto = [ "--app"; app; "--protocol"; proto; "--nodes"; "8"; "--scale"; "test" ]
 
