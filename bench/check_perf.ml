@@ -65,14 +65,6 @@ let read_file file =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let write_json file doc =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Obs.Json.to_string_pretty doc);
-      output_char oc '\n')
-
 let cell_id (r : Harness.Perf.result) =
   Harness.Perf.cell_name r.Harness.Perf.r_cell
 
@@ -152,9 +144,9 @@ let () =
   Format.pp_print_flush Format.std_formatter ();
   (match o.json_out with
   | None -> ()
-  | Some file -> write_json file (Harness.Perf.to_json results));
+  | Some file -> Obs.Export.write_json ~what:"perf" file (Harness.Perf.to_json results));
   if o.update then begin
-    write_json o.baseline (Harness.Perf.to_json results);
+    Obs.Export.write_json ~what:"baseline" o.baseline (Harness.Perf.to_json results);
     Printf.printf "wrote %s (%d cells)\n" o.baseline (List.length results)
   end
   else check o results

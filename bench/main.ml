@@ -97,34 +97,6 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Machine-readable dump of every simulated cell (one per matrix entry). *)
-let dump_json file m =
-  let rm_scale = Apps.Registry.scale_name (Harness.Matrix.scale m) in
-  let cell (app, proto, np, r) =
-    let meta = { Svm.Report_json.rm_app = app; rm_scale } in
-    Obs.Json.Obj
-      [
-        ("app", Obs.Json.String app);
-        ( "protocol",
-          Obs.Json.String (String.lowercase_ascii (Svm.Config.protocol_name proto)) );
-        ("nodes", Obs.Json.Int np);
-        ("report", Svm.Report_json.encode ~meta r);
-      ]
-  in
-  let doc =
-    Obs.Json.Obj
-      [
-        ("schema_version", Obs.Json.Int Svm.Report_json.schema_version);
-        ("cells", Obs.Json.List (List.map cell (Harness.Matrix.cells m)));
-      ]
-  in
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Obs.Json.to_string_pretty doc);
-      output_char oc '\n')
-
 let main (c : Harness.Cli.common) ~nodes ~jobs ~perf_out artifacts =
   let ppf = Format.std_formatter in
   let sink =
@@ -184,13 +156,7 @@ let main (c : Harness.Cli.common) ~nodes ~jobs ~perf_out artifacts =
         let results = Harness.Perf.run_all () in
         Harness.Perf.pp_table ppf results;
         Option.iter
-          (fun file ->
-            let oc = open_out file in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () ->
-                output_string oc (Obs.Json.to_string_pretty (Harness.Perf.to_json results));
-                output_char oc '\n'))
+          (fun file -> Obs.Export.write_json ~what:"perf" file (Harness.Perf.to_json results))
           perf_out
     | soak when List.mem soak Harness.Soak.names ->
         if not (Harness.Soak.report ppf ~pool ~scale soak) then incr failures
@@ -216,7 +182,9 @@ let main (c : Harness.Cli.common) ~nodes ~jobs ~perf_out artifacts =
     | _ -> assert false (* the ARTIFACT converter admits only [known_artifacts] *)
   in
   List.iter run (if artifacts = [] then [ "all" ] else artifacts);
-  Option.iter (fun file -> dump_json file m) c.json;
+  Option.iter
+    (fun file -> Obs.Export.write_json ~what:"report" file (Harness.Matrix.to_json m))
+    c.json;
   (match (c.trace_out, sink) with
   | Some file, Some s -> Obs.Export.write_file c.trace_format file s
   | _ -> ());
@@ -282,4 +250,8 @@ let () =
         const (fun c n j p a -> (c, n, j, p, a))
         $ Harness.Cli.common $ nodes $ jobs $ perf_out $ artifacts)
   in
-  main c ~nodes ~jobs ~perf_out artifacts
+  (* An unwritable output file is one line and exit 2. *)
+  try main c ~nodes ~jobs ~perf_out artifacts
+  with Failure msg ->
+    Printf.eprintf "bench: %s\n" msg;
+    exit 2

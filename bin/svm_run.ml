@@ -17,7 +17,9 @@ let run (o : Harness.Cli.run) ~trace ~breakdown =
   in
   let out = Harness.Cli.execute ?tap:(if trace then Some tap else None) o in
   let r = out.report and sink = out.sink and critical_path = out.critical_path in
-  Option.iter (fun file -> Svm.Report_json.write file (Harness.Cli.report_json o out)) c.json;
+  Option.iter
+    (fun file -> Obs.Export.write_json ~what:"report" file (Harness.Cli.report_json o out))
+    c.json;
   (match (c.trace_out, sink) with
   | Some file, Some sink -> Obs.Export.write_file c.trace_format file sink
   | _ -> ());
@@ -185,7 +187,7 @@ let () =
   in
   (* Bad flags were rejected by the parser (exit 124). A run that cannot
      finish exits 3 with the watchdog's dump; one whose results fail the
-     sequential reference exits 4; an unwritable trace file exits 2. *)
+     sequential reference exits 4; an unwritable output file exits 2. *)
   try run o ~trace ~breakdown with
   | Svm.System.Deadlock dump ->
       Printf.eprintf "svm_run: the run cannot make progress\n%s\n" dump;

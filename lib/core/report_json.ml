@@ -1,800 +1,355 @@
 let schema_version = 1
 
-open Obs.Json
+open Obs.Schema
 
-let f x = Float x
+type run_meta = { rm_app : string; rm_scale : string }
 
-let costs_json (c : Machine.Costs.t) =
-  Obj
+(* What the optional groups hang on, read off the run's config. *)
+let batching cfg = cfg.Config.fault_batch > 1
+
+let chaos = Config.chaos_enabled
+
+let repl cfg = cfg.Config.replicas > 1
+
+let detect cfg = cfg.Config.detector = Config.Heartbeat
+
+(* The availability group covers scheduled kills and heartbeat runs alike:
+   a fallible detector can depose (and fail over) nodes that were never
+   killed. *)
+let kill cfg = Machine.Chaos.kills cfg.Config.chaos <> [] || detect cfg
+
+(* [Some v] when [p v] holds: the projection of a [given]-style block. *)
+let only p v = if p v then Some v else None
+
+let protocol cfg = String.lowercase_ascii (Config.protocol_name cfg.Config.protocol)
+
+let digest r = Printf.sprintf "%016Lx" r.Runtime.r_mem_digest
+
+let costs : Machine.Costs.t t =
+  Machine.Costs.
     [
-      ("message_latency", f c.message_latency);
-      ("byte_transfer", f c.byte_transfer);
-      ("per_hop", f c.per_hop);
-      ("receive_interrupt", f c.receive_interrupt);
-      ("twin_copy", f c.twin_copy);
-      ("diff_create_base", f c.diff_create_base);
-      ("diff_create_per_word", f c.diff_create_per_word);
-      ("diff_apply_base", f c.diff_apply_base);
-      ("diff_apply_per_word", f c.diff_apply_per_word);
-      ("page_fault", f c.page_fault);
-      ("page_invalidate", f c.page_invalidate);
-      ("page_protect", f c.page_protect);
-      ("mem_access", f c.mem_access);
-      ("lock_service", f c.lock_service);
-      ("barrier_service", f c.barrier_service);
-      ("write_notice_handle", f c.write_notice_handle);
-      ("coproc_dispatch", f c.coproc_dispatch);
+      field "message_latency" num (fun c -> c.message_latency);
+      field "byte_transfer" num (fun c -> c.byte_transfer);
+      field "per_hop" num (fun c -> c.per_hop);
+      field "receive_interrupt" num (fun c -> c.receive_interrupt);
+      field "twin_copy" num (fun c -> c.twin_copy);
+      field "diff_create_base" num (fun c -> c.diff_create_base);
+      field "diff_create_per_word" num (fun c -> c.diff_create_per_word);
+      field "diff_apply_base" num (fun c -> c.diff_apply_base);
+      field "diff_apply_per_word" num (fun c -> c.diff_apply_per_word);
+      field "page_fault" num (fun c -> c.page_fault);
+      field "page_invalidate" num (fun c -> c.page_invalidate);
+      field "page_protect" num (fun c -> c.page_protect);
+      field "mem_access" num (fun c -> c.mem_access);
+      field "lock_service" num (fun c -> c.lock_service);
+      field "barrier_service" num (fun c -> c.barrier_service);
+      field "write_notice_handle" num (fun c -> c.write_notice_handle);
+      field "coproc_dispatch" num (fun c -> c.coproc_dispatch);
     ]
 
-(* Chaos-related fields appear in the document only when fault injection is
-   on: a fault-free run's report stays byte-identical to the pre-chaos
-   schema, which the regression gate asserts. *)
-
-(* The fault schedule renders under the legacy single-fault keys
+(* The fault schedule renders under the single-fault keys
    ([kill_node]/[pause_node]...) for its earliest kill and pause — archived
    reports and their consumers predate the schedule — plus a [partitions]
-   list for the faults the old schema could not express. *)
-let chaos_json (ch : Machine.Chaos.params) =
-  Obj
-    ([
-       ("drop_rate", f ch.drop_rate);
-       ("dup_rate", f ch.dup_rate);
-       ("jitter", f ch.jitter);
-       ("straggler", f ch.straggler);
-       ("fault_seed", Int ch.fault_seed);
-     ]
-    @ (match Machine.Chaos.first_kill ch with
-      | None -> []
-      | Some (node, at) ->
-          [
-            ("kill_node", Int node);
-            ("kill_at", f at);
-            ("detect_delay", f ch.detect_delay);
-          ])
-    @ (match Machine.Chaos.first_pause ch with
-      | None -> []
-      | Some (node, pause_at, resume_at) ->
-          [ ("pause_node", Int node); ("pause_at", f pause_at); ("resume_at", f resume_at) ])
-    @
-    match Machine.Chaos.partitions ch with
-    | [] -> []
-    | parts ->
+   list for the faults those keys cannot express. *)
+let chaos_config : Machine.Chaos.params t =
+  Machine.Chaos.
+    [
+      field "drop_rate" num (fun ch -> ch.drop_rate);
+      field "dup_rate" num (fun ch -> ch.dup_rate);
+      field "jitter" num (fun ch -> ch.jitter);
+      field "straggler" num (fun ch -> ch.straggler);
+      field "fault_seed" int (fun ch -> ch.fault_seed);
+      some
+        (fun ch -> Option.map (fun kill -> (kill, ch.detect_delay)) (first_kill ch))
         [
-          ( "partitions",
-            List
-              (List.map
-                 (fun (group, from_, until) ->
-                   Obj
-                     [
-                       ("group", List (List.map (fun n -> Int n) group));
-                       ("from_us", f from_);
-                       ("until_us", f until);
-                     ])
-                 parts) );
-        ])
+          field "kill_node" int (fun ((node, _), _) -> node);
+          field "kill_at" num (fun ((_, at), _) -> at);
+          field "detect_delay" num snd;
+        ];
+      some first_pause
+        [
+          field "pause_node" int (fun (node, _, _) -> node);
+          field "pause_at" num (fun (_, at, _) -> at);
+          field "resume_at" num (fun (_, _, until) -> until);
+        ];
+      given
+        (fun ch -> partitions ch <> [])
+        [
+          field "partitions"
+            (list
+               (obj
+                  [
+                    field "group" (list int) (fun (group, _, _) -> group);
+                    field "from_us" num (fun (_, from_, _) -> from_);
+                    field "until_us" num (fun (_, _, until) -> until);
+                  ]))
+            partitions;
+        ];
+    ]
 
-let config_json (cfg : Config.t) =
-  Obj
-    ([
-       ("protocol", String (String.lowercase_ascii (Config.protocol_name cfg.protocol)));
-       ("nprocs", Int cfg.nprocs);
-       ("page_words", Int cfg.page_words);
-       ("home_policy", String (Config.home_policy_name cfg.home_policy));
-       ("gc_threshold_bytes", Int cfg.gc_threshold_bytes);
-       ("coproc_locks", Bool cfg.coproc_locks);
-       ("au_combine_words", Int cfg.au_combine_words);
-       ("home_migration", Bool cfg.home_migration);
-       ("seed", Int cfg.seed);
-       ("costs", costs_json cfg.costs);
-     ]
-    @ (if cfg.fault_batch > 1 then [ ("fault_batch", Int cfg.fault_batch) ] else [])
-    @ (if cfg.replicas > 1 then
-         [
-           ( "replication",
-             Obj
-               [
-                 ("replicas", Int cfg.replicas);
-                 ("scheme", String (Config.repl_scheme_name cfg.repl_scheme));
-               ] );
-         ]
-       else [])
-    @ (* A kill-only schedule does not enable message chaos (no transport),
+let config : Config.t t =
+  Config.
+    [
+      field "protocol" (enum protocol_strings) protocol;
+      field "nprocs" (at_least 1) (fun cfg -> cfg.nprocs);
+      field "page_words" int (fun cfg -> cfg.page_words);
+      field "home_policy" str (fun cfg -> home_policy_name cfg.home_policy);
+      field "gc_threshold_bytes" int (fun cfg -> cfg.gc_threshold_bytes);
+      field "coproc_locks" bool (fun cfg -> cfg.coproc_locks);
+      field "au_combine_words" int (fun cfg -> cfg.au_combine_words);
+      field "home_migration" bool (fun cfg -> cfg.home_migration);
+      field "seed" int (fun cfg -> cfg.seed);
+      field "costs" (obj costs) (fun cfg -> cfg.costs);
+      given batching [ field "fault_batch" int (fun cfg -> cfg.fault_batch) ];
+      opt "replication"
+        (obj
+           [
+             field "replicas" (at_least 2) (fun cfg -> cfg.replicas);
+             field "scheme" (enum repl_scheme_strings) (fun cfg ->
+                 repl_scheme_name cfg.repl_scheme);
+           ])
+        (only repl);
+      (* A kill-only schedule does not enable message chaos (no transport),
          but its parameters still belong in the report. *)
-    (if Config.chaos_enabled cfg || Machine.Chaos.kills cfg.chaos <> [] then
-       [ ("chaos", chaos_json cfg.chaos) ]
-     else [])
-    @
-    (* Absent under [--detector oracle] (the default), keeping every
-       pre-detector report byte-identical. *)
-    if cfg.detector = Config.Heartbeat then
-      [
-        ( "detector",
-          Obj
-            [
-              ("kind", String (Config.detector_name cfg.detector));
-              ("hb_interval_us", f cfg.hb_interval);
-              ("hb_timeout_us", f (Config.hb_timeout_effective cfg));
-            ] );
-      ]
-    else [])
-
-let breakdown_json (b : Stats.breakdown) =
-  Obj
-    [
-      ("compute", f b.compute);
-      ("data", f b.data);
-      ("lock", f b.lock);
-      ("barrier", f b.barrier);
-      ("protocol", f b.protocol);
-      ("gc", f b.gc);
+      opt "chaos" (obj chaos_config) (fun cfg ->
+          if chaos cfg || Machine.Chaos.kills cfg.chaos <> [] then Some cfg.chaos else None);
+      opt "detector"
+        (obj
+           [
+             field "kind" (enum detector_strings) (fun cfg -> detector_name cfg.detector);
+             field "hb_interval_us" num (fun cfg -> cfg.hb_interval);
+             field "hb_timeout_us" num hb_timeout_effective;
+           ])
+        (only detect);
     ]
 
-let counters_json ~chaos ~batching ~repl ~kill ~detect (c : Stats.counters) =
-  Obj
-    ([
-       ("read_misses", Int c.read_misses);
-       ("write_faults", Int c.write_faults);
-       ("diffs_created", Int c.diffs_created);
-       ("diffs_applied", Int c.diffs_applied);
-       ("lock_acquires", Int c.lock_acquires);
-       ("remote_acquires", Int c.remote_acquires);
-       ("barriers", Int c.barriers);
-       ("messages", Int c.messages);
-       ("update_bytes", Int c.update_bytes);
-       ("protocol_bytes", Int c.protocol_bytes);
-       ("page_fetches", Int c.page_fetches);
-       ("gc_runs", Int c.gc_runs);
-       ("home_migrations", Int c.home_migrations);
-     ]
-    @ (if batching then [ ("batch_prefetches", Int c.batch_prefetches) ] else [])
-    @ (if chaos then
-         [
-           ("msg_drops", Int c.msg_drops);
-           ("msg_retransmits", Int c.msg_retransmits);
-           ("msg_acks", Int c.msg_acks);
-           ("msg_dup_dropped", Int c.msg_dup_dropped);
-           ("msg_gave_up", Int c.msg_gave_up);
-         ]
-       else [])
-    @ (if repl then
-         [
-           ("repl_updates", Int c.repl_updates);
-           ("repl_invals", Int c.repl_invals);
-           ("repl_bytes", Int c.repl_bytes);
-         ]
-       else [])
-    @ (if kill then
-         [ ("failovers", Int c.failovers); ("msg_peer_dead", Int c.msg_peer_dead) ]
-       else [])
-    @
-    if detect then
-      [
-        ("suspicions", Int c.suspicions);
-        ("refutations", Int c.refutations);
-        ("fenced_fetches", Int c.fenced_fetches);
-      ]
-    else [])
-
-let node_json ~chaos ~batching ~repl ~kill ~detect (n : Runtime.node_report) =
-  Obj
+let breakdown : Stats.breakdown t =
+  Stats.
     [
-      ("id", Int n.nr_id);
-      ("elapsed_us", f n.nr_elapsed);
-      ("breakdown", breakdown_json n.nr_breakdown);
-      ("counters", counters_json ~chaos ~batching ~repl ~kill ~detect n.nr_counters);
-      ("mem_peak", Int n.nr_mem_peak);
-      ("mem_end", Int n.nr_mem_end);
-      ("epochs", List (List.map breakdown_json n.nr_epochs));
+      field "compute" num (fun b -> b.compute);
+      field "data" num (fun b -> b.data);
+      field "lock" num (fun b -> b.lock);
+      field "barrier" num (fun b -> b.barrier);
+      field "protocol" num (fun b -> b.protocol);
+      field "gc" num (fun b -> b.gc);
     ]
 
-let sum_counter (r : Runtime.report) field =
-  Array.fold_left (fun acc n -> acc + field n.Runtime.nr_counters) 0 r.Runtime.r_nodes
+(* Counter groups, shared by the per-node counters and the run totals. *)
+let base_counters =
+  Stats.
+    [
+      ("read_misses", fun c -> c.read_misses);
+      ("write_faults", fun c -> c.write_faults);
+      ("diffs_created", fun c -> c.diffs_created);
+      ("diffs_applied", fun c -> c.diffs_applied);
+      ("lock_acquires", fun c -> c.lock_acquires);
+      ("remote_acquires", fun c -> c.remote_acquires);
+      ("barriers", fun c -> c.barriers);
+      ("messages", fun c -> c.messages);
+      ("update_bytes", fun c -> c.update_bytes);
+      ("protocol_bytes", fun c -> c.protocol_bytes);
+      ("page_fetches", fun c -> c.page_fetches);
+      ("gc_runs", fun c -> c.gc_runs);
+      ("home_migrations", fun c -> c.home_migrations);
+    ]
+
+let transport_counters =
+  Stats.
+    [
+      ("msg_drops", fun c -> c.msg_drops);
+      ("msg_retransmits", fun c -> c.msg_retransmits);
+      ("msg_acks", fun c -> c.msg_acks);
+      ("msg_dup_dropped", fun c -> c.msg_dup_dropped);
+    ]
+
+let gave_up = ("msg_gave_up", fun c -> c.Stats.msg_gave_up)
+
+let repl_counters =
+  Stats.
+    [
+      ("repl_updates", fun c -> c.repl_updates);
+      ("repl_invals", fun c -> c.repl_invals);
+      ("repl_bytes", fun c -> c.repl_bytes);
+    ]
+
+let kill_counters =
+  Stats.[ ("failovers", fun c -> c.failovers); ("msg_peer_dead", fun c -> c.msg_peer_dead) ]
+
+let detect_counters =
+  Stats.
+    [
+      ("suspicions", fun c -> c.suspicions);
+      ("refutations", fun c -> c.refutations);
+      ("fenced_fetches", fun c -> c.fenced_fetches);
+    ]
+
+let per_node group = List.map (fun (name, get) -> field name int (fun (_, c) -> get c)) group
+
+let summed group =
+  List.map
+    (fun (name, get) ->
+      field name int (fun r ->
+          Array.fold_left (fun acc n -> acc + get n.Runtime.nr_counters) 0 r.Runtime.r_nodes))
+    group
+
+let on_config p (cfg, _) = p cfg
+
+let counters : (Config.t * Stats.counters) t =
+  per_node base_counters
+  @ [
+      given (on_config batching)
+        (per_node [ ("batch_prefetches", fun c -> c.Stats.batch_prefetches) ]);
+      given (on_config chaos) (per_node (transport_counters @ [ gave_up ]));
+      given (on_config repl) (per_node repl_counters);
+      given (on_config kill) (per_node kill_counters);
+      given (on_config detect) (per_node detect_counters);
+    ]
+
+let node : (Config.t * Runtime.node_report) t =
+  Runtime.
+    [
+      field "id" int (fun (_, n) -> n.nr_id);
+      field "elapsed_us" num (fun (_, n) -> n.nr_elapsed);
+      field "breakdown" (obj breakdown) (fun (_, n) -> n.nr_breakdown);
+      field "counters" (obj counters) (fun (cfg, n) -> (cfg, n.nr_counters));
+      field "mem_peak" int (fun (_, n) -> n.nr_mem_peak);
+      field "mem_end" int (fun (_, n) -> n.nr_mem_end);
+      field "epochs" (list (obj breakdown)) (fun (_, n) -> n.nr_epochs);
+    ]
+
+(* [or_lats] and [r_failover_stalls] are sorted ascending, as
+   {!Stats.quantile} (nearest-rank) requires. Percentiles of an empty set
+   are undefined, not 0: they are absent, so a genuine 0 us value stays
+   distinguishable. *)
+let mean xs = Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
+
+let quantile p xs = Option.get (Stats.quantile xs p)
+
+let last xs = xs.(Array.length xs - 1)
+
+(* The value is the run's elapsed time and its op log. *)
+let serving : (float * Runtime.ops_report) t =
+  let lats f (_, ops) = f ops.Runtime.or_lats in
+  Runtime.
+    [
+      field "ops" int (lats Array.length);
+      field "gets" int (fun (_, ops) -> ops.or_gets);
+      field "puts" int (fun (_, ops) -> ops.or_puts);
+      field "txns" int (fun (_, ops) -> ops.or_txns);
+      field "throughput_ops_per_s" num (fun (elapsed, ops) ->
+          if elapsed > 0. then float_of_int (Array.length ops.or_lats) /. (elapsed /. 1_000_000.)
+          else 0.);
+      iff (positive "ops")
+        [
+          field "lat_mean_us" num (lats mean);
+          field "lat_p50_us" num (lats (quantile 0.5));
+          field "lat_p99_us" num (lats (quantile 0.99));
+          field "lat_max_us" num (lats last);
+        ];
+    ]
+
+let availability : Runtime.report t =
+  let stalls f r = f (Array.of_list r.Runtime.r_failover_stalls) in
+  summed (kill_counters @ [ gave_up ])
+  @ [
+      field "recovery_stalls" int (stalls Array.length);
+      iff (positive "recovery_stalls")
+        [
+          field "stall_mean_us" num (stalls mean);
+          field "stall_p99_us" num (stalls (quantile 0.99));
+          field "stall_max_us" num (stalls last);
+        ];
+      field "mem_digest" str digest;
+      given (fun r -> detect r.Runtime.r_config) (summed detect_counters);
+    ]
+
+let transport get r = match r.Runtime.r_transport with Some t -> get t | None -> 0
+
+let chaos_totals : Runtime.report t =
+  summed transport_counters
+  @ [
+      field "mem_digest" str digest;
+      field "transport_inflight" int (transport (fun t -> t.Runtime.tr_inflight));
+      field "transport_gave_up" int (transport (fun t -> t.Runtime.tr_gave_up));
+    ]
+
+let totals : Runtime.report t =
+  let on_run p r = p r.Runtime.r_config in
+  Runtime.
+    [
+      field "messages" int total_messages;
+      field "update_bytes" int total_update_bytes;
+      field "protocol_bytes" int total_protocol_bytes;
+      field "mem_peak" int max_mem_peak;
+      field "mean_compute_us" num mean_compute;
+      opt "serving" (obj serving) (fun r -> Option.map (fun ops -> (r.r_elapsed, ops)) r.r_ops);
+      opt "replication" (obj (summed repl_counters)) (only (on_run repl));
+      opt "availability" (obj availability) (only (on_run kill));
+      opt "chaos" (obj chaos_totals) (only (on_run chaos));
+    ]
 
 (* Run metadata: what the CLI was asked to do, so an archived report is
    self-describing without its invocation. The driver-level facts (app
    name, scale) cannot be derived from the Config; the rest duplicates the
    CLI-relevant Config fields for one-stop reading. *)
-type run_meta = { rm_app : string; rm_scale : string }
-
-let meta_json (m : run_meta) (cfg : Config.t) =
-  Obj
+let meta : (run_meta * Config.t) t =
+  Config.
     [
-      ("app", String m.rm_app);
-      ("scale", String m.rm_scale);
-      ("protocol", String (String.lowercase_ascii (Config.protocol_name cfg.protocol)));
-      ("nprocs", Int cfg.nprocs);
-      ("seed", Int cfg.seed);
-      ("fault_seed", Int cfg.chaos.Machine.Chaos.fault_seed);
-      ("fault_batch", Int cfg.fault_batch);
-      ("replicas", Int cfg.replicas);
-      ("repl_scheme", String (Config.repl_scheme_name cfg.repl_scheme));
-      ("metrics_interval_us", f cfg.metrics_interval);
+      field "app" str (fun (m, _) -> m.rm_app);
+      field "scale" str (fun (m, _) -> m.rm_scale);
+      field "protocol" (enum protocol_strings) (fun (_, cfg) -> protocol cfg);
+      field "nprocs" (at_least 1) (fun (_, cfg) -> cfg.nprocs);
+      field "seed" int (fun (_, cfg) -> cfg.seed);
+      field "fault_seed" int (fun (_, cfg) -> cfg.chaos.Machine.Chaos.fault_seed);
+      field "fault_batch" int (fun (_, cfg) -> cfg.fault_batch);
+      field "replicas" int (fun (_, cfg) -> cfg.replicas);
+      field "repl_scheme" (enum repl_scheme_strings) (fun (_, cfg) ->
+          repl_scheme_name cfg.repl_scheme);
+      field "metrics_interval_us" num (fun (_, cfg) -> cfg.metrics_interval);
     ]
 
-(* The optional sections ([?meta], [?critical_path], [?trace], and the
-   [timeline] block driven by [r_metrics]) append to the document only when
-   present, so a report produced without them stays byte-identical to the
-   earlier schemas. *)
-let encode ?meta ?critical_path ?trace (r : Runtime.report) =
-  let chaos = Config.chaos_enabled r.r_config in
-  let batching = r.r_config.Config.fault_batch > 1 in
-  let repl = r.r_config.Config.replicas > 1 in
-  let detect = r.r_config.Config.detector = Config.Heartbeat in
-  (* The availability section covers scheduled kills and heartbeat runs
-     alike: a fallible detector can depose (and fail over) nodes that were
-     never killed. *)
-  let kill = Machine.Chaos.kills r.r_config.Config.chaos <> [] || detect in
-  let repl_totals =
-    if not repl then []
-    else
-      [
-        ( "replication",
-          Obj
-            [
-              ("repl_updates", Int (sum_counter r (fun c -> c.Stats.repl_updates)));
-              ("repl_invals", Int (sum_counter r (fun c -> c.Stats.repl_invals)));
-              ("repl_bytes", Int (sum_counter r (fun c -> c.Stats.repl_bytes)));
-            ] )
-      ]
-  in
-  let availability_totals =
-    if not kill then []
-    else begin
-      (* [r_failover_stalls] is sorted ascending, as {!Stats.quantile}
-         (nearest-rank) requires. *)
-      let stalls = Array.of_list r.r_failover_stalls in
-      let n = Array.length stalls in
-      let total = Array.fold_left ( +. ) 0. stalls in
-      (* No stalls means the percentiles are undefined, not 0: omit the
-         fields so a genuinely 0-microsecond stall stays distinguishable. *)
-      let stall_stats =
-        match Stats.quantile stalls 0.99 with
-        | None -> []
-        | Some p99 ->
-            [
-              ("stall_mean_us", f (total /. float_of_int n));
-              ("stall_p99_us", f p99);
-              ("stall_max_us", f stalls.(n - 1));
-            ]
-      in
-      [
-        ( "availability",
-          Obj
-            ([
-              ("failovers", Int (sum_counter r (fun c -> c.Stats.failovers)));
-              ("msg_peer_dead", Int (sum_counter r (fun c -> c.Stats.msg_peer_dead)));
-              ("msg_gave_up", Int (sum_counter r (fun c -> c.Stats.msg_gave_up)));
-              ("recovery_stalls", Int n);
-            ]
-            @ stall_stats
-            @ [ ("mem_digest", String (Printf.sprintf "%016Lx" r.r_mem_digest)) ]
-            @
-            if not detect then []
-            else
-              [
-                ("suspicions", Int (sum_counter r (fun c -> c.Stats.suspicions)));
-                ("refutations", Int (sum_counter r (fun c -> c.Stats.refutations)));
-                ("fenced_fetches", Int (sum_counter r (fun c -> c.Stats.fenced_fetches)));
-              ]) )
-      ]
-    end
-  in
-  let serving_totals =
-    match r.r_ops with
-    | None -> []
-    | Some ops ->
-        let lats = ops.Runtime.or_lats in
-        let n = Array.length lats in
-        (* [or_lats] is sorted ascending, as {!Stats.quantile} requires.
-           Latency percentiles are omitted when no op completed, same
-           convention as the availability stall percentiles. *)
-        let lat_stats =
-          match (Stats.quantile lats 0.5, Stats.quantile lats 0.99) with
-          | Some p50, Some p99 ->
-              [
-                ("lat_mean_us", f (Array.fold_left ( +. ) 0. lats /. float_of_int n));
-                ("lat_p50_us", f p50);
-                ("lat_p99_us", f p99);
-                ("lat_max_us", f lats.(n - 1));
-              ]
-          | _ -> []
-        in
-        [
-          ( "serving",
-            Obj
-              ([
-                 ("ops", Int n);
-                 ("gets", Int ops.Runtime.or_gets);
-                 ("puts", Int ops.Runtime.or_puts);
-                 ("txns", Int ops.Runtime.or_txns);
-                 ( "throughput_ops_per_s",
-                   f
-                     (if r.r_elapsed > 0. then
-                        float_of_int n /. (r.r_elapsed /. 1_000_000.)
-                      else 0.) );
-               ]
-              @ lat_stats) )
-        ]
-  in
-  let chaos_totals =
-    if not chaos then []
-    else
-      [
-        ( "chaos",
-          Obj
-            [
-              ("msg_drops", Int (sum_counter r (fun c -> c.Stats.msg_drops)));
-              ("msg_retransmits", Int (sum_counter r (fun c -> c.Stats.msg_retransmits)));
-              ("msg_acks", Int (sum_counter r (fun c -> c.Stats.msg_acks)));
-              ("msg_dup_dropped", Int (sum_counter r (fun c -> c.Stats.msg_dup_dropped)));
-              ("mem_digest", String (Printf.sprintf "%016Lx" r.r_mem_digest));
-              ( "transport_inflight",
-                Int (match r.r_transport with Some t -> t.Runtime.tr_inflight | None -> 0) );
-              ( "transport_gave_up",
-                Int (match r.r_transport with Some t -> t.Runtime.tr_gave_up | None -> 0) );
-            ] )
-      ]
-  in
-  Obj
-    ([
-      ("schema_version", Int schema_version);
+let trace : Obs.Trace.sink t =
+  Obs.Trace.
+    [
+      field "events" int length;
+      field "dropped" int dropped;
+      iff (positive "dropped") [ field "dropped_by_kind" (map int) dropped_by_kind ];
+      field "capacity" int capacity;
     ]
-    @ (match meta with
-      | None -> []
-      | Some m -> [ ("meta", meta_json m r.r_config) ])
-    @ [
-      ("config", config_json r.r_config);
-      ("elapsed_us", f r.r_elapsed);
-      ("shared_bytes", Int r.r_shared_bytes);
-      ("events", Int r.r_events);
-      ( "totals",
-        Obj
-          ([
-             ("messages", Int (Runtime.total_messages r));
-             ("update_bytes", Int (Runtime.total_update_bytes r));
-             ("protocol_bytes", Int (Runtime.total_protocol_bytes r));
-             ("mem_peak", Int (Runtime.max_mem_peak r));
-             ("mean_compute_us", f (Runtime.mean_compute r));
-           ]
-          @ serving_totals @ repl_totals @ availability_totals @ chaos_totals) );
-      ( "nodes",
-        List
-          (Array.to_list
-             (Array.map (node_json ~chaos ~batching ~repl ~kill ~detect) r.r_nodes)) );
-    ]
-    @ (match r.r_metrics with
-      | None -> []
-      | Some m -> [ ("timeline", Obs.Metrics.to_json m) ])
-    @ (match trace with
-      | None -> []
-      | Some sink ->
-          [
-            ( "trace",
-              Obj
-                ([
-                   ("events", Int (Obs.Trace.length sink));
-                   ("dropped", Int (Obs.Trace.dropped sink));
-                 ]
-                @ (if Obs.Trace.dropped sink > 0 then
-                     [
-                       ( "dropped_by_kind",
-                         Obj
-                           (List.map
-                              (fun (k, n) -> (k, Int n))
-                              (Obs.Trace.dropped_by_kind sink)) );
-                     ]
-                   else [])
-                @ [ ("capacity", Int (Obs.Trace.capacity sink)) ]) );
-          ])
-    @
-    match critical_path with
-    | None -> []
-    | Some cp -> [ ("critical_path", Obs.Critical_path.to_json cp) ])
 
-let to_string ?meta ?critical_path ?trace r =
-  to_string_pretty (encode ?meta ?critical_path ?trace r)
+type doc = {
+  report : Runtime.report;
+  meta : run_meta option;
+  critical_path : Obs.Critical_path.t option;
+  sink : Obs.Trace.sink option;
+}
 
-let write file doc =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string_pretty doc);
-      output_char oc '\n')
-
-(* --- validation ------------------------------------------------------- *)
-
-let ( let* ) = Result.bind
-
-let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
-
-let field path j name =
-  match member name j with
-  | Some v -> Ok v
-  | None -> fail "%s: missing field %S" path name
-
-let want_int path j name =
-  let* v = field path j name in
-  match to_int v with
-  | Some n -> Ok n
-  | None -> fail "%s.%s: expected an integer" path name
-
-let want_num path j name =
-  let* v = field path j name in
-  match to_float v with
-  | Some x -> Ok x
-  | None -> fail "%s.%s: expected a number" path name
-
-let want_string path j name =
-  let* v = field path j name in
-  match v with
-  | String s -> Ok s
-  | _ -> fail "%s.%s: expected a string" path name
-
-let want_bool path j name =
-  let* v = field path j name in
-  match v with
-  | Bool b -> Ok b
-  | _ -> fail "%s.%s: expected a boolean" path name
-
-let want_list path j name =
-  let* v = field path j name in
-  match to_list v with
-  | Some l -> Ok l
-  | None -> fail "%s.%s: expected a list" path name
-
-let breakdown_fields = [ "compute"; "data"; "lock"; "barrier"; "protocol"; "gc" ]
-
-let counter_fields =
+let document : doc t =
   [
-    "read_misses"; "write_faults"; "diffs_created"; "diffs_applied"; "lock_acquires";
-    "remote_acquires"; "barriers"; "messages"; "update_bytes"; "protocol_bytes";
-    "page_fetches"; "gc_runs"; "home_migrations";
+    const "schema_version" schema_version;
+    opt "meta" (obj meta) (fun d -> Option.map (fun m -> (m, d.report.r_config)) d.meta);
+    field "config" (obj config) (fun d -> d.report.r_config);
+    field "elapsed_us" num (fun d -> d.report.r_elapsed);
+    field "shared_bytes" int (fun d -> d.report.r_shared_bytes);
+    field "events" int (fun d -> d.report.r_events);
+    field "totals" (obj totals) (fun d -> d.report);
+    field "nodes"
+      (list (obj node))
+      (fun d -> Array.to_list (Array.map (fun n -> (d.report.r_config, n)) d.report.r_nodes));
+    rule (fun j ->
+        let nodes = List.length (list_at "nodes" j) in
+        match Option.bind (Obs.Json.member "config" j) (int_at "nprocs") with
+        | Some n when nodes <> n -> Some (Printf.sprintf "%d nodes but config.nprocs = %d" nodes n)
+        | _ -> None);
+    opt "timeline" (obj Obs.Metrics.schema) (fun d -> d.report.r_metrics);
+    opt "trace" (obj trace) (fun d -> d.sink);
+    opt "critical_path" (obj Obs.Critical_path.schema) (fun d -> d.critical_path);
   ]
 
-let rec each f = function
-  | [] -> Ok ()
-  | x :: rest ->
-      let* () = f x in
-      each f rest
+let encode ?meta ?critical_path ?trace report =
+  Obs.Schema.encode document { report; meta; critical_path; sink = trace }
 
-let check_breakdown path j = each (fun name -> Result.map ignore (want_num path j name)) breakdown_fields
+let to_string ?meta ?critical_path ?trace r =
+  Obs.Json.to_string_pretty (encode ?meta ?critical_path ?trace r)
 
-let check_node i j =
-  let path = Printf.sprintf "nodes[%d]" i in
-  let* _ = want_int path j "id" in
-  let* _ = want_num path j "elapsed_us" in
-  let* b = field path j "breakdown" in
-  let* () = check_breakdown (path ^ ".breakdown") b in
-  let* c = field path j "counters" in
-  let* () = each (fun name -> Result.map ignore (want_int (path ^ ".counters") c name)) counter_fields in
-  let* _ = want_int path j "mem_peak" in
-  let* _ = want_int path j "mem_end" in
-  let* epochs = want_list path j "epochs" in
-  each (fun e -> check_breakdown (path ^ ".epochs") e) epochs
-
-(* Chaos sections are optional — present only in fault-injection runs — but
-   when present they must have the right shape. *)
-let check_chaos_config cfg =
-  match member "chaos" cfg with
-  | None -> Ok ()
-  | Some ch ->
-      let* _ = want_num "config.chaos" ch "drop_rate" in
-      let* _ = want_num "config.chaos" ch "dup_rate" in
-      let* _ = want_num "config.chaos" ch "jitter" in
-      let* _ = want_num "config.chaos" ch "straggler" in
-      let* _ = want_int "config.chaos" ch "fault_seed" in
-      Ok ()
-
-let check_replication_config cfg =
-  match member "replication" cfg with
-  | None -> Ok ()
-  | Some rp ->
-      let* replicas = want_int "config.replication" rp "replicas" in
-      if replicas < 2 then
-        fail "config.replication.replicas: must be at least 2 (got %d)" replicas
-      else
-        let* scheme = want_string "config.replication" rp "scheme" in
-        if not (List.mem scheme Config.repl_scheme_strings) then
-          fail "config.replication.scheme: unknown scheme %S" scheme
-        else Ok ()
-
-let check_replication_totals totals =
-  match member "replication" totals with
-  | None -> Ok ()
-  | Some rp ->
-      each
-        (fun name -> Result.map ignore (want_int "totals.replication" rp name))
-        [ "repl_updates"; "repl_invals"; "repl_bytes" ]
-
-let check_serving_totals totals =
-  match member "serving" totals with
-  | None -> Ok ()
-  | Some sv ->
-      let* ops = want_int "totals.serving" sv "ops" in
-      let* () =
-        each
-          (fun name -> Result.map ignore (want_int "totals.serving" sv name))
-          [ "gets"; "puts"; "txns" ]
-      in
-      let* _ = want_num "totals.serving" sv "throughput_ops_per_s" in
-      (* Latency percentiles accompany a non-empty op log and must be
-         absent from an empty one. *)
-      if ops = 0 then
-        each
-          (fun name ->
-            match member name sv with
-            | None -> Ok ()
-            | Some _ -> fail "totals.serving.%s: present with zero ops" name)
-          [ "lat_mean_us"; "lat_p50_us"; "lat_p99_us"; "lat_max_us" ]
-      else
-        each
-          (fun name -> Result.map ignore (want_num "totals.serving" sv name))
-          [ "lat_mean_us"; "lat_p50_us"; "lat_p99_us"; "lat_max_us" ]
-
-let check_availability_totals totals =
-  match member "availability" totals with
-  | None -> Ok ()
-  | Some av ->
-      let* () =
-        each
-          (fun name -> Result.map ignore (want_int "totals.availability" av name))
-          [ "failovers"; "msg_peer_dead"; "recovery_stalls" ]
-      in
-      (* Stall percentiles are present iff at least one stall was
-         recorded; requiring them here would force the encoder back to
-         faking a 0 for the empty set. *)
-      let* stalls = want_int "totals.availability" av "recovery_stalls" in
-      let* () =
-        if stalls = 0 then
-          each
-            (fun name ->
-              match member name av with
-              | None -> Ok ()
-              | Some _ ->
-                  fail "totals.availability.%s: present with zero recovery_stalls" name)
-            [ "stall_mean_us"; "stall_p99_us"; "stall_max_us" ]
-        else
-          each
-            (fun name -> Result.map ignore (want_num "totals.availability" av name))
-            [ "stall_mean_us"; "stall_p99_us"; "stall_max_us" ]
-      in
-      let* _ = want_string "totals.availability" av "mem_digest" in
-      Ok ()
-
-let check_chaos_totals totals =
-  match member "chaos" totals with
-  | None -> Ok ()
-  | Some ch ->
-      let* () =
-        each
-          (fun name -> Result.map ignore (want_int "totals.chaos" ch name))
-          [
-            "msg_drops"; "msg_retransmits"; "msg_acks"; "msg_dup_dropped"; "transport_inflight";
-            "transport_gave_up";
-          ]
-      in
-      let* _ = want_string "totals.chaos" ch "mem_digest" in
-      Ok ()
-
-(* The metadata block is optional — drivers pass it, library callers may
-   not — but when present it must have the right shape. *)
-let check_meta j =
-  match member "meta" j with
-  | None -> Ok ()
-  | Some m ->
-      let* _ = want_string "meta" m "app" in
-      let* _ = want_string "meta" m "scale" in
-      let* proto = want_string "meta" m "protocol" in
-      if not (List.mem proto Config.protocol_strings) then
-        fail "meta.protocol: unknown protocol %S" proto
-      else
-        let* nprocs = want_int "meta" m "nprocs" in
-        if nprocs <= 0 then fail "meta.nprocs: must be positive (got %d)" nprocs
-        else
-          let* () =
-            each
-              (fun name -> Result.map ignore (want_int "meta" m name))
-              [ "seed"; "fault_seed"; "fault_batch"; "replicas" ]
-          in
-          let* scheme = want_string "meta" m "repl_scheme" in
-          if not (List.mem scheme Config.repl_scheme_strings) then
-            fail "meta.repl_scheme: unknown scheme %S" scheme
-          else
-            let* _ = want_num "meta" m "metrics_interval_us" in
-            Ok ()
-
-(* The timeline block is optional — present only on [--metrics-interval]
-   runs — but when present every series row must be exactly [buckets]
-   wide and the histograms/heatmaps must have their full shape. *)
-let check_timeline j =
-  match member "timeline" j with
-  | None -> Ok ()
-  | Some tl ->
-      let* _ = want_num "timeline" tl "interval_us" in
-      let* buckets = want_int "timeline" tl "buckets" in
-      if buckets < 0 then fail "timeline.buckets: negative (%d)" buckets
-      else
-        let* series = want_list "timeline" tl "series" in
-        let* () =
-          each
-            (fun sr ->
-              let* name = want_string "timeline.series" sr "name" in
-              let* kind = want_string "timeline.series" sr "kind" in
-              if kind <> "counter" && kind <> "gauge" then
-                fail "timeline.series[%s].kind: unknown kind %S" name kind
-              else
-                let* _ = want_bool "timeline.series" sr "per_node" in
-                let* rows = want_list "timeline.series" sr "rows" in
-                each
-                  (fun row ->
-                    match to_list row with
-                    | Some vs when List.length vs = buckets -> Ok ()
-                    | Some vs ->
-                        fail "timeline.series[%s]: row has %d values but %d buckets" name
-                          (List.length vs) buckets
-                    | None -> fail "timeline.series[%s]: rows must be lists" name)
-                  rows)
-            series
-        in
-        let* hists = want_list "timeline" tl "histograms" in
-        let* () =
-          each
-            (fun h ->
-              let* name = want_string "timeline.histograms" h "name" in
-              let* count = want_int "timeline.histograms" h "count" in
-              let* () =
-                each
-                  (fun fld -> Result.map ignore (want_num "timeline.histograms" h fld))
-                  [ "sum"; "max" ]
-              in
-              (* Percentile fields accompany a non-empty histogram and
-                 must be absent from an empty one. *)
-              let* () =
-                if count = 0 then
-                  each
-                    (fun fld ->
-                      match member fld h with
-                      | None -> Ok ()
-                      | Some _ ->
-                          fail "timeline.histograms[%s].%s: present with count 0" name fld)
-                    [ "p50"; "p90"; "p99" ]
-                else
-                  each
-                    (fun fld -> Result.map ignore (want_num "timeline.histograms" h fld))
-                    [ "p50"; "p90"; "p99" ]
-              in
-              let* bs = want_list "timeline.histograms" h "buckets" in
-              let* () =
-                each
-                  (fun b ->
-                    let* _ = want_num "timeline.histograms.buckets" b "le" in
-                    Result.map ignore (want_int "timeline.histograms.buckets" b "count"))
-                  bs
-              in
-              let total =
-                List.fold_left
-                  (fun acc b ->
-                    match Option.bind (member "count" b) to_int with
-                    | Some n -> acc + n
-                    | None -> acc)
-                  0 bs
-              in
-              if total <> count then
-                fail "timeline.histograms[%s]: bucket counts sum to %d, count says %d" name
-                  total count
-              else Ok ())
-            hists
-        in
-        let* heats = want_list "timeline" tl "heatmaps" in
-        each
-          (fun hm ->
-            let* _ = want_string "timeline.heatmaps" hm "name" in
-            let* pages = want_list "timeline.heatmaps" hm "pages" in
-            each
-              (fun pg ->
-                let* _ = want_int "timeline.heatmaps.pages" pg "page" in
-                Result.map ignore (want_num "timeline.heatmaps.pages" pg "value"))
-              pages)
-          heats
-
-(* Profiler sections are optional — present only when the run was profiled
-   — but when present they must have the right shape. *)
-let check_trace_section j =
-  match member "trace" j with
-  | None -> Ok ()
-  | Some t ->
-      each
-        (fun name -> Result.map ignore (want_int "trace" t name))
-        [ "events"; "dropped"; "capacity" ]
-
-let check_critical_path j =
-  match member "critical_path" j with
-  | None -> Ok ()
-  | Some cp ->
-      let* _ = want_num "critical_path" cp "finish_us" in
-      let* _ = want_int "critical_path" cp "end_node" in
-      let* _ = want_int "critical_path" cp "hops" in
-      let* _ = want_int "critical_path" cp "segments" in
-      let* b = field "critical_path" cp "buckets" in
-      let* () =
-        each
-          (fun name -> Result.map ignore (want_num "critical_path.buckets" b name))
-          [ "local"; "data"; "lock"; "barrier"; "gc" ]
-      in
-      let* _ = want_list "critical_path" cp "top_pages" in
-      let* _ = want_list "critical_path" cp "top_locks" in
-      let* _ = want_list "critical_path" cp "home_pages" in
-      let* epochs = want_list "critical_path" cp "epochs" in
-      each
-        (fun e ->
-          let* _ = want_int "critical_path.epochs" e "epoch" in
-          let* _ = want_int "critical_path.epochs" e "straggler" in
-          let* _ = want_num "critical_path.epochs" e "spread_us" in
-          Result.map ignore (want_num "critical_path.epochs" e "last_arrive_us"))
-        epochs
-
-let validate j =
-  let* version = want_int "report" j "schema_version" in
-  if version <> schema_version then
-    fail "report.schema_version: got %d, expected %d" version schema_version
-  else
-    let* cfg = field "report" j "config" in
-    let* proto = want_string "config" cfg "protocol" in
-    if not (List.mem proto Config.protocol_strings) then
-      fail "config.protocol: unknown protocol %S" proto
-    else
-      let* nprocs = want_int "config" cfg "nprocs" in
-      if nprocs <= 0 then fail "config.nprocs: must be positive (got %d)" nprocs
-      else
-        let* _ = want_int "config" cfg "page_words" in
-        let* _ = want_string "config" cfg "home_policy" in
-        let* _ = want_int "config" cfg "seed" in
-        let* _ = want_bool "config" cfg "coproc_locks" in
-        let* () = check_chaos_config cfg in
-        let* () = check_replication_config cfg in
-        let* _ = want_num "report" j "elapsed_us" in
-        let* _ = want_int "report" j "shared_bytes" in
-        let* _ = want_int "report" j "events" in
-        let* totals = field "report" j "totals" in
-        let* _ = want_int "totals" totals "messages" in
-        let* _ = want_int "totals" totals "update_bytes" in
-        let* _ = want_int "totals" totals "protocol_bytes" in
-        let* _ = want_int "totals" totals "mem_peak" in
-        let* _ = want_num "totals" totals "mean_compute_us" in
-        let* () = check_serving_totals totals in
-        let* () = check_chaos_totals totals in
-        let* () = check_replication_totals totals in
-        let* () = check_availability_totals totals in
-        let* nodes = want_list "report" j "nodes" in
-        if List.length nodes <> nprocs then
-          fail "report.nodes: %d entries but config.nprocs = %d" (List.length nodes) nprocs
-        else
-          let* () = each (fun (i, n) -> check_node i n) (List.mapi (fun i n -> (i, n)) nodes) in
-          let* () = check_meta j in
-          let* () = check_timeline j in
-          let* () = check_trace_section j in
-          let* () = check_critical_path j in
-          Ok ()
-
-let headline j =
-  match validate j with
-  | Error _ -> None
-  | Ok () ->
-      let num name j = Option.bind (member name j) to_float in
-      let totals = member "totals" j in
-      let ( let+ ) o k = Option.bind o k in
-      let+ elapsed = num "elapsed_us" j in
-      let+ t = totals in
-      let+ messages = num "messages" t in
-      let+ update_bytes = num "update_bytes" t in
-      let+ protocol_bytes = num "protocol_bytes" t in
-      let+ mem_peak = num "mem_peak" t in
-      Some
-        [
-          ("elapsed_us", elapsed);
-          ("messages", messages);
-          ("update_bytes", update_bytes);
-          ("protocol_bytes", protocol_bytes);
-          ("mem_peak", mem_peak);
-        ]
+let validate j = Obs.Schema.validate document ~path:"report" j

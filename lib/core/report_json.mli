@@ -1,12 +1,35 @@
 (** Machine-readable reports: {!Runtime.report} → JSON.
 
-    This is the stable contract consumed by the CI benchmark-regression
-    gate ([bench/check_regression.ml]) and any external tooling: time
-    breakdowns, operation/traffic counters, per-epoch deltas and memory
-    peaks per node, plus run-level totals, keyed by a [schema_version].
-    The encoding contains only simulated quantities — no wall-clock time —
-    so two runs of the same configuration and seed serialize to
-    byte-identical documents. *)
+    The contract behind the paper's results: time breakdowns,
+    operation/traffic counters, per-epoch deltas and memory peaks per
+    node, plus run-level totals, keyed by a [schema_version]. The encoding
+    contains only simulated quantities — no wall-clock time — so two runs
+    of the same configuration and seed serialize to byte-identical
+    documents; [test/golden/identity.txt] pins them by digest.
+
+    Each object is one {!Obs.Schema} field list, walked by both {!encode}
+    and {!validate}. Its optional parts follow three presence rules:
+
+    - {b given} the run: [config.fault_batch] (fault batch > 1),
+      [config.replication] and the replication counters (replicas > 1),
+      [config.chaos] (message chaos or a scheduled kill), within it the
+      kill, pause and partition groups of the fault schedule,
+      [config.detector] and the detector counters (heartbeat detector),
+      the chaos counters and [totals.chaos] (message chaos), the kill
+      counters and [totals.availability] (a kill or the heartbeat
+      detector), [totals.serving] (an op log), and the [meta], [timeline],
+      [trace] and [critical_path] sections (when passed or recorded).
+      {!validate} accepts such a group absent and rejects it partly
+      present;
+    - {b iff} a sibling field: [lat_*] iff [ops > 0], [stall_*] iff
+      [recovery_stalls > 0], a histogram's [p50]/[p90]/[p99] iff
+      [count > 0], and [dropped_by_kind] iff [dropped > 0];
+    - everything else is always present.
+
+    Invariants: [schema_version] is 1; [nodes] has [config.nprocs]
+    entries; timeline rows are [buckets] wide; histogram bucket counts
+    sum to [count]; the protocol, replication scheme, detector and series
+    kind are known names; [nprocs >= 1] and [replicas >= 2]. *)
 
 val schema_version : int
 
@@ -17,14 +40,11 @@ val schema_version : int
     replication, metrics cadence). *)
 type run_meta = { rm_app : string; rm_scale : string }
 
-(** [encode ?meta ?critical_path ?trace r] — the optional sections appear
-    in the document only when present: [meta] (run metadata block),
-    [critical_path] (see {!Obs.Critical_path.to_json}), [trace] (sink
-    occupancy: [events], [dropped] — with a [dropped_by_kind] breakdown
-    when nonzero — and [capacity]), and a [timeline] block (see
-    {!Obs.Metrics.to_json}) when the run recorded metrics
-    ([r.r_metrics]). A report encoded without them is byte-identical to
-    the earlier schemas. *)
+(** [encode ?meta ?critical_path ?trace r]: the [meta] block, the
+    [critical_path] section ({!Obs.Critical_path.schema}) and the [trace]
+    section (sink occupancy: [events], [dropped], [dropped_by_kind],
+    [capacity]) appear when passed; the [timeline] block
+    ({!Obs.Metrics.schema}) when the run recorded metrics. *)
 val encode :
   ?meta:run_meta ->
   ?critical_path:Obs.Critical_path.t ->
@@ -40,18 +60,7 @@ val to_string :
   Runtime.report ->
   string
 
-(** Write an {!encode}d document to [file]: its pretty serialization
-    plus a newline. *)
-val write : string -> Obs.Json.t -> unit
-
-(** Structural schema check of a parsed report: version, config, totals,
-    the per-node records, and — when present — the optional [meta],
-    [timeline], [trace] and [critical_path] sections, all with the right
-    shapes (timeline rows exactly [buckets] wide, histogram bucket counts
-    summing to [count]). Returns a description of the first violation. *)
+(** Check a parsed report against the description above: every field's
+    type, every presence rule and invariant, and no unknown key. Returns
+    the first violation, named by its path. *)
 val validate : Obs.Json.t -> (unit, string) result
-
-(** The headline counters the regression gate compares, from a schema-valid
-    report: [("elapsed_us", _); ("messages", _); ("update_bytes", _);
-    ("protocol_bytes", _); ("mem_peak", _)]. *)
-val headline : Obs.Json.t -> (string * float) list option

@@ -352,18 +352,15 @@ let execute ?tap o =
   (* Only --trace-out and --profile store events; a tap alone (-t) prints
      from a capacity-0 sink and adds no trace section. *)
   let stored = c.trace_out <> None || o.profile in
+  let capacity = if stored then c.trace_cap else 0 in
   let sink =
-    if stored || tap <> None then
-      Some (Obs.Trace.create_sink ~capacity:(if stored then c.trace_cap else 0) ?tap ())
-    else None
+    if stored || tap <> None then Some (Obs.Trace.create_sink ~capacity ?tap ()) else None
   in
   let t0 = Unix.gettimeofday () in
   let report = Svm.Runtime.run ?sink o.cfg (o.app.Apps.Registry.body ~verify:c.verify) in
   let wall = Unix.gettimeofday () -. t0 in
   let sink = if stored then sink else None in
-  let critical_path =
-    match sink with Some s when o.profile -> Some (Obs.Critical_path.analyze s) | _ -> None
-  in
+  let critical_path = if o.profile then Option.map Obs.Critical_path.analyze sink else None in
   { report; sink; critical_path; wall }
 
 let report_json o out =
@@ -380,13 +377,3 @@ let report_json o out =
 
 let eval info term =
   match Cmd.eval_value' (Cmd.v info term) with `Ok v -> v | `Exit code -> exit code
-
-let parse_svm_run args =
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  let argv = Array.of_list ("svm_run" :: args) in
-  match Cmd.eval_value ~help:ppf ~err:ppf ~argv (Cmd.v (Cmd.info "svm_run") svm_run) with
-  | Ok (`Ok o) -> Ok o
-  | Ok (`Help | `Version) | Error _ ->
-      Format.pp_print_flush ppf ();
-      Error (Buffer.contents buf)

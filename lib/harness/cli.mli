@@ -79,7 +79,3 @@ val one_of : what:string -> string list -> string Cmdliner.Arg.conv
 (** [eval info term] evaluates [term] on [Sys.argv]. On [--help] it prints
     the help and exits 0; on a usage error it prints it and exits 124. *)
 val eval : Cmdliner.Cmd.info -> 'a Cmdliner.Term.t -> 'a
-
-(** [svm_run ARGS] through the flag table without exiting: the parsed run,
-    or the usage error the CLI would print. *)
-val parse_svm_run : string list -> (run, string) result

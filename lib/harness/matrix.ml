@@ -125,6 +125,23 @@ let cells t =
              | c -> c)
          | c -> c)
 
+let to_json t =
+  let rm_scale = Apps.Registry.scale_name t.scale in
+  let cell (app, proto, np, r) =
+    Obs.Json.Obj
+      [
+        ("app", Obs.Json.String app);
+        ("protocol", Obs.Json.String (String.lowercase_ascii (Svm.Config.protocol_name proto)));
+        ("nodes", Obs.Json.Int np);
+        ("report", Svm.Report_json.encode ~meta:{ Svm.Report_json.rm_app = app; rm_scale } r);
+      ]
+  in
+  Obs.Json.Obj
+    [
+      ("schema_version", Obs.Json.Int Svm.Report_json.schema_version);
+      ("cells", Obs.Json.List (List.map cell (cells t)));
+    ]
+
 (* Sequential baseline: computation-only time of a one-node run. *)
 let seq_time t app =
   let r = get t app Svm.Config.Hlrc 1 in

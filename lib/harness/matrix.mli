@@ -57,3 +57,7 @@ val mean_counter : Svm.Runtime.report -> (Svm.Stats.counters -> int) -> float
     columns), then node count — a deterministic order for machine-readable
     dumps. *)
 val cells : t -> (string * Svm.Config.protocol * int * Svm.Runtime.report) list
+
+(** The document [bench --json] writes: [schema_version] and one entry per
+    {!cells} element (app, protocol, nodes and its report, with [meta]). *)
+val to_json : t -> Obs.Json.t

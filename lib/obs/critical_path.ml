@@ -296,98 +296,76 @@ let analyze ?(top = 5) ?finish ?end_node sink =
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                      *)
 
-let blame_json key rb =
-  Json.Obj
-    [
-      (key, Json.Int rb.rb_id);
-      ("wait_us", Json.Float rb.rb_wait);
-      ("waits", Json.Int rb.rb_count);
-    ]
+(* The blame buckets, in the order the JSON and the table give them. *)
+let buckets =
+  [
+    ("local", fun cp -> cp.cp_local);
+    ("data", fun cp -> cp.cp_data);
+    ("lock", fun cp -> cp.cp_lock);
+    ("barrier", fun cp -> cp.cp_barrier);
+    ("gc", fun cp -> cp.cp_gc);
+  ]
 
-let to_json cp =
-  Json.Obj
-    [
-      ("finish_us", Json.Float cp.cp_finish);
-      ("end_node", Json.Int cp.cp_end_node);
-      ("hops", Json.Int cp.cp_hops);
-      ("segments", Json.Int cp.cp_segments);
-      ( "buckets",
-        Json.Obj
-          [
-            ("local", Json.Float cp.cp_local);
-            ("data", Json.Float cp.cp_data);
-            ("lock", Json.Float cp.cp_lock);
-            ("barrier", Json.Float cp.cp_barrier);
-            ("gc", Json.Float cp.cp_gc);
-          ] );
-      ("top_pages", Json.List (List.map (blame_json "page") cp.cp_top_pages));
-      ("top_locks", Json.List (List.map (blame_json "lock") cp.cp_top_locks));
-      ("home_pages", Json.List (List.map (blame_json "page") cp.cp_home_pages));
-      ( "epochs",
-        Json.List
-          (List.map
-             (fun es ->
-               Json.Obj
-                 [
-                   ("epoch", Json.Int es.es_epoch);
-                   ("straggler", Json.Int es.es_straggler);
-                   ("spread_us", Json.Float es.es_spread);
-                   ("last_arrive_us", Json.Float es.es_last);
-                 ])
-             cp.cp_epochs) );
-    ]
+let schema =
+  let open Schema in
+  let blame key =
+    list
+      (obj
+         [
+           field key int (fun rb -> rb.rb_id);
+           field "wait_us" num (fun rb -> rb.rb_wait);
+           field "waits" int (fun rb -> rb.rb_count);
+         ])
+  in
+  [
+    field "finish_us" num (fun cp -> cp.cp_finish);
+    field "end_node" int (fun cp -> cp.cp_end_node);
+    field "hops" int (fun cp -> cp.cp_hops);
+    field "segments" int (fun cp -> cp.cp_segments);
+    field "buckets" (obj (List.map (fun (name, get) -> field name num get) buckets)) Fun.id;
+    field "top_pages" (blame "page") (fun cp -> cp.cp_top_pages);
+    field "top_locks" (blame "lock") (fun cp -> cp.cp_top_locks);
+    field "home_pages" (blame "page") (fun cp -> cp.cp_home_pages);
+    field "epochs"
+      (list
+         (obj
+            [
+              field "epoch" int (fun es -> es.es_epoch);
+              field "straggler" int (fun es -> es.es_straggler);
+              field "spread_us" num (fun es -> es.es_spread);
+              field "last_arrive_us" num (fun es -> es.es_last);
+            ]))
+      (fun cp -> cp.cp_epochs);
+  ]
+
+let to_json = Schema.encode schema
 
 let render cp =
   let buf = Buffer.create 1024 in
+  let add fmt = Printf.bprintf buf fmt in
   let pct x = if cp.cp_finish > 0. then 100. *. x /. cp.cp_finish else 0. in
-  Buffer.add_string buf
-    (Printf.sprintf "critical path: %.0f us ending on node %d (%d segments, %d hops)\n"
-       cp.cp_finish cp.cp_end_node cp.cp_segments cp.cp_hops);
-  Buffer.add_string buf "  blame          us        %\n";
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string buf (Printf.sprintf "  %-9s %10.0f   %5.1f%%\n" name v (pct v)))
-    [
-      ("local", cp.cp_local);
-      ("data", cp.cp_data);
-      ("lock", cp.cp_lock);
-      ("barrier", cp.cp_barrier);
-      ("gc", cp.cp_gc);
-    ];
-  if cp.cp_top_pages <> [] then begin
-    Buffer.add_string buf "  top pages by on-path fetch wait:\n";
-    List.iter
-      (fun rb ->
-        Buffer.add_string buf
-          (Printf.sprintf "    page %-6d %10.0f us  (%d waits)\n" rb.rb_id rb.rb_wait
-             rb.rb_count))
-      cp.cp_top_pages
-  end;
-  if cp.cp_top_locks <> [] then begin
-    Buffer.add_string buf "  top locks by on-path wait (count = handoff-chain length):\n";
-    List.iter
-      (fun rb ->
-        Buffer.add_string buf
-          (Printf.sprintf "    lock %-6d %10.0f us  (chain %d)\n" rb.rb_id rb.rb_wait
-             rb.rb_count))
-      cp.cp_top_locks
-  end;
-  if cp.cp_home_pages <> [] then begin
-    Buffer.add_string buf "  home waits (aggregate, nested in lock/barrier):\n";
-    List.iter
-      (fun rb ->
-        Buffer.add_string buf
-          (Printf.sprintf "    page %-6d %10.0f us  (%d waits)\n" rb.rb_id rb.rb_wait
-             rb.rb_count))
-      cp.cp_home_pages
-  end;
-  if cp.cp_epochs <> [] then begin
-    Buffer.add_string buf "  barrier slack per epoch:\n";
-    List.iter
-      (fun es ->
-        Buffer.add_string buf
-          (Printf.sprintf "    epoch %-3d straggler node %-3d spread %10.0f us\n" es.es_epoch
-             es.es_straggler es.es_spread))
-      cp.cp_epochs
-  end;
+  let table title line rows =
+    if rows <> [] then begin
+      add "%s" title;
+      List.iter line rows
+    end
+  in
+  add "critical path: %.0f us ending on node %d (%d segments, %d hops)\n" cp.cp_finish
+    cp.cp_end_node cp.cp_segments cp.cp_hops;
+  add "  blame          us        %%\n";
+  List.iter (fun (name, get) -> add "  %-9s %10.0f   %5.1f%%\n" name (get cp) (pct (get cp)))
+    buckets;
+  let waits kind rb =
+    add "    %s %-6d %10.0f us  (%d waits)\n" kind rb.rb_id rb.rb_wait rb.rb_count
+  in
+  table "  top pages by on-path fetch wait:\n" (waits "page") cp.cp_top_pages;
+  table "  top locks by on-path wait (count = handoff-chain length):\n"
+    (fun rb -> add "    lock %-6d %10.0f us  (chain %d)\n" rb.rb_id rb.rb_wait rb.rb_count)
+    cp.cp_top_locks;
+  table "  home waits (aggregate, nested in lock/barrier):\n" (waits "page") cp.cp_home_pages;
+  table "  barrier slack per epoch:\n"
+    (fun es ->
+      add "    epoch %-3d straggler node %-3d spread %10.0f us\n" es.es_epoch es.es_straggler
+        es.es_spread)
+    cp.cp_epochs;
   Buffer.contents buf

@@ -59,7 +59,10 @@ type t = {
     bounds the per-resource tables (default 5). *)
 val analyze : ?top:int -> ?finish:float -> ?end_node:int -> Trace.sink -> t
 
-(** Deterministic JSON encoding (the report's ["critical_path"] section). *)
+(** The report's ["critical_path"] section. *)
+val schema : t Schema.t
+
+(** [Schema.encode schema]. *)
 val to_json : t -> Json.t
 
 (** Human-readable blame table (the [--profile] output). *)

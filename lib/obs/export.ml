@@ -209,17 +209,19 @@ let chrome ?(name = "svm") sink =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+let write ~what file contents =
+  try
+    let oc = open_out_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc contents;
+        close_out oc)
+  with Sys_error msg -> failwith (Printf.sprintf "cannot write %s file: %s" what msg)
+
+let write_json ~what file doc = write ~what file (Json.to_string_pretty doc ^ "\n")
+
 let write_file fmt ?name file sink =
-  let doc = match fmt with Jsonl -> jsonl sink | Chrome -> chrome ?name sink in
-  try
-    let oc = open_out_bin file in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc doc)
-  with Sys_error msg -> failwith (Printf.sprintf "cannot write trace file: %s" msg)
+  write ~what:"trace" file (match fmt with Jsonl -> jsonl sink | Chrome -> chrome ?name sink)
 
-let metrics_csv = Metrics.to_csv
-
-let write_metrics_csv file m =
-  try
-    let oc = open_out_bin file in
-    Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc (metrics_csv m))
-  with Sys_error msg -> failwith (Printf.sprintf "cannot write metrics file: %s" msg)
+let write_metrics_csv file m = write ~what:"metrics" file (Metrics.to_csv m)

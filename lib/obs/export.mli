@@ -31,17 +31,19 @@ val jsonl : Trace.sink -> string
     (e.g. ["lu/hlrc/8"]). *)
 val chrome : ?name:string -> Trace.sink -> string
 
-(** Write the sink to [file] in [format] (binary mode, so output is
-    byte-identical across platforms). The channel is closed even when the
-    write fails; an I/O failure raises [Failure] with a one-line
-    description instead of leaking [Sys_error]. *)
+(** [write ~what file contents] writes [contents] to [file] in binary mode,
+    so output is byte-identical across platforms. The channel is closed
+    even when the write fails; an I/O failure raises
+    [Failure "cannot write <what> file: <reason>"] instead of leaking
+    [Sys_error]. Every output file of both CLIs goes through it. *)
+val write : what:string -> string -> string -> unit
+
+(** {!write} of a JSON document: its pretty serialization and a newline. *)
+val write_json : what:string -> string -> Json.t -> unit
+
+(** Write the sink to [file] in [format] ({!write}, as a trace file). *)
 val write_file : format -> ?name:string -> string -> Trace.sink -> unit
 
-(** Long-format CSV of a metrics registry's time series (the third export
-    format, for the flight recorder rather than the event trace); alias of
-    {!Metrics.to_csv}. *)
-val metrics_csv : Metrics.t -> string
-
-(** Write {!metrics_csv} to [file] (binary mode; same error contract as
-    {!write_file}). *)
+(** Write {!Metrics.to_csv}, the long-format CSV of a registry's time
+    series, to [file] ({!write}, as a metrics file). *)
 val write_metrics_csv : string -> Metrics.t -> unit

@@ -1,13 +1,13 @@
 (** Minimal JSON values: the machine-readable contract of the observability
-    layer (reports, trace exports, the CI benchmark baseline).
+    layer (reports, trace exports, the perf baseline).
 
     The printer is deterministic — object fields print in the order given,
     floats use the shortest decimal representation that round-trips exactly
     — so two identical simulations serialize to byte-identical documents,
-    which is what lets CI diff reports and gate regressions. The parser
-    accepts standard JSON (objects, arrays, strings, numbers, booleans,
-    null) and is used by the regression gate and the round-trip tests; no
-    external JSON library is required. *)
+    which is what lets the identity golden pin reports by digest. The
+    parser accepts standard JSON (objects, arrays, strings, numbers,
+    booleans, null) and is used by the perf gate and the round-trip tests;
+    no external JSON library is required. *)
 
 type t =
   | Null
@@ -36,7 +36,7 @@ val float_string : float -> string
     Returns [Error msg] with a position on malformed input. *)
 val of_string : string -> (t, string) result
 
-(** {1 Accessors} (for the regression gate and tests) *)
+(** {1 Accessors} (for {!Schema}'s rules, the perf gate and tests) *)
 
 (** Field of an object, [None] on missing field or non-object. *)
 val member : string -> t -> t option

@@ -252,79 +252,71 @@ let heatmaps t = List.rev_map (fun hm -> (hm.hm_name, hm)) t.m_heats
 
 (* Serialization *)
 
-let to_json t =
-  let series_json =
-    List.map
-      (fun (name, kind, rows) ->
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ("kind", Json.String (match kind with Counter -> "counter" | Gauge -> "gauge"));
-            ("per_node", Json.Bool (Array.length rows > 1));
-            ( "rows",
-              Json.List
-                (Array.to_list
-                   (Array.map
-                      (fun row -> Json.List (Array.to_list (Array.map (fun v -> Json.Float v) row)))
-                      rows)) );
-          ])
-      (series t)
-  in
-  let hist_json =
-    List.map
-      (fun (name, h) ->
-        let s = histogram_stats h in
-        (* Percentiles of an empty histogram are undefined: omit the
-           fields rather than encode a fake 0. *)
-        let pcts =
-          match (s.hs_p50, s.hs_p90, s.hs_p99) with
-          | Some p50, Some p90, Some p99 ->
-              [
-                ("p50", Json.Float p50);
-                ("p90", Json.Float p90);
-                ("p99", Json.Float p99);
-              ]
-          | _ -> []
-        in
-        Json.Obj
-          ([
-             ("name", Json.String name);
-             ("count", Json.Int s.hs_count);
-             ("sum", Json.Float s.hs_sum);
-             ("max", Json.Float s.hs_max);
-           ]
-          @ pcts
-          @ [
-            ( "buckets",
-              Json.List
-                (List.map
-                   (fun (le, count) -> Json.Obj [ ("le", Json.Float le); ("count", Json.Int count) ])
-                   (histogram_buckets h)) );
-          ]))
-      (histograms t)
-  in
-  let heat_json =
-    List.map
-      (fun (name, hm) ->
-        Json.Obj
-          [
-            ("name", Json.String name);
-            ( "pages",
-              Json.List
-                (List.map
-                   (fun (page, v) -> Json.Obj [ ("page", Json.Int page); ("value", Json.Float v) ])
-                   (heatmap_entries hm)) );
-          ])
-      (heatmaps t)
-  in
-  Json.Obj
+let schema =
+  let open Schema in
+  let series_obj =
     [
-      ("interval_us", Json.Float t.m_interval);
-      ("buckets", Json.Int t.m_buckets);
-      ("series", Json.List series_json);
-      ("histograms", Json.List hist_json);
-      ("heatmaps", Json.List heat_json);
+      field "name" str (fun (name, _, _) -> name);
+      field "kind" (enum [ "counter"; "gauge" ]) (function
+        | _, Counter, _ -> "counter"
+        | _, Gauge, _ -> "gauge");
+      field "per_node" bool (fun (_, _, rows) -> Array.length rows > 1);
+      field "rows" (list (list num)) (fun (_, _, rows) ->
+          Array.to_list (Array.map Array.to_list rows));
     ]
+  in
+  let pct get (_, s, _) = Option.get (get s) in
+  let histogram_obj =
+    [
+      field "name" str (fun (name, _, _) -> name);
+      field "count" int (fun (_, s, _) -> s.hs_count);
+      field "sum" num (fun (_, s, _) -> s.hs_sum);
+      field "max" num (fun (_, s, _) -> s.hs_max);
+      (* Percentiles of an empty histogram are undefined: absent rather
+         than a fake 0. *)
+      iff (positive "count")
+        [
+          field "p50" num (pct (fun s -> s.hs_p50));
+          field "p90" num (pct (fun s -> s.hs_p90));
+          field "p99" num (pct (fun s -> s.hs_p99));
+        ];
+      field "buckets"
+        (list (obj [ field "le" num fst; field "count" int snd ]))
+        (fun (_, _, buckets) -> buckets);
+      rule (fun h ->
+          let count b = Option.value ~default:0 (int_at "count" b) in
+          let total = List.fold_left (fun acc b -> acc + count b) 0 (list_at "buckets" h) in
+          if total = count h then None
+          else Some (Printf.sprintf "bucket counts sum to %d, count says %d" total (count h)));
+    ]
+  in
+  let heatmap_obj =
+    [
+      field "name" str fst;
+      field "pages" (list (obj [ field "page" int fst; field "value" num snd ])) snd;
+    ]
+  in
+  [
+    field "interval_us" num interval;
+    field "buckets" (at_least 0) buckets;
+    field "series" (list (obj series_obj)) series;
+    field "histograms" (list (obj histogram_obj)) (fun t ->
+        List.map (fun (name, h) -> (name, histogram_stats h, histogram_buckets h)) (histograms t));
+    field "heatmaps" (list (obj heatmap_obj)) (fun t ->
+        List.map (fun (name, hm) -> (name, heatmap_entries hm)) (heatmaps t));
+    (* Every series row is exactly [buckets] wide. *)
+    rule (fun tl ->
+        let width = Option.value ~default:0 (int_at "buckets" tl) in
+        List.concat_map (list_at "rows") (list_at "series" tl)
+        |> List.find_map (function
+             | Json.List vs when List.length vs <> width ->
+                 Some
+                   (Printf.sprintf "a series row has %d values but %d buckets" (List.length vs)
+                      width)
+             | _ -> None));
+  ]
+
+let to_json = Schema.encode schema
 
 let to_csv t =
   let buf = Buffer.create 4096 in

@@ -133,7 +133,12 @@ val heatmaps : t -> (string * heatmap) list
       "histograms": [{name; count; sum; max; p50; p90; p99;
                       buckets: [{le; count}]}],
       "heatmaps": [{name; pages: [{page; value}]}]}].
-    The [p50]/[p90]/[p99] fields are omitted when [count = 0]. *)
+    The [p50]/[p90]/[p99] fields are present iff [count > 0]. Its checks:
+    every series row is [buckets] wide, and a histogram's bucket counts
+    sum to its [count]. *)
+val schema : t Schema.t
+
+(** [Schema.encode schema]. *)
 val to_json : t -> Json.t
 
 (** Long-format CSV of the time series (histograms and heatmaps live in

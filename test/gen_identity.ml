@@ -24,7 +24,7 @@ let protocols =
 let md5 s = Digest.to_hex (Digest.string s)
 
 (* The CLI report file is [to_string r] plus a trailing newline
-   (Report_json.write); digest the same bytes. *)
+   (Obs.Export.write_json); digest the same bytes. *)
 let report_bytes r = Svm.Report_json.to_string r ^ "\n"
 
 let () =

@@ -32,8 +32,23 @@ let argvs =
       "--app lu --protocol hlrc --nodes 4 --trace-out /dev/null --trace-cap 50";
     ]
 
+(* [svm_run ARGS] through the flag table: the parsed run, or the usage
+   error the CLI would print. *)
+let parse_run args =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let argv = Array.of_list ("svm_run" :: args) in
+  match
+    Cmdliner.Cmd.eval_value ~help:ppf ~err:ppf ~argv
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "svm_run") Harness.Cli.svm_run)
+  with
+  | Ok (`Ok o) -> Ok o
+  | Ok (`Help | `Version) | Error _ ->
+      Format.pp_print_flush ppf ();
+      Error (Buffer.contents buf)
+
 let parse args =
-  match Harness.Cli.parse_svm_run args with
+  match parse_run args with
   | Ok o -> o
   | Error e -> failwith (String.concat " " args ^ ": " ^ e)
 

@@ -4,7 +4,7 @@
 
 let check = Alcotest.check
 
-let parse_run = Harness.Cli.parse_svm_run
+let parse_run = Report_cases.parse_run
 
 let parse args =
   match parse_run args with
@@ -51,6 +51,32 @@ let test_flag_off_identity () =
       check Alcotest.string name (report ~echo:base.cfg base) (report ~echo:base.cfg flagged))
     flag_off
 
+(* LU on 4 nodes, one run per protocol: svm_run's --json document
+   validates once parsed back, and without its meta block it is the
+   library report whose MD5 the identity golden pins (its LU p4 lines). *)
+let test_lu_reports_pinned () =
+  let app = Apps.Registry.lu Apps.Registry.Test in
+  List.iter
+    (fun name ->
+      let o =
+        parse [ "--app"; "lu"; "--protocol"; name; "--nodes"; "4"; "--scale"; "test"; "--seed"; "42" ]
+      in
+      let doc = Harness.Cli.report_json o (Harness.Cli.execute o) in
+      let parsed = Obs.Json.of_string (Obs.Json.to_string_pretty doc) in
+      (match Result.bind parsed Svm.Report_json.validate with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" name e);
+      let without_meta =
+        match doc with
+        | Obs.Json.Obj fields -> Obs.Json.Obj (List.filter (fun (k, _) -> k <> "meta") fields)
+        | j -> j
+      in
+      let proto = Option.get (Svm.Config.protocol_of_string name) in
+      let library = Svm.Runtime.run (Svm.Config.make ~nprocs:4 proto) (app.body ~verify:true) in
+      check Alcotest.string name (Svm.Report_json.to_string library)
+        (Obs.Json.to_string_pretty without_meta))
+    Svm.Config.protocol_strings
+
 let test_defaults_from_library () =
   let o = parse [] in
   check Alcotest.bool "no flags = Config.make defaults" true
@@ -86,6 +112,7 @@ let test_bad_values_rejected () =
 let suite =
   [
     ("flag-off byte identity", `Quick, test_flag_off_identity);
+    ("LU reports are the golden's", `Quick, test_lu_reports_pinned);
     ("defaults come from the library", `Quick, test_defaults_from_library);
     ("bad values rejected at parse time", `Quick, test_bad_values_rejected);
   ]

@@ -93,26 +93,6 @@ let test_cells_canonical_order () =
     [ Svm.Config.Lrc; Svm.Config.Olrc; Svm.Config.Hlrc; Svm.Config.Ohlrc ]
     protos
 
-(* The JSON dump bench/main.ml writes with --json, reproduced here so the
-   determinism test covers the machine-readable artifact too. *)
-let dump m =
-  let cell (app, proto, np, r) =
-    Obs.Json.Obj
-      [
-        ("app", Obs.Json.String app);
-        ( "protocol",
-          Obs.Json.String (String.lowercase_ascii (Svm.Config.protocol_name proto)) );
-        ("nodes", Obs.Json.Int np);
-        ("report", Svm.Report_json.encode r);
-      ]
-  in
-  Obs.Json.to_string_pretty
-    (Obs.Json.Obj
-       [
-         ("schema_version", Obs.Json.Int Svm.Report_json.schema_version);
-         ("cells", Obs.Json.List (List.map cell (Harness.Matrix.cells m)));
-       ])
-
 (* The tentpole's hard requirement: a prefetched parallel sweep must be
    byte-identical to the sequential one — rendered table, JSON dump and
    trace-sink contents alike. *)
@@ -125,7 +105,8 @@ let test_parallel_determinism () =
     if Harness.Pool.jobs pool > 1 then
       Harness.Matrix.prefetch m pool (Harness.Tables.table2_cells m ~node_counts);
     let table = render (fun ppf -> Harness.Tables.table2 ppf m ~node_counts) in
-    (table, dump m, Obs.Trace.events sink, Obs.Trace.dropped sink)
+    let json = Obs.Json.to_string_pretty (Harness.Matrix.to_json m) in
+    (table, json, Obs.Trace.events sink, Obs.Trace.dropped sink)
   in
   let t1, j1, e1, d1 = sweep 1 in
   let t4, j4, e4, d4 = sweep 4 in

@@ -224,6 +224,18 @@ let test_write_file_reports_errors () =
       check Alcotest.bool "one-line error names the problem" true
         (contains msg "cannot write trace file")
 
+(* Every output file goes through one writer: a report written into a
+   missing directory is the same one-line error, naming the file's kind. *)
+let test_write_report_reports_errors () =
+  let r, _ = traced_run () in
+  let file = "/nonexistent-dir-xyz/report.json" in
+  match Obs.Export.write_json ~what:"report" file (Svm.Report_json.encode r) with
+  | () -> Alcotest.fail "writing into a missing directory succeeded"
+  | exception Failure msg ->
+      check Alcotest.string "one-line error"
+        ("cannot write report file: " ^ file ^ ": No such file or directory")
+        msg
+
 (* ------------------------------------------------------------------ *)
 (* Legacy string-trace lines: a tap on the sink *)
 
@@ -285,17 +297,9 @@ let test_report_validates () =
     | Ok j -> j
     | Error e -> Alcotest.fail e
   in
-  (match Svm.Report_json.validate j with
+  match Svm.Report_json.validate j with
   | Ok () -> ()
-  | Error e -> Alcotest.failf "valid report rejected: %s" e);
-  match Svm.Report_json.headline j with
-  | None -> Alcotest.fail "no headline counters"
-  | Some h ->
-      check
-        Alcotest.(list string)
-        "headline keys"
-        [ "elapsed_us"; "messages"; "update_bytes"; "protocol_bytes"; "mem_peak" ]
-        (List.map fst h)
+  | Error e -> Alcotest.failf "valid report rejected: %s" e
 
 let test_validate_rejects_malformed () =
   let r, _ = traced_run () in
@@ -342,6 +346,88 @@ let test_report_optional_sections () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "report with sections rejected: %s" e)
 
+(* Each value nested in [v] with its path, and a function rebuilding [v]
+   with that value replaced ([Some]) or removed ([None]). Lists are
+   sampled at their first two elements. *)
+let rec positions path (v : Obs.Json.t) =
+  let nested path x set =
+    (path, x, set)
+    :: List.map
+         (fun (p, y, rebuild) -> (p, y, fun o -> set (Some (rebuild o))))
+         (positions path x)
+  in
+  match v with
+  | Obs.Json.Obj fields ->
+      List.concat_map
+        (fun (k, x) ->
+          nested (path ^ "." ^ k) x (function
+            | Some x' ->
+                Obs.Json.Obj (List.map (fun (k', y) -> (k', if k' = k then x' else y)) fields)
+            | None -> Obs.Json.Obj (List.filter (fun (k', _) -> k' <> k) fields)))
+        fields
+  | Obs.Json.List xs ->
+      List.concat
+        (List.mapi
+           (fun i x ->
+             if i >= 2 then []
+             else
+               nested (Printf.sprintf "%s[%d]" path i) x (function
+                 | Some x' -> Obs.Json.List (List.mapi (fun j y -> if j = i then x' else y) xs)
+                 | None -> Obs.Json.List (List.filteri (fun j _ -> j <> i) xs)))
+           xs)
+  | _ -> []
+
+(* A value of another JSON type. *)
+let retype = function
+  | Obs.Json.Int _ | Obs.Json.Float _ -> Obs.Json.String "0"
+  | Obs.Json.String _ -> Obs.Json.Int 0
+  | Obs.Json.Bool _ -> Obs.Json.String "true"
+  | Obs.Json.List _ -> Obs.Json.Obj []
+  | Obs.Json.Obj _ | Obs.Json.Null -> Obs.Json.List []
+
+(* The blocks a report may omit whole; each is one key. Every other
+   optional field belongs to a group of two or more (kill_node, kill_at,
+   detect_delay; the per-node chaos counters; ...), which must appear
+   whole or not at all. *)
+let optional_blocks =
+  [
+    "meta"; "timeline"; "trace"; "critical_path"; "fault_batch"; "replication"; "chaos";
+    "detector"; "partitions"; "batch_prefetches"; "serving"; "availability";
+  ]
+
+let last_key path =
+  match String.rindex_opt path '.' with
+  | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+  | None -> path
+
+(* Completeness of [validate] on reports that carry every conditional
+   field: each value changed to another type is rejected, and so is each
+   removed field, unless it is a whole optional block or an entry of the
+   data-keyed dropped_by_kind map. *)
+let test_validate_complete () =
+  List.iter
+    (fun args ->
+      let name = String.concat " " args in
+      let doc = Report_cases.report args in
+      (match Svm.Report_json.validate doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: valid report rejected: %s" name e);
+      List.iter
+        (fun (path, v, set) ->
+          (match Svm.Report_json.validate (set (Some (retype v))) with
+          | Ok () -> Alcotest.failf "%s: accepted %s with another type" name path
+          | Error _ -> ());
+          let field = path.[String.length path - 1] <> ']' in
+          let whole =
+            List.mem (last_key path) optional_blocks || contains path ".dropped_by_kind."
+          in
+          if field && not whole then
+            match Svm.Report_json.validate (set None) with
+            | Ok () -> Alcotest.failf "%s: accepted %s removed" name path
+            | Error _ -> ())
+        (positions "report" doc))
+    Report_cases.argvs
+
 let suite =
   [
     ("json round-trip", `Quick, test_json_roundtrip);
@@ -356,9 +442,11 @@ let suite =
     ("default trace has no causal kinds", `Quick, test_default_trace_has_no_causal_kinds);
     ("exporters record sink overflow", `Quick, test_export_overflow_records);
     ("write_file reports errors cleanly", `Quick, test_write_file_reports_errors);
+    ("a report write reports errors cleanly", `Quick, test_write_report_reports_errors);
     ("report sections are opt-in and validate", `Quick, test_report_optional_sections);
     ("legacy adapter matches the typed stream", `Quick, test_legacy_adapter_matches_typed_stream);
     ("legacy render produces the exact old strings", `Quick, test_legacy_render_exact_strings);
     ("report JSON validates", `Quick, test_report_validates);
     ("validate rejects malformed reports", `Quick, test_validate_rejects_malformed);
+    ("validate rejects every retyped value and partial group", `Quick, test_validate_complete);
   ]
