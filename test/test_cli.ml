@@ -6,10 +6,7 @@ let check = Alcotest.check
 
 let parse_run = Report_cases.parse_run
 
-let parse args =
-  match parse_run args with
-  | Ok o -> o
-  | Error e -> Alcotest.failf "%s: %s" (String.concat " " args) e
+let parse = Report_cases.parse
 
 (* The bytes [svm_run ARGS --json FILE] writes, with the report's echo of
    the configuration replaced by [echo]. *)
@@ -58,9 +55,8 @@ let test_lu_reports_pinned () =
   let app = Apps.Registry.lu Apps.Registry.Test in
   List.iter
     (fun name ->
-      let o =
-        parse [ "--app"; "lu"; "--protocol"; name; "--nodes"; "4"; "--scale"; "test"; "--seed"; "42" ]
-      in
+      let argv = [ "--app"; "lu"; "--protocol"; name; "--nodes"; "4"; "--scale"; "test" ] in
+      let o = parse (argv @ [ "--seed"; "42" ]) in
       let doc = Harness.Cli.report_json o (Harness.Cli.execute o) in
       let parsed = Obs.Json.of_string (Obs.Json.to_string_pretty doc) in
       (match Result.bind parsed Svm.Report_json.validate with
