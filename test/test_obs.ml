@@ -216,25 +216,26 @@ let test_export_overflow_records () =
   check Alcotest.bool "chrome reports droppedEvents" true
     (contains (Obs.Export.chrome sink) "\"droppedEvents\":")
 
+(* Every output file goes through one writer: writing into a missing
+   directory is one line naming the file's kind, never a [Sys_error]. *)
 let test_write_file_reports_errors () =
   let sink = Obs.Trace.create_sink ~capacity:4 () in
-  match Obs.Export.write_file Obs.Export.Jsonl "/nonexistent-dir-xyz/trace.jsonl" sink with
-  | () -> Alcotest.fail "writing into a missing directory succeeded"
-  | exception Failure msg ->
-      check Alcotest.bool "one-line error names the problem" true
-        (contains msg "cannot write trace file")
-
-(* Every output file goes through one writer: a report written into a
-   missing directory is the same one-line error, naming the file's kind. *)
-let test_write_report_reports_errors () =
   let r, _ = traced_run () in
-  let file = "/nonexistent-dir-xyz/report.json" in
-  match Obs.Export.write_json ~what:"report" file (Svm.Report_json.encode r) with
-  | () -> Alcotest.fail "writing into a missing directory succeeded"
-  | exception Failure msg ->
-      check Alcotest.string "one-line error"
-        ("cannot write report file: " ^ file ^ ": No such file or directory")
-        msg
+  List.iter
+    (fun (what, write) ->
+      let file = "/nonexistent-dir-xyz/out" in
+      match write file with
+      | () -> Alcotest.failf "writing a %s file into a missing directory succeeded" what
+      | exception Failure msg ->
+          check Alcotest.string "one-line error"
+            (Printf.sprintf "cannot write %s file: %s: No such file or directory" what file)
+            msg)
+    [
+      ("trace", fun file -> Obs.Export.write_file Obs.Export.Jsonl file sink);
+      ( "metrics",
+        fun file -> Obs.Export.write_metrics_csv file (Obs.Metrics.create ~interval:1. ~nnodes:1) );
+      ("report", fun file -> Obs.Export.write_json ~what:"report" file (Svm.Report_json.encode r));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Legacy string-trace lines: a tap on the sink *)
@@ -442,7 +443,6 @@ let suite =
     ("default trace has no causal kinds", `Quick, test_default_trace_has_no_causal_kinds);
     ("exporters record sink overflow", `Quick, test_export_overflow_records);
     ("write_file reports errors cleanly", `Quick, test_write_file_reports_errors);
-    ("a report write reports errors cleanly", `Quick, test_write_report_reports_errors);
     ("report sections are opt-in and validate", `Quick, test_report_optional_sections);
     ("legacy adapter matches the typed stream", `Quick, test_legacy_adapter_matches_typed_stream);
     ("legacy render produces the exact old strings", `Quick, test_legacy_render_exact_strings);
