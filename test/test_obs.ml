@@ -386,20 +386,28 @@ let retype = function
   | Obs.Json.List _ -> Obs.Json.Obj []
   | Obs.Json.Obj _ | Obs.Json.Null -> Obs.Json.List []
 
-(* The blocks a report may omit whole; each is one key. Every other
-   optional field belongs to a group of two or more (kill_node, kill_at,
-   detect_delay; the per-node chaos counters; ...), which must appear
-   whole or not at all. *)
+(* The blocks a report may omit whole, by path (list indices dropped);
+   each is one key. Every other optional field belongs to a group of two
+   or more (kill_node, kill_at, detect_delay; the per-node chaos counters;
+   ...), which must appear whole or not at all. *)
 let optional_blocks =
-  [
-    "meta"; "timeline"; "trace"; "critical_path"; "fault_batch"; "replication"; "chaos";
-    "detector"; "partitions"; "batch_prefetches"; "serving"; "availability";
-  ]
+  List.map (( ^ ) "report.")
+    [
+      "meta"; "timeline"; "trace"; "critical_path"; "config.fault_batch"; "config.replication";
+      "config.chaos"; "config.chaos.partitions"; "config.detector";
+      "nodes[].counters.batch_prefetches"; "totals.serving"; "totals.replication";
+      "totals.availability"; "totals.chaos";
+    ]
 
-let last_key path =
-  match String.rindex_opt path '.' with
-  | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-  | None -> path
+(* [path] with its list indices dropped: nodes[2].id -> nodes[].id. *)
+let without_indices path =
+  let after_index part =
+    let i = String.index part ']' in
+    String.sub part i (String.length part - i)
+  in
+  match String.split_on_char '[' path with
+  | [] -> path
+  | head :: parts -> String.concat "[" (head :: List.map after_index parts)
 
 (* Completeness of [validate] on reports that carry every conditional
    field: each value changed to another type is rejected, and so is each
@@ -420,7 +428,8 @@ let test_validate_complete () =
           | Error _ -> ());
           let field = path.[String.length path - 1] <> ']' in
           let whole =
-            List.mem (last_key path) optional_blocks || contains path ".dropped_by_kind."
+            List.mem (without_indices path) optional_blocks
+            || contains path ".dropped_by_kind."
           in
           if field && not whole then
             match Svm.Report_json.validate (set None) with
