@@ -97,4 +97,4 @@ let idle_until ctx at =
 
 let record_op ctx kind ~issued_at =
   let latency = now ctx -. issued_at in
-  System.record_op ctx.sys ctx.node kind ~latency:(max 0. latency)
+  System.record_op ctx.sys kind ~latency:(max 0. latency)

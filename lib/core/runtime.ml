@@ -279,15 +279,8 @@ let collect sys =
       (match System.serving_log sys with
       | None -> None
       | Some s ->
-          let n = Array.fold_left (fun acc l -> acc + List.length l) 0 s.System.sv_lats in
-          let lats = Array.make n 0. in
-          let i = ref 0 in
-          Array.iter
-            (List.iter (fun v ->
-                 lats.(!i) <- v;
-                 incr i))
-            s.System.sv_lats;
-          Array.sort Float.compare lats;
+          let lats = Array.sub s.System.sv_lats 0 s.System.sv_count in
+          Stats.sort_floats lats;
           Some
             {
               or_gets = s.System.sv_gets;

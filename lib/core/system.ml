@@ -176,14 +176,16 @@ type metrics_set = {
   ms_home_heat : Obs.Metrics.heatmap;
 }
 
-(* Serving-workload accumulator (kvstore): per-node latency logs plus op
-   kind counts, allocated lazily at the first recorded operation so every
-   non-serving run carries a single [None]. Latencies are kept per node —
-   recording is a cons — and merged into one sorted array at collect. *)
+(* Serving-workload accumulator (kvstore): one latency log plus op kind
+   counts, allocated lazily at the first recorded operation so every
+   non-serving run carries a single [None]. Recording stores the latency
+   unboxed into a growable float array; collect copies out the live
+   prefix and sorts it in place. *)
 type op_kind = Op_get | Op_put | Op_txn
 
 type serving = {
-  sv_lats : float list array;  (* per node, newest first *)
+  mutable sv_lats : float array;  (* completion order; the first [sv_count] are live *)
+  mutable sv_count : int;
   mutable sv_gets : int;
   mutable sv_puts : int;
   mutable sv_txns : int;
@@ -725,23 +727,24 @@ let charge_idle node dt =
 (* ------------------------------------------------------------------ *)
 (* Serving-workload operation log                                     *)
 
-let record_op t node kind ~latency =
+let record_op t kind ~latency =
   let s =
     match t.serving with
     | Some s -> s
     | None ->
         let s =
-          {
-            sv_lats = Array.make (Array.length t.nodes) [];
-            sv_gets = 0;
-            sv_puts = 0;
-            sv_txns = 0;
-          }
+          { sv_lats = Array.make 1024 0.; sv_count = 0; sv_gets = 0; sv_puts = 0; sv_txns = 0 }
         in
         t.serving <- Some s;
         s
   in
-  s.sv_lats.(node.id) <- latency :: s.sv_lats.(node.id);
+  if s.sv_count = Array.length s.sv_lats then begin
+    let lats = Array.make (2 * s.sv_count) 0. in
+    Array.blit s.sv_lats 0 lats 0 s.sv_count;
+    s.sv_lats <- lats
+  end;
+  s.sv_lats.(s.sv_count) <- latency;
+  s.sv_count <- s.sv_count + 1;
   (match kind with
   | Op_get -> s.sv_gets <- s.sv_gets + 1
   | Op_put -> s.sv_puts <- s.sv_puts + 1

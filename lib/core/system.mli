@@ -146,13 +146,15 @@ type recovery = {
     through {!metrics_registry} and the recording hooks below. *)
 type metrics_set
 
-(** Serving-workload operation log: per-node completion latencies plus op
-    kind counts, allocated lazily at the first {!record_op} so non-serving
-    runs carry a single [None]. *)
+(** Serving-workload operation log: every completion latency plus op kind
+    counts, allocated lazily at the first {!record_op} so non-serving runs
+    carry a single [None]. *)
 type op_kind = Op_get | Op_put | Op_txn
 
 type serving = {
-  sv_lats : float list array;  (** Per node, newest first. *)
+  mutable sv_lats : float array;
+      (** Unboxed, in completion order; the first [sv_count] are live. *)
+  mutable sv_count : int;
   mutable sv_gets : int;
   mutable sv_puts : int;
   mutable sv_txns : int;
@@ -350,8 +352,9 @@ val charge_idle : node_state -> float -> unit
 
 (** Record one completed serving operation ([latency] is completion minus
     scheduled arrival, in microseconds); feeds {!serving_log} and, when
-    metrics are on, the [op_latency_us] histogram. *)
-val record_op : t -> node_state -> op_kind -> latency:float -> unit
+    metrics are on, the [op_latency_us] histogram. Appending to the log
+    allocates only when it doubles. *)
+val record_op : t -> op_kind -> latency:float -> unit
 
 val serving_log : t -> serving option
 

@@ -3,13 +3,14 @@
     Events are thunks scheduled at absolute simulated times (microseconds in
     this project, though the engine itself is unit-agnostic). Events with
     equal timestamps fire in scheduling order, which makes runs fully
-    deterministic. *)
+    deterministic. Scheduling and executing an event allocate nothing, and
+    an executed thunk is no longer reachable from the engine. *)
 
 type t
 
-(** [create ?capacity ()] sizes the event set for roughly [capacity]
-    concurrently pending events when the caller can predict it (the
-    simulator pends a handful of events per node). *)
+(** [create ?capacity ()] sizes the event set for [capacity] concurrently
+    pending events (default 16) when the caller can predict it; it grows
+    past that. *)
 val create : ?capacity:int -> unit -> t
 
 (** Current simulated time: the timestamp of the event being executed, or the
@@ -17,7 +18,7 @@ val create : ?capacity:int -> unit -> t
 val now : t -> float
 
 (** [schedule t ~at f] enqueues [f] to run at absolute time [at]. Scheduling
-    in the past (before [now t]) is a programming error and raises
+    in the past (before [now t]) or at NaN is a programming error and raises
     [Invalid_argument]; a small tolerance absorbs float rounding. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
