@@ -30,6 +30,9 @@ let argvs =
       "--app water-nsquared --protocol lrc --nodes 4 --profile";
       "--app lu --protocol hlrc --nodes 4 --profile --trace-cap 100";
       "--app lu --protocol hlrc --nodes 4 --trace-out /dev/null --trace-cap 50";
+      "--app kvstore --protocol hlrc --nodes 4 --replicas 2 --repl-scheme inval --metrics";
+      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme backup --kill-node 3 \
+       --kill-at 1000 --no-verify --metrics";
     ]
 
 (* [svm_run ARGS] through the flag table: the parsed run, or the usage
