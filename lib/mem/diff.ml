@@ -127,40 +127,6 @@ let apply ?obs t data =
 
 let is_empty t = Array.length t.values = 0
 
-let rec popcount bits = if bits = 0 then 0 else 1 + popcount (bits land (bits - 1))
-
-(* The union of both bitmaps, valued from [newer] where it has the word
-   and from [older] elsewhere. *)
-let merge older newer =
-  if older.page <> newer.page then invalid_arg "Diff.merge: different pages";
-  let byte_at d i =
-    let j = i - d.first in
-    if j >= 0 && j < Bytes.length d.mask then Char.code (Bytes.get d.mask j) else 0
-  in
-  let span_end d = d.first + Bytes.length d.mask in
-  let full = Bytes.make (max (span_end older) (span_end newer)) '\000' in
-  let count = ref 0 in
-  for i = 0 to Bytes.length full - 1 do
-    let bits = byte_at older i lor byte_at newer i in
-    Bytes.set full i (Char.chr bits);
-    count := !count + popcount bits
-  done;
-  let values = Array.make !count 0.0 in
-  let i = ref 0 and j = ref 0 in
-  walk 0 full (fun k offset ->
-      let bit = 1 lsl (offset land 7) in
-      let in_older = byte_at older (offset lsr 3) land bit <> 0 in
-      if byte_at newer (offset lsr 3) land bit <> 0 then begin
-        values.(k) <- newer.values.(!j);
-        incr j;
-        if in_older then incr i
-      end
-      else begin
-        values.(k) <- older.values.(!i);
-        incr i
-      end);
-  of_full ~page:older.page full values
-
 let iter f t = walk t.first t.mask (fun k offset -> f offset (Array.unsafe_get t.values k))
 
 let pp ppf t =

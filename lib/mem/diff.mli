@@ -37,10 +37,6 @@ val word_count : t -> int
     representation. *)
 val size_bytes : t -> int
 
-(** [merge older newer] produces a diff equivalent to applying [older] then
-    [newer]. Both must be diffs of the same page. *)
-val merge : t -> t -> t
-
 (** [iter f t] calls [f offset value] for each entry in offset order. *)
 val iter : (int -> float -> unit) -> t -> unit
 

@@ -74,13 +74,6 @@ let test_diff_length_mismatch () =
     (Invalid_argument "Diff.create: twin and current differ in length") (fun () ->
       ignore (Mem.Diff.create ~page:0 ~twin:(Mem.Words.make 3) ~current:(Mem.Words.make 4)))
 
-let test_diff_merge_pages_mismatch () =
-  let twin = mk_page float_of_int in
-  let d0 = Mem.Diff.create ~page:0 ~twin ~current:twin in
-  let d1 = Mem.Diff.create ~page:1 ~twin ~current:twin in
-  Alcotest.check_raises "different pages" (Invalid_argument "Diff.merge: different pages")
-    (fun () -> ignore (Mem.Diff.merge d0 d1))
-
 let diff_gen =
   (* random sparse modification of a 64-word page *)
   QCheck.Gen.(
@@ -100,22 +93,6 @@ let prop_diff_apply_equals_writes =
       let target = Mem.Words.copy twin in
       Mem.Diff.apply d target;
       Mem.Words.to_array target = Mem.Words.to_array current)
-
-let prop_diff_merge_equivalent =
-  QCheck.Test.make ~name:"merge a b == apply a then b" ~count:300
-    (QCheck.make (QCheck.Gen.pair diff_gen diff_gen)) (fun (w1, w2) ->
-      let base = mk_page float_of_int in
-      let c1 = apply_writes base w1 in
-      let d1 = Mem.Diff.create ~page:0 ~twin:base ~current:c1 in
-      let c2 = apply_writes c1 w2 in
-      let d2 = Mem.Diff.create ~page:0 ~twin:c1 ~current:c2 in
-      let merged = Mem.Diff.merge d1 d2 in
-      let via_merge = Mem.Words.copy base in
-      Mem.Diff.apply merged via_merge;
-      let via_seq = Mem.Words.copy base in
-      Mem.Diff.apply d1 via_seq;
-      Mem.Diff.apply d2 via_seq;
-      Mem.Words.to_array via_merge = Mem.Words.to_array via_seq)
 
 let prop_diff_offsets_sorted =
   QCheck.Test.make ~name:"diff offsets strictly increasing" ~count:300
@@ -180,10 +157,10 @@ let test_diff_retained_words () =
    The Bigarray rewrite must be observationally identical to the original
    float-array implementation. [Ref] below *is* that implementation
    (boxed (offset, value) pairs, Int64 bit comparison, list-building
-   create, two-pointer merge), preserved as an executable specification;
-   the properties drive both over pages that include the nasty float
-   cases — +0.0 / -0.0, NaN (bit-compared), infinities — and require the
-   same entries, the same wire size and the same merge-wins semantics. *)
+   create), preserved as an executable specification; the properties
+   drive both over pages that include the nasty float cases — +0.0 /
+   -0.0, NaN (bit-compared), infinities — and require the same entries,
+   the same wire size and the same applied result. *)
 
 module Ref = struct
   type t = { page : int; words : (int * float) array }
@@ -200,37 +177,6 @@ module Ref = struct
   let apply t data = Array.iter (fun (o, v) -> data.(o) <- v) t.words
 
   let size_bytes t = 16 + (12 * Array.length t.words)
-
-  let merge older newer =
-    let na = Array.length older.words and nb = Array.length newer.words in
-    let acc = ref [] in
-    let i = ref 0 and j = ref 0 in
-    while !i < na || !j < nb do
-      if !i >= na then begin
-        acc := newer.words.(!j) :: !acc;
-        incr j
-      end
-      else if !j >= nb then begin
-        acc := older.words.(!i) :: !acc;
-        incr i
-      end
-      else
-        let oa, _ = older.words.(!i) and ob, _ = newer.words.(!j) in
-        if oa < ob then begin
-          acc := older.words.(!i) :: !acc;
-          incr i
-        end
-        else if ob < oa then begin
-          acc := newer.words.(!j) :: !acc;
-          incr j
-        end
-        else begin
-          acc := newer.words.(!j) :: !acc;
-          incr i;
-          incr j
-        end
-    done;
-    { page = older.page; words = Array.of_list (List.rev !acc) }
 end
 
 (* Entries as (offset, bits) lists: NaN-safe structural comparison. *)
@@ -290,19 +236,6 @@ let sparse_pair_gen =
       (page_gen n)
       (list_size (int_bound 3) edit))
 
-(* Two successive sparse diffs of a 1,024-word page: their changed spans,
-   and so their bitmaps, start and end at different bytes, which the merge
-   must line up. *)
-let sparse_triple_gen =
-  QCheck.Gen.(
-    map2
-      (fun (base, c1) edits ->
-        let c2 = Array.copy c1 in
-        List.iter (fun (o, v) -> c2.(o) <- v) edits;
-        (base, c1, c2))
-      sparse_pair_gen
-      (list_size (int_bound 3) (pair (int_bound 1023) word_gen)))
-
 (* A twin and a copy whose last word differs from it, so the bitmap's
    final bit is set, on pages of 8 to 1,024 words and on one of 13, whose
    bitmap ends in a partial byte. *)
@@ -334,22 +267,6 @@ let prop_diff_matches_reference =
       Ref.apply d_ref t_ref;
       Array.to_list (Array.map Int64.bits_of_float (Mem.Words.to_array t_new))
       = Array.to_list (Array.map Int64.bits_of_float t_ref))
-
-let prop_diff_merge_matches_reference =
-  QCheck.Test.make ~name:"bigarray merge == array-backed reference merge" ~count:500
-    (QCheck.make
-       QCheck.Gen.(
-         oneof
-           [
-             (oneofl [ 8; 16; 32 ] >>= fun n -> triple (page_gen n) (page_gen n) (page_gen n));
-             sparse_triple_gen;
-           ]))
-    (fun (base, c1, c2) ->
-      let d1_new = Mem.Diff.create ~page:3 ~twin:(Mem.Words.of_array base) ~current:(Mem.Words.of_array c1) in
-      let d2_new = Mem.Diff.create ~page:3 ~twin:(Mem.Words.of_array c1) ~current:(Mem.Words.of_array c2) in
-      let d1_ref = Ref.create ~page:3 ~twin:base ~current:c1 in
-      let d2_ref = Ref.create ~page:3 ~twin:c1 ~current:c2 in
-      entries_new (Mem.Diff.merge d1_new d2_new) = entries_ref (Ref.merge d1_ref d2_ref))
 
 (* ------------------------------------------------------------------ *)
 (* Recycled frames *)
@@ -437,14 +354,11 @@ let suite =
     ("diff empty", `Quick, test_diff_empty);
     ("diff bitwise semantics", `Quick, test_diff_bitwise_semantics);
     ("diff length mismatch", `Quick, test_diff_length_mismatch);
-    ("diff merge page mismatch", `Quick, test_diff_merge_pages_mismatch);
     QCheck_alcotest.to_alcotest prop_diff_apply_equals_writes;
-    QCheck_alcotest.to_alcotest prop_diff_merge_equivalent;
     QCheck_alcotest.to_alcotest prop_diff_offsets_sorted;
     ("diff stride-2 allocation", `Quick, test_diff_stride2_allocation);
     ("diff retained words", `Quick, test_diff_retained_words);
     QCheck_alcotest.to_alcotest prop_diff_matches_reference;
-    QCheck_alcotest.to_alcotest prop_diff_merge_matches_reference;
     ("free list recycles frames", `Quick, test_free_list_recycles);
     ("page table ensure", `Quick, test_page_table_ensure);
     ("page table missing entry", `Quick, test_page_table_entry_missing);
