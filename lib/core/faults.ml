@@ -52,11 +52,10 @@ let causal_order tagged =
   List.map snd (List.sort (fun (ka, _) (kb, _) -> compare ka kb) keyed)
 
 let apply_one_diff sys node entry diff =
-  let c = costs sys in
-  Mem.Diff.apply ?obs:(diff_obs sys node) diff (Mem.Page_table.data_exn entry);
+  Mem.Diff.apply diff (Mem.Page_table.data_exn entry);
   (match entry.Mem.Page_table.twin with Some t -> Mem.Diff.apply diff t | None -> ());
-  charge_protocol node (Intervals.diff_apply_cost c diff);
-  node.stats.Stats.c.Stats.diffs_applied <- node.stats.Stats.c.Stats.diffs_applied + 1
+  record_diff_apply sys node diff ~counted:true;
+  charge_protocol node (Intervals.diff_apply_cost (costs sys) diff)
 
 (* Re-apply the node's own retained diffs newer than [applied.(self)] after a
    full-page fetch overwrote the local copy (homeless protocols only). *)
@@ -107,86 +106,16 @@ let install_fetched sys entry snapshot =
     (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
      else Mem.Page_table.Read_only)
 
-let rec fetch_from_home sys node page ~on_valid =
-  let pi = page_info sys node page in
-  let home = home_of sys page in
-  let home_node = sys.nodes.(home) in
-  let needed = Proto.Vclock.copy pi.needed in
-  (* Replies belonging to a superseded fetch generation (the fetch was
-     re-issued by a failover) discard themselves on arrival. *)
-  let gen = node.fetch_gen in
-  node.stats.Stats.c.Stats.page_fetches <- node.stats.Stats.c.Stats.page_fetches + 1;
-  let request_bytes = header_bytes + Proto.Vclock.size_bytes needed in
-  event sys node (Obs.Trace.Page_fetch { page; home });
-  send sys ~src:node ~dst:home ~at:node.mach.Machine.Node.ck.Machine.Node.clock ~bytes:request_bytes ~update:0
-    (fun arrival ->
-      (* Authority epoch under which this request was accepted. If a
-         failover re-homes the page before the serve runs (the home was
-         deposed while the fetch was parked or in flight), the epoch is
-         stale: serving would hand out an outdated master. Fence — the
-         requester was re-issued against the new home at promote time
-         ([Replica.reissue_blocked]), so the park is dead weight. *)
-      let epoch0 = epoch_of sys page in
-      let fenced at =
-        let stale = home_of sys page <> home || epoch_of sys page <> epoch0 in
-        if stale then begin
-          let c = home_node.stats.Stats.c in
-          c.Stats.fenced_fetches <- c.Stats.fenced_fetches + 1;
-          if observing sys then
-            event_at sys ~node:home ~time:at
-              (Obs.Trace.Fenced_fetch { page; requester = node.id })
-        end;
-        stale
-      in
-      let serve_fetch at =
-        if fenced at then ()
-        else
-        let done_t = serve sys home_node ~arrival:at ~cost:request_service_cost in
-        let hentry = Mem.Page_table.ensure home_node.pt page in
-        let master =
-          match hentry.Mem.Page_table.data with
-          | Some d -> d
-          | None ->
-              let d = Mem.Page_table.attach_copy home_node.pt hentry in
-              hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
-              d
-        in
-        let snapshot = Mem.Words.take sys.frames master in
-        let hp = home_page sys home_node page in
-        let flush = Proto.Vclock.copy hp.hp_flush in
-        let bytes =
-          header_bytes + Mem.Layout.page_bytes sys.layout + Proto.Vclock.size_bytes flush
-        in
-        send sys ~src:home_node ~dst:node.id ~at:done_t ~bytes
-          ~update:(Mem.Layout.page_bytes sys.layout) (fun reply_at ->
-            if node.fetch_gen <> gen then Mem.Words.release sys.frames snapshot
-            else begin
-              Machine.Node.sync_to node.mach reply_at;
-              (* The node may have flushed its own writes mid-fault (a remote
-                 lock request ended its interval); if the snapshot predates
-                 them, retry so they are not lost. *)
-              if not (Proto.Vclock.leq pi.needed flush) then begin
-                Mem.Words.release sys.frames snapshot;
-                fetch_from_home sys node page ~on_valid
-              end
-              else begin
-                install_fetched sys (Mem.Page_table.ensure node.pt page) snapshot;
-                on_valid ()
-              end
-            end)
-      in
-      let hp = home_page sys home_node page in
-      if Proto.Vclock.leq needed hp.hp_flush then serve_fetch arrival
-      else if not (fenced arrival) then begin
-        ignore (serve sys home_node ~arrival ~cost:request_service_cost);
-        hp.hp_pending <-
-          { pf_needed = needed; pf_serve = serve_fetch; pf_requester = node.id }
-          :: hp.hp_pending;
-        event sys home_node (Obs.Trace.Page_fetch_pending { page })
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* Batched home-based fetch (--fault-batch N > 1)                      *)
+(* The home's master copy of [page], materialized (zero-filled) on the
+   home's first touch. *)
+let master_of home_node page =
+  let hentry = Mem.Page_table.ensure home_node.pt page in
+  match hentry.Mem.Page_table.data with
+  | Some d -> d
+  | None ->
+      let d = Mem.Page_table.attach_copy home_node.pt hentry in
+      hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+      d
 
 (* The run of adjacent same-home pages currently invalid on [node], right
    after [page] — the pages a sequential reader faults on next (a cold
@@ -207,112 +136,112 @@ let batch_candidates sys node page =
   in
   scan (page + 1) [] limit
 
-(* One round trip for the faulting page plus up to [fault_batch - 1]
-   adjacent same-home invalid pages: strided access patterns fault on page
-   runs, and each unbatched miss pays a full round trip, so piggybacking
-   the run amortizes the latency. The home only includes extras whose
-   flush cut already covers the requester's needs — a behind page is left
-   out and faults normally later, it never holds the batch. The faulting
-   page itself keeps the exact unbatched semantics: the pending path when
-   the home's flush cut is behind, and the stale-snapshot retry (which
-   retries unbatched). *)
-let fetch_batch_from_home sys node page ~extras ~on_valid =
+(* One round trip to the home for [page], plus the [extras] (adjacent
+   same-home invalid pages, [--fault-batch N > 1]): strided access patterns
+   fault on page runs, and each unbatched miss pays a full round trip, so
+   piggybacking the run amortizes the latency. The home includes only the
+   extras whose flush cut already covers the requester's needs — a behind
+   page is left out and faults normally later, it never holds the batch.
+   The faulting page waits at the home while its flush cut is behind, and
+   a stale snapshot is retried without extras. With no extras nothing
+   extra is built, so the one-page fetch allocates as little as it can. *)
+let rec fetch_from_home sys node page ~extras ~on_valid =
   let pi = page_info sys node page in
   let home = home_of sys page in
   let home_node = sys.nodes.(home) in
   let needed = Proto.Vclock.copy pi.needed in
+  (* Replies belonging to a superseded fetch generation (the fetch was
+     re-issued by a failover) discard themselves on arrival. *)
   let gen = node.fetch_gen in
   let extra_needed =
-    List.map (fun q -> (q, Proto.Vclock.copy (page_info sys node q).needed)) extras
+    if extras = [] then []
+    else List.map (fun q -> (q, Proto.Vclock.copy (page_info sys node q).needed)) extras
   in
-  node.stats.Stats.c.Stats.page_fetches <- node.stats.Stats.c.Stats.page_fetches + 1;
-  node.stats.Stats.c.Stats.batch_prefetches <-
-    node.stats.Stats.c.Stats.batch_prefetches + List.length extras;
+  record_page_fetch sys node ~page ~home ~extras:(List.length extras);
   let request_bytes =
-    header_bytes + Proto.Vclock.size_bytes needed
-    + List.fold_left (fun acc (_, vc) -> acc + 8 + Proto.Vclock.size_bytes vc) 0 extra_needed
+    List.fold_left
+      (fun acc (_, vc) -> acc + 8 + Proto.Vclock.size_bytes vc)
+      (header_bytes + Proto.Vclock.size_bytes needed)
+      extra_needed
   in
-  event sys node (Obs.Trace.Page_fetch { page; home });
-  event sys node (Obs.Trace.Batch_fetch { page; home; pages = 1 + List.length extras });
   send sys ~src:node ~dst:home ~at:node.mach.Machine.Node.ck.Machine.Node.clock
     ~bytes:request_bytes ~update:0 (fun arrival ->
-      (* Same stale-authority fence as the unbatched path. *)
+      (* Authority epoch under which this request was accepted. If a
+         failover re-homes the page before the serve runs (the home was
+         deposed while the fetch was parked or in flight), the epoch is
+         stale: serving would hand out an outdated master. Fence — the
+         requester was re-issued against the new home at promote time
+         ([Replica.reissue_blocked]), so the park is dead weight. *)
       let epoch0 = epoch_of sys page in
       let fenced at =
         let stale = home_of sys page <> home || epoch_of sys page <> epoch0 in
-        if stale then begin
-          let c = home_node.stats.Stats.c in
-          c.Stats.fenced_fetches <- c.Stats.fenced_fetches + 1;
-          if observing sys then
-            event_at sys ~node:home ~time:at
-              (Obs.Trace.Fenced_fetch { page; requester = node.id })
-        end;
+        if stale then record_fenced_fetch sys home_node ~time:at ~page ~requester:node.id;
         stale
       in
       let serve_fetch at =
-        if fenced at then ()
-        else
-        let master_of q =
-          let hentry = Mem.Page_table.ensure home_node.pt q in
-          match hentry.Mem.Page_table.data with
-          | Some d -> d
-          | None ->
-              let d = Mem.Page_table.attach_copy home_node.pt hentry in
-              hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
-              d
-        in
-        let served =
-          List.filter_map
-            (fun (q, vc) ->
-              let hq = home_page sys home_node q in
-              if Proto.Vclock.leq vc hq.hp_flush then
-                Some (q, Mem.Words.take sys.frames (master_of q), Proto.Vclock.copy hq.hp_flush)
-              else None)
-            extra_needed
-        in
-        let pages = 1 + List.length served in
-        let done_t =
-          serve sys home_node ~arrival:at ~cost:(request_service_cost *. float_of_int pages)
-        in
-        let snapshot = Mem.Words.take sys.frames (master_of page) in
-        let hp = home_page sys home_node page in
-        let flush = Proto.Vclock.copy hp.hp_flush in
-        let vclock_bytes =
-          Proto.Vclock.size_bytes flush
-          + List.fold_left (fun acc (_, _, vc) -> acc + 8 + Proto.Vclock.size_bytes vc) 0 served
-        in
-        let pb = Mem.Layout.page_bytes sys.layout in
-        send sys ~src:home_node ~dst:node.id ~at:done_t
-          ~bytes:(header_bytes + (pages * pb) + vclock_bytes)
-          ~update:(pages * pb)
-          (fun reply_at ->
-            if node.fetch_gen <> gen then begin
-              List.iter (fun (_, snap, _) -> Mem.Words.release sys.frames snap) served;
-              Mem.Words.release sys.frames snapshot
-            end
-            else begin
-            Machine.Node.sync_to node.mach reply_at;
-            (* Install prefetched extras first; each re-checks that the
-               snapshot still covers the page's (possibly grown) needs and
-               that no concurrent fetch validated it in the meantime. *)
-            List.iter
-              (fun (q, snap, qflush) ->
-                let entry = Mem.Page_table.ensure node.pt q in
-                if
-                  entry.Mem.Page_table.prot = Mem.Page_table.No_access
-                  && Proto.Vclock.leq (page_info sys node q).needed qflush
-                then install_fetched sys entry snap
-                else Mem.Words.release sys.frames snap)
-              served;
-            if not (Proto.Vclock.leq pi.needed flush) then begin
-              Mem.Words.release sys.frames snapshot;
-              fetch_from_home sys node page ~on_valid
-            end
-            else begin
-              install_fetched sys (Mem.Page_table.ensure node.pt page) snapshot;
-              on_valid ()
-            end
-            end)
+        if not (fenced at) then begin
+          let served =
+            if extra_needed = [] then []
+            else
+              List.filter_map
+                (fun (q, vc) ->
+                  let hq = home_page sys home_node q in
+                  if Proto.Vclock.leq vc hq.hp_flush then
+                    Some
+                      ( q,
+                        Mem.Words.take sys.frames (master_of home_node q),
+                        Proto.Vclock.copy hq.hp_flush )
+                  else None)
+                extra_needed
+          in
+          let pages = 1 + List.length served in
+          let cost =
+            if served = [] then request_service_cost
+            else request_service_cost *. float_of_int pages
+          in
+          let done_t = serve sys home_node ~arrival:at ~cost in
+          let snapshot = Mem.Words.take sys.frames (master_of home_node page) in
+          let flush = Proto.Vclock.copy (home_page sys home_node page).hp_flush in
+          let update = pages * Mem.Layout.page_bytes sys.layout in
+          let bytes =
+            List.fold_left
+              (fun acc (_, _, vc) -> acc + 8 + Proto.Vclock.size_bytes vc)
+              (header_bytes + update + Proto.Vclock.size_bytes flush)
+              served
+          in
+          send sys ~src:home_node ~dst:node.id ~at:done_t ~bytes ~update (fun reply_at ->
+              if node.fetch_gen <> gen then begin
+                List.iter (fun (_, snap, _) -> Mem.Words.release sys.frames snap) served;
+                Mem.Words.release sys.frames snapshot
+              end
+              else begin
+                Machine.Node.sync_to node.mach reply_at;
+                (* Install prefetched extras first; each re-checks that the
+                   snapshot still covers the page's (possibly grown) needs
+                   and that no concurrent fetch validated it meanwhile. *)
+                if served <> [] then
+                  List.iter
+                    (fun (q, snap, qflush) ->
+                      let entry = Mem.Page_table.ensure node.pt q in
+                      if
+                        entry.Mem.Page_table.prot = Mem.Page_table.No_access
+                        && Proto.Vclock.leq (page_info sys node q).needed qflush
+                      then install_fetched sys entry snap
+                      else Mem.Words.release sys.frames snap)
+                    served;
+                (* The node may have flushed its own writes mid-fault (a
+                   remote lock request ended its interval); if the snapshot
+                   predates them, retry so they are not lost. *)
+                if not (Proto.Vclock.leq pi.needed flush) then begin
+                  Mem.Words.release sys.frames snapshot;
+                  fetch_from_home sys node page ~extras:[] ~on_valid
+                end
+                else begin
+                  install_fetched sys (Mem.Page_table.ensure node.pt page) snapshot;
+                  on_valid ()
+                end
+              end)
+        end
       in
       let hp = home_page sys home_node page in
       if Proto.Vclock.leq needed hp.hp_flush then serve_fetch arrival
@@ -321,7 +250,7 @@ let fetch_batch_from_home sys node page ~extras ~on_valid =
         hp.hp_pending <-
           { pf_needed = needed; pf_serve = serve_fetch; pf_requester = node.id }
           :: hp.hp_pending;
-        event sys home_node (Obs.Trace.Page_fetch_pending { page })
+        if observing sys then event sys home_node (Obs.Trace.Page_fetch_pending { page })
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -383,26 +312,35 @@ let collect_diffs sys node page ~on_valid =
         ordered;
       finish_homeless_validation node pi entry ~on_valid
     in
-    let reply_handler writer diffs payload reply_at =
-      if node.fetch_gen = gen then begin
-        Machine.Node.sync_to node.mach reply_at;
-        List.iter (fun (idx, diff) -> received := (writer, idx, diff) :: !received) diffs;
-        decr outstanding;
-        if !outstanding = 0 then complete node.mach.Machine.Node.ck.Machine.Node.clock
-      end;
-      ignore payload
+    (* [server] replies with [writer]'s diffs, one per requested interval. *)
+    let reply server ~at writer diffs =
+      let cost = request_service_cost *. float_of_int (List.length diffs) in
+      let done_t = serve sys server ~arrival:at ~cost in
+      let payload = List.fold_left (fun acc (_, d) -> acc + Mem.Diff.size_bytes d) 0 diffs in
+      if spans_on sys then
+        event_at sys ~node:server.id ~time:done_t
+          (Obs.Trace.Diff_reply { page; dst = node.id; bytes = payload });
+      send sys ~src:server ~dst:node.id ~at:done_t ~bytes:(header_bytes + payload)
+        ~update:payload (fun reply_at ->
+          if node.fetch_gen = gen then begin
+            Machine.Node.sync_to node.mach reply_at;
+            List.iter (fun (idx, diff) -> received := (writer, idx, diff) :: !received) diffs;
+            decr outstanding;
+            if !outstanding = 0 then complete node.mach.Machine.Node.ck.Machine.Node.clock
+          end)
+    in
+    let request server idxs on_arrival =
+      let intervals = List.length idxs in
+      if observing sys then
+        event sys node (Obs.Trace.Diff_request { page; writer = server; intervals });
+      send sys ~src:node ~dst:server ~at:node.mach.Machine.Node.ck.Machine.Node.clock
+        ~bytes:(header_bytes + (8 * intervals)) ~update:0 on_arrival
     in
     List.iter
       (fun (writer, idxs) ->
         if is_alive sys writer then begin
           let writer_node = sys.nodes.(writer) in
-          let bytes = header_bytes + (8 * List.length idxs) in
-          event sys node
-            (Obs.Trace.Diff_request { page; writer; intervals = List.length idxs });
-          send sys ~src:node ~dst:writer ~at:node.mach.Machine.Node.ck.Machine.Node.clock ~bytes ~update:0
-            (fun arrival ->
-              let cost = request_service_cost *. float_of_int (List.length idxs) in
-              let done_t = serve sys writer_node ~arrival ~cost in
+          request writer idxs (fun arrival ->
               let stored = try Hashtbl.find writer_node.own_diffs page with Not_found -> [] in
               let diffs =
                 List.map
@@ -416,15 +354,7 @@ let collect_diffs sys node page ~on_valid =
                              page idx))
                   idxs
               in
-              let payload =
-                List.fold_left (fun acc (_, d) -> acc + Mem.Diff.size_bytes d) 0 diffs
-              in
-              if spans_on sys then
-                event_at sys ~node:writer ~time:done_t
-                  (Obs.Trace.Diff_reply { page; dst = node.id; bytes = payload });
-              send sys ~src:writer_node ~dst:node.id ~at:done_t
-                ~bytes:(header_bytes + payload) ~update:payload
-                (reply_handler writer diffs payload))
+              reply writer_node ~at:arrival writer diffs)
         end
         else
           (* The writer crash-stopped: its retained diffs are gone with it,
@@ -437,44 +367,25 @@ let collect_diffs sys node page ~on_valid =
           | None -> ()
           | Some holder ->
               let holder_node = sys.nodes.(holder) in
-              node.stats.Stats.c.Stats.failovers <- node.stats.Stats.c.Stats.failovers + 1;
-              event sys node (Obs.Trace.Failover { page; from_ = writer; to_ = holder });
-              let bytes = header_bytes + (8 * List.length idxs) in
-              event sys node
-                (Obs.Trace.Diff_request { page; writer = holder; intervals = List.length idxs });
-              send sys ~src:node ~dst:holder ~at:node.mach.Machine.Node.ck.Machine.Node.clock
-                ~bytes ~update:0 (fun arrival ->
+              record_failover sys node ~time:node.mach.Machine.Node.ck.Machine.Node.clock ~page
+                ~from_:writer ~to_:holder;
+              request holder idxs (fun arrival ->
                   (* The dead writer's last archive messages may still be in
                      flight from before the crash; poll (in simulated time)
                      until the archive holds every requested interval. *)
                   let rec attempt tries at =
                     let rp = replica_page sys holder_node page in
                     let find idx =
-                      List.find_opt
-                        (fun (w, i, _, _) -> w = writer && i = idx)
-                        rp.rp_archive
+                      List.find_opt (fun (w, i, _, _) -> w = writer && i = idx) rp.rp_archive
                     in
-                    if List.for_all (fun idx -> find idx <> None) idxs then begin
-                      let cost = request_service_cost *. float_of_int (List.length idxs) in
-                      let done_t = serve sys holder_node ~arrival:at ~cost in
-                      let diffs =
-                        List.map
-                          (fun idx ->
-                            match find idx with
-                            | Some (_, _, d, _) -> (idx, d)
-                            | None -> assert false)
-                          idxs
-                      in
-                      let payload =
-                        List.fold_left (fun acc (_, d) -> acc + Mem.Diff.size_bytes d) 0 diffs
-                      in
-                      if spans_on sys then
-                        event_at sys ~node:holder ~time:done_t
-                          (Obs.Trace.Diff_reply { page; dst = node.id; bytes = payload });
-                      send sys ~src:holder_node ~dst:node.id ~at:done_t
-                        ~bytes:(header_bytes + payload) ~update:payload
-                        (reply_handler writer diffs payload)
-                    end
+                    if List.for_all (fun idx -> find idx <> None) idxs then
+                      reply holder_node ~at writer
+                        (List.map
+                           (fun idx ->
+                             match find idx with
+                             | Some (_, _, d, _) -> (idx, d)
+                             | None -> assert false)
+                           idxs)
                     else if tries >= 1000 then
                       invalid_arg
                         (Printf.sprintf
@@ -515,8 +426,8 @@ let fetch_full_page sys node page ~on_valid =
        before any GC fires at these scales), and let [collect_diffs] pull
        each diff from its writer — or, for the dead writer's own, from the
        page's replica archive. *)
-    node.stats.Stats.c.Stats.failovers <- node.stats.Stats.c.Stats.failovers + 1;
-    event sys node (Obs.Trace.Failover { page; from_ = source; to_ = node.id });
+    record_failover sys node ~time:node.mach.Machine.Node.ck.Machine.Node.clock ~page
+      ~from_:source ~to_:node.id;
     ignore (Mem.Page_table.attach_copy node.pt entry);
     Mem.Accounting.sub node.stats.Stats.proto_mem
       (missing_entry_bytes * List.length pi.missing);
@@ -544,8 +455,7 @@ let fetch_full_page sys node page ~on_valid =
   else begin
     let source_node = sys.nodes.(source) in
     let gen = node.fetch_gen in
-    node.stats.Stats.c.Stats.page_fetches <- node.stats.Stats.c.Stats.page_fetches + 1;
-    event sys node (Obs.Trace.Full_page_fetch { page; source });
+    record_full_page_fetch sys node ~page ~source;
     send sys ~src:node ~dst:source ~at:node.mach.Machine.Node.ck.Machine.Node.clock ~bytes:header_bytes
       ~update:0 (fun arrival ->
         let done_t = serve sys source_node ~arrival ~cost:request_service_cost in
@@ -637,16 +547,13 @@ let make_valid sys node page ~on_valid =
       end
     end
     else begin
-      node.stats.Stats.c.Stats.read_misses <- node.stats.Stats.c.Stats.read_misses + 1;
-      if sys.cfg.Config.fault_batch > 1 then
-        match batch_candidates sys node page with
-        | [] -> fetch_from_home sys node page ~on_valid
-        | extras -> fetch_batch_from_home sys node page ~extras ~on_valid
-      else fetch_from_home sys node page ~on_valid
+      record_read_miss node;
+      let extras = if sys.cfg.Config.fault_batch > 1 then batch_candidates sys node page else [] in
+      fetch_from_home sys node page ~extras ~on_valid
     end
   end
   else begin
-    node.stats.Stats.c.Stats.read_misses <- node.stats.Stats.c.Stats.read_misses + 1;
+    record_read_miss node;
     if entry.Mem.Page_table.data = None then fetch_full_page sys node page ~on_valid
     else collect_diffs sys node page ~on_valid
   end
@@ -661,17 +568,7 @@ let make_writable sys node page =
       (* No twin: set up the automatic-update mapping so subsequent stores
          write through to the home's master copy (paper 2.2). *)
       if (not at_home) && entry.Mem.Page_table.mirror = None then begin
-        let home_node = sys.nodes.(home_of sys page) in
-        let hentry = Mem.Page_table.ensure home_node.pt page in
-        let master =
-          match hentry.Mem.Page_table.data with
-          | Some d -> d
-          | None ->
-              let d = Mem.Page_table.attach_copy home_node.pt hentry in
-              hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
-              d
-        in
-        entry.Mem.Page_table.mirror <- Some master
+        entry.Mem.Page_table.mirror <- Some (master_of sys.nodes.(home_of sys page) page)
       end
     end
     else if ((not at_home) || replicated sys) && entry.Mem.Page_table.twin = None then begin
@@ -695,7 +592,7 @@ let make_writable sys node page =
 let read_fault sys node page k =
   let c = costs sys in
   charge_protocol node c.Machine.Costs.page_fault;
-  System.metrics_fault sys node page;
+  record_fault sys node ~page ~write:false;
   block sys node ~resource:page Wait_data k;
   let finish () =
     node.fault_page <- -1;
@@ -712,8 +609,7 @@ let read_fault sys node page k =
 let write_fault sys node page k =
   let c = costs sys in
   charge_protocol node c.Machine.Costs.page_fault;
-  System.metrics_fault sys node page;
-  node.stats.Stats.c.Stats.write_faults <- node.stats.Stats.c.Stats.write_faults + 1;
+  record_fault sys node ~page ~write:true;
   block sys node ~resource:page Wait_data k;
   let entry = Mem.Page_table.ensure node.pt page in
   if entry.Mem.Page_table.prot = Mem.Page_table.No_access then begin

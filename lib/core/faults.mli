@@ -41,11 +41,13 @@ val collect_diffs : System.t -> System.node_state -> int -> on_valid:(unit -> un
     recovery. *)
 val install_copy : System.t -> Mem.Page_table.entry -> Mem.Words.t -> unit
 
-(** One home-based fetch round trip for [page]; [on_valid] runs once the
-    snapshot is installed. Exposed for [Replica]'s rejoin path, which
-    converts a falsely-deposed ex-home's parked local waits into remote
-    fetches against the current home. *)
-val fetch_from_home : System.t -> System.node_state -> int -> on_valid:(unit -> unit) -> unit
+(** One home-based fetch round trip for [page] and the adjacent pages
+    [extras] ([--fault-batch]); [on_valid] runs once the page's snapshot is
+    installed. Exposed for [Replica]'s rejoin path, which converts a
+    falsely-deposed ex-home's parked local waits into remote fetches
+    against the current home ([~extras:[]]). *)
+val fetch_from_home :
+  System.t -> System.node_state -> int -> extras:int list -> on_valid:(unit -> unit) -> unit
 
 (** Bring [page] to a readable state on the node, whatever the protocol
     requires; [on_valid] runs (at the node's advanced clock) once the local

@@ -110,9 +110,7 @@ let sweep sys node ~k =
    process's resumption. [on_done] fires after the global discard phase. *)
 let run sys node ~on_done =
   node.in_gc <- true;
-  node.stats.Stats.c.Stats.gc_runs <- node.stats.Stats.c.Stats.gc_runs + 1;
-  event sys node
-    (Obs.Trace.Gc_start { mem_bytes = Mem.Accounting.current node.stats.Stats.proto_mem });
+  record_gc_start sys node;
   if spans_on sys then
     event sys node
       (Obs.Trace.Mem_sample { bytes = Mem.Accounting.current node.stats.Stats.proto_mem });

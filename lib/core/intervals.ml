@@ -33,7 +33,7 @@ let deliver_au_stamp sys home_node ~arrival ~writer ~index ~page =
   let hp = home_page sys home_node page in
   if index > Proto.Vclock.get hp.hp_flush writer then Proto.Vclock.set hp.hp_flush writer index;
   serve_pending_fetches hp ~at:arrival;
-  event sys home_node (Obs.Trace.Au_stamp { page; writer; index })
+  if observing sys then event sys home_node (Obs.Trace.Au_stamp { page; writer; index })
 
 (* Eager RC: a pushed update reaches a copyset member. The *state* change
    is performed by the caller at push time (closing the race between a push
@@ -42,11 +42,9 @@ let deliver_au_stamp sys home_node ~arrival ~writer ~index ~page =
    write-through; only acknowledged data is observable by data-race-free
    programs). This handler models the member-side timing and returns the
    acknowledgement that lets the writer's release complete. *)
-let deliver_rc_update sys member ~arrival ~writer ~page diff =
+let deliver_rc_update sys member ~arrival ~writer diff =
   let done_t = serve_compute sys member ~arrival ~cost:(diff_apply_cost (costs sys) diff) in
-  member.stats.Stats.c.Stats.diffs_applied <- member.stats.Stats.c.Stats.diffs_applied + 1;
-  event sys member
-    (Obs.Trace.Eager_update { page; writer; bytes = Mem.Diff.size_bytes diff });
+  record_eager_update sys member ~writer diff;
   send sys ~src:member ~dst:writer ~at:done_t ~bytes:header_bytes ~update:0 (fun ack_at ->
       rc_ack_arrived sys sys.nodes.(writer) ~at:ack_at)
 
@@ -81,13 +79,13 @@ let deliver_flush sys home_node ~arrival ~writer ~index ~page diff =
          themselves, since a later same-word writer's fetch is parked until
          recovery completes) after the causally-sorted pull. *)
       rc.System.rc_live <- (writer, index, diff) :: rc.System.rc_live;
-      event sys home_node
-        (Obs.Trace.Diff_flush { page; writer; index; bytes = Mem.Diff.size_bytes diff })
+      record_flush sys home_node ~writer ~index diff ~applied:false
   | None ->
   let entry = Mem.Page_table.ensure home_node.pt page in
   let hp = home_page sys home_node page in
   let fresh = index > Proto.Vclock.get hp.hp_flush writer in
-  if fresh || not (replicated sys) then begin
+  let applied = fresh || not (replicated sys) in
+  if applied then begin
     let data =
       match entry.Mem.Page_table.data with
       | Some d -> d
@@ -101,9 +99,7 @@ let deliver_flush sys home_node ~arrival ~writer ~index ~page diff =
     Mem.Diff.apply diff data;
     (* The home may concurrently be writing disjoint words of the same page;
        updating its twin keeps its own next diff minimal and correct. *)
-    (match entry.Mem.Page_table.twin with Some t -> Mem.Diff.apply diff t | None -> ());
-    home_node.stats.Stats.c.Stats.diffs_applied <-
-      home_node.stats.Stats.c.Stats.diffs_applied + 1
+    match entry.Mem.Page_table.twin with Some t -> Mem.Diff.apply diff t | None -> ()
   end;
   if fresh then begin
     Proto.Vclock.set hp.hp_flush writer index;
@@ -111,8 +107,23 @@ let deliver_flush sys home_node ~arrival ~writer ~index ~page diff =
       ~payload:false
   end;
   serve_pending_fetches hp ~at:done_t;
-  event sys home_node
-    (Obs.Trace.Diff_flush { page; writer; index; bytes = Mem.Diff.size_bytes diff })
+  record_flush sys home_node ~writer ~index diff ~applied
+
+let twin_of entry =
+  match entry.Mem.Page_table.twin with
+  | Some t -> t
+  | None -> invalid_arg "end_interval: dirty page without twin"
+
+(* Diff a dirty page against its twin, and trade the twin's memory for the
+   diff's. *)
+let take_diff sys node entry twin =
+  let page = entry.Mem.Page_table.page in
+  let diff = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
+  record_diff_create sys node diff;
+  Mem.Page_table.drop_twin entry;
+  Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Layout.page_bytes sys.layout);
+  Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
+  diff
 
 (* End the node's current interval, if it wrote anything. *)
 let end_interval sys node =
@@ -122,7 +133,6 @@ let end_interval sys node =
       node.dirty <- [];
       let c = costs sys in
       let page_words = Mem.Layout.page_words sys.layout in
-      let page_bytes = Mem.Layout.page_bytes sys.layout in
       let index = Proto.Vclock.get node.vt node.id + 1 in
       Proto.Vclock.set node.vt node.id index;
       (* Eager RC needs no write notices at all: updates travel with the
@@ -135,7 +145,7 @@ let end_interval sys node =
         node.known.(node.id) <- iv :: node.known.(node.id);
         account_interval node iv
       end;
-      event sys node (Obs.Trace.Interval_end { index; pages });
+      if observing sys then event sys node (Obs.Trace.Interval_end { index; pages });
       let finish_page entry =
         entry.Mem.Page_table.dirty <- false;
         entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
@@ -149,20 +159,8 @@ let end_interval sys node =
             (* Eager RC (paper 2, Munin-style): diff the page and push the
                update to every other node caching it; the acknowledgements
                gate this node's next lock handoff or barrier arrival. *)
-            let twin =
-              match entry.Mem.Page_table.twin with
-              | Some t -> t
-              | None -> invalid_arg "end_interval: dirty page without twin"
-            in
-            let diff = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
-            node.stats.Stats.c.Stats.diffs_created <-
-              node.stats.Stats.c.Stats.diffs_created + 1;
-            System.metrics_diff sys page;
-            event sys node (Mem.Diff.created_event diff);
+            let diff = take_diff sys node entry (twin_of entry) in
             let done_t = local_protocol_work sys node ~cost:(diff_create_cost c ~page_words) in
-            Mem.Page_table.drop_twin entry;
-            Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
-            Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
             Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
             finish_page entry;
             let members = copyset sys page in
@@ -174,7 +172,8 @@ let end_interval sys node =
                   let mentry = Mem.Page_table.ensure member.pt page in
                   (match mentry.Mem.Page_table.data with
                   | Some data ->
-                      Mem.Diff.apply ?obs:(diff_obs sys member) diff data;
+                      Mem.Diff.apply diff data;
+                      record_diff_apply sys member diff ~counted:false;
                       (match mentry.Mem.Page_table.twin with
                       | Some t -> Mem.Diff.apply diff t
                       | None -> ())
@@ -187,7 +186,7 @@ let end_interval sys node =
                   let bytes = header_bytes + Mem.Diff.size_bytes diff in
                   send sys ~src:node ~dst:m ~at:done_t ~bytes
                     ~update:(Mem.Diff.size_bytes diff) (fun arrival ->
-                      deliver_rc_update sys member ~arrival ~writer:node.id ~page diff)
+                      deliver_rc_update sys member ~arrival ~writer:node.id diff)
                 end)
               members
           end
@@ -213,11 +212,7 @@ let end_interval sys node =
               let payload = 12 * words in
               (* one send models the last combined message + the stamp; the
                  earlier combined messages are pure accounting *)
-              node.stats.Stats.c.Stats.messages <-
-                node.stats.Stats.c.Stats.messages + (au_messages - 1);
-              node.stats.Stats.c.Stats.update_bytes <-
-                node.stats.Stats.c.Stats.update_bytes
-                + (header_bytes * (au_messages - 1));
+              record_au_combined node ~messages:(au_messages - 1);
               finish_page entry;
               send sys ~src:node ~dst:home ~at:node.mach.Machine.Node.ck.Machine.Node.clock
                 ~bytes:(header_bytes + payload) ~update:payload (fun arrival ->
@@ -240,26 +235,16 @@ let end_interval sys node =
               (if replicated sys then
                  match entry.Mem.Page_table.twin with
                  | Some twin ->
-                     let diff =
-                       Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry)
-                     in
-                     node.stats.Stats.c.Stats.diffs_created <-
-                       node.stats.Stats.c.Stats.diffs_created + 1;
-                     System.metrics_diff sys page;
-                     event sys node (Mem.Diff.created_event diff);
-                     let done_t =
-                       local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
-                     in
-                     Mem.Page_table.drop_twin entry;
-                     Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
                      (* Retain the diff here too, like any non-home writer:
                         the stream to the backups can be in flight (or
                         silenced by a gray failure) at the moment a
                         suspicion quorum deposes this node, and the
                         promotion pull must then be able to recover the
                         ex-home's own writes from the ex-home itself. *)
-                     Mem.Accounting.add node.stats.Stats.proto_mem
-                       (Mem.Diff.size_bytes diff);
+                     let diff = take_diff sys node entry twin in
+                     let done_t =
+                       local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
+                     in
                      let prev =
                        try Hashtbl.find node.own_diffs page with Not_found -> []
                      in
@@ -273,24 +258,10 @@ let end_interval sys node =
               serve_pending_fetches hp ~at:node.mach.Machine.Node.ck.Machine.Node.clock
             end
             else begin
-              let twin =
-                match entry.Mem.Page_table.twin with
-                | Some t -> t
-                | None -> invalid_arg "end_interval: dirty page without twin"
-              in
-              let diff =
-                Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry)
-              in
-              node.stats.Stats.c.Stats.diffs_created <-
-                node.stats.Stats.c.Stats.diffs_created + 1;
-              System.metrics_diff sys page;
-              event sys node (Mem.Diff.created_event diff);
+              let diff = take_diff sys node entry (twin_of entry) in
               let done_t =
                 local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
               in
-              Mem.Page_table.drop_twin entry;
-              Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
-              Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
               if replicated sys then begin
                 (* Replicated runs retain the flushed diff (an LRC-like
                    memory profile, the honest price of recoverability): if
@@ -313,20 +284,8 @@ let end_interval sys node =
           end
           else begin
             (* Homeless: create the diff and retain it until GC. *)
-            let twin =
-              match entry.Mem.Page_table.twin with
-              | Some t -> t
-              | None -> invalid_arg "end_interval: dirty page without twin"
-            in
-            let diff = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
-            node.stats.Stats.c.Stats.diffs_created <-
-              node.stats.Stats.c.Stats.diffs_created + 1;
-            System.metrics_diff sys page;
-            event sys node (Mem.Diff.created_event diff);
+            let diff = take_diff sys node entry (twin_of entry) in
             ignore (local_protocol_work sys node ~cost:(diff_create_cost c ~page_words));
-            Mem.Page_table.drop_twin entry;
-            Mem.Accounting.sub node.stats.Stats.proto_mem page_bytes;
-            Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
             let vt =
               match vt_snap with Some vt -> vt | None -> assert false
             in
@@ -376,9 +335,10 @@ let apply_remote_intervals sys node ivs =
         Proto.Vclock.set node.vt creator index;
         charge_protocol node
           (c.Machine.Costs.write_notice_handle *. float_of_int (List.length iv.Proto.Interval.pages));
-        event sys node
-          (Obs.Trace.Write_notice
-             { writer = creator; index; pages = List.length iv.Proto.Interval.pages });
+        if observing sys then
+          event sys node
+            (Obs.Trace.Write_notice
+               { writer = creator; index; pages = List.length iv.Proto.Interval.pages });
         List.iter
           (fun page ->
             let pi = page_info sys node page in

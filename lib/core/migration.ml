@@ -92,7 +92,7 @@ let transfer sys ~page ~old_home ~new_home ~at =
   Hashtbl.remove old_node.homes page;
   Mem.Accounting.sub old_node.stats.Stats.proto_mem (Proto.Vclock.size_bytes flush);
   hentry.Mem.Page_table.prot <- Mem.Page_table.No_access;
-  event sys old_node (Obs.Trace.Home_migration { page; dst = new_home });
+  record_home_migration sys old_node ~page ~dst:new_home;
   let bytes = header_bytes + Mem.Layout.page_bytes sys.layout + Proto.Vclock.size_bytes flush in
   send sys ~src:old_node ~dst:new_home ~at ~bytes ~update:(Mem.Layout.page_bytes sys.layout)
     (fun arrival ->
@@ -104,8 +104,6 @@ let transfer sys ~page ~old_home ~new_home ~at =
       entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
       let hp_new = home_page sys new_node page in
       Proto.Vclock.merge_into hp_new.hp_flush flush;
-      new_node.stats.Stats.c.Stats.home_migrations <-
-        new_node.stats.Stats.c.Stats.home_migrations + 1;
       Intervals.serve_pending_fetches hp_new ~at:done_t)
 
 (* Entry point, called by the barrier manager at completion (before the

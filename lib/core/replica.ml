@@ -45,7 +45,7 @@ let pull sys b ~page ~cut ~(rc : recovery) ~complete ~at =
       if w.id <> b.id && is_alive sys w.id then begin
         rc.rc_outstanding <- rc.rc_outstanding + 1;
         let req_bytes = header_bytes + Proto.Vclock.size_bytes cut in
-        b.stats.Stats.c.Stats.repl_bytes <- b.stats.Stats.c.Stats.repl_bytes + req_bytes;
+        record_recovery b ~pulled:0 ~bytes:req_bytes ~applied:0;
         send sys ~src:b ~dst:w.id ~at ~bytes:req_bytes ~update:0 (fun arrival ->
             let done_t = serve sys w ~arrival ~cost:Faults.request_service_cost in
             let mine =
@@ -60,9 +60,7 @@ let pull sys b ~page ~cut ~(rc : recovery) ~complete ~at =
                   acc + Mem.Diff.size_bytes diff + Proto.Vclock.size_bytes vt)
                 header_bytes mine
             in
-            let c = w.stats.Stats.c in
-            c.Stats.repl_updates <- c.Stats.repl_updates + List.length mine;
-            c.Stats.repl_bytes <- c.Stats.repl_bytes + reply_bytes;
+            record_recovery w ~pulled:(List.length mine) ~bytes:reply_bytes ~applied:0;
             let wid = w.id in
             send sys ~src:w ~dst:b.id ~at:done_t ~bytes:reply_bytes ~update:0
               (fun reply_at ->
@@ -128,8 +126,7 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
       0. ordered
   in
   List.iter (fun (_, _, diff, _) -> Mem.Diff.apply diff base) ordered;
-  let c = b.stats.Stats.c in
-  c.Stats.diffs_applied <- c.Stats.diffs_applied + List.length ordered;
+  record_recovery b ~pulled:0 ~bytes:0 ~applied:(List.length ordered);
   let done_t = serve sys b ~arrival:at ~cost:apply_cost in
   let entry = Mem.Page_table.ensure b.pt page in
   (* Uncommitted local writes ride on top of the rebuilt master. *)
@@ -157,9 +154,7 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
 (* Promote [to_] to primary of [page] after [dead] crashed. *)
 let promote sys ~page ~dead ~to_ ~at =
   let b = sys.nodes.(to_) in
-  b.stats.Stats.c.Stats.failovers <- b.stats.Stats.c.Stats.failovers + 1;
-  if observing sys then
-    event_at sys ~node:to_ ~time:at (Obs.Trace.Failover { page; from_ = dead; to_ });
+  record_failover sys b ~time:at ~page ~from_:dead ~to_;
   Hashtbl.replace sys.home_tbl page to_;
   (* New authority epoch: any serve closure the old home still holds was
      accepted under the previous epoch and fences itself off. *)
@@ -284,9 +279,7 @@ let depose sys ~peer ~by ~at =
 let suspect sys ~by ~peer ~at =
   if by <> peer && not sys.suspects.(by).(peer) then begin
     sys.suspects.(by).(peer) <- true;
-    let c = sys.nodes.(by).stats.Stats.c in
-    c.Stats.suspicions <- c.Stats.suspicions + 1;
-    if observing sys then event_at sys ~node:by ~time:at (Obs.Trace.Suspect { peer });
+    record_suspicion sys ~by ~peer ~time:at ~raised:true;
     if (not (is_deposed sys peer)) && quorum sys peer then depose sys ~peer ~by ~at
   end
 
@@ -314,12 +307,7 @@ let rejoin sys ~ex ~at =
       let hp = Hashtbl.find node.homes page in
       let own, foreign = List.partition (fun pf -> pf.pf_requester = ex) hp.hp_pending in
       List.iter
-        (fun pf ->
-          let c = node.stats.Stats.c in
-          c.Stats.fenced_fetches <- c.Stats.fenced_fetches + 1;
-          if observing sys then
-            event_at sys ~node:ex ~time:at
-              (Obs.Trace.Fenced_fetch { page; requester = pf.pf_requester }))
+        (fun pf -> record_fenced_fetch sys node ~time:at ~page ~requester:pf.pf_requester)
         foreign;
       hp.hp_pending <- [];
       Hashtbl.remove node.homes page;
@@ -331,7 +319,7 @@ let rejoin sys ~ex ~at =
       List.iter
         (fun pf ->
           Machine.Node.sync_to node.mach at;
-          Faults.fetch_from_home sys node page ~on_valid:(fun () ->
+          Faults.fetch_from_home sys node page ~extras:[] ~on_valid:(fun () ->
               pf.pf_serve node.mach.Machine.Node.ck.Machine.Node.clock))
         own)
     stale
@@ -339,9 +327,7 @@ let rejoin sys ~ex ~at =
 let refute sys ~by ~peer ~at =
   if sys.suspects.(by).(peer) then begin
     sys.suspects.(by).(peer) <- false;
-    let c = sys.nodes.(by).stats.Stats.c in
-    c.Stats.refutations <- c.Stats.refutations + 1;
-    if observing sys then event_at sys ~node:by ~time:at (Obs.Trace.Refute { peer });
+    record_suspicion sys ~by ~peer ~time:at ~raised:false;
     if is_deposed sys peer && is_alive sys peer && not (quorum sys peer) then
       rejoin sys ~ex:peer ~at
   end

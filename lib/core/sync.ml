@@ -58,7 +58,7 @@ let resume_after_home_waits sys node waits =
       List.iter
         (fun (page, hp) ->
           let pi = page_info sys node page in
-          event sys node (Obs.Trace.Home_wait { page });
+          if observing sys then event sys node (Obs.Trace.Home_wait { page });
           (* Nested home-wait span: the node stays accounted to its outer
              lock/barrier bucket, but the causal layer records which master
              copy's in-flight diffs it is pinned on. *)
@@ -98,8 +98,8 @@ let send_grant sys holder ~lock ~requester ~req_vt ~at =
   let ivs = Intervals.missing_intervals holder req_vt in
   let vt_copy = Proto.Vclock.copy holder.vt in
   let requester_node = sys.nodes.(requester) in
-  event sys holder
-    (Obs.Trace.Lock_grant { lock; dst = requester; intervals = List.length ivs });
+  if observing sys then
+    event sys holder (Obs.Trace.Lock_grant { lock; dst = requester; intervals = List.length ivs });
   send sys ~src:holder ~dst:requester ~at:(at +. inline_work) ~bytes:(grant_bytes sys ivs)
     ~update:0 (fun arrival ->
       Machine.Node.sync_to requester_node.mach arrival;
@@ -123,7 +123,7 @@ let receive_forward sys holder ~lock ~requester ~req_vt ~arrival =
   if ls.lk_held || ls.lk_waiting then begin
     assert (ls.lk_waiter = None);
     ls.lk_waiter <- Some (requester, req_vt);
-    event sys holder (Obs.Trace.Lock_queued { lock; requester })
+    if observing sys then event sys holder (Obs.Trace.Lock_queued { lock; requester })
   end
   else begin
     assert ls.lk_token;
@@ -149,24 +149,22 @@ let receive_request sys ~lock ~requester ~req_vt ~arrival =
       (fun arr -> receive_forward sys sys.nodes.(last) ~lock ~requester ~req_vt ~arrival:arr)
 
 let acquire sys node lock k =
-  node.stats.Stats.c.Stats.lock_acquires <- node.stats.Stats.c.Stats.lock_acquires + 1;
   let ls = lock_state sys node lock in
   assert (not ls.lk_held);
   assert (not ls.lk_waiting);
   if ls.lk_token then begin
     (* Token still here and nobody asked for it: free reacquire. *)
     ls.lk_held <- true;
-    event sys node (Obs.Trace.Lock_acquire { lock; remote = false });
+    record_lock_acquire sys node ~lock ~remote:false;
     block sys node ~resource:lock Wait_lock k;
     resume sys node ~at:node.mach.Machine.Node.ck.Machine.Node.clock
   end
   else begin
-    node.stats.Stats.c.Stats.remote_acquires <- node.stats.Stats.c.Stats.remote_acquires + 1;
     ls.lk_waiting <- true;
     (* Performing a remote acquire delimits the current interval. *)
     Intervals.end_interval sys node;
     block sys node ~resource:lock Wait_lock k;
-    event sys node (Obs.Trace.Lock_acquire { lock; remote = true });
+    record_lock_acquire sys node ~lock ~remote:true;
     let req_vt = Proto.Vclock.copy node.vt in
     let mgr = manager_of sys lock in
     if mgr = node.id then
@@ -264,7 +262,7 @@ let complete_barrier sys =
      releases go out, so everyone resumes against the new directory. *)
   Migration.run sys all_ivs;
   let c = costs sys in
-  event sys mgr (Obs.Trace.Barrier_release { epoch = bar.bar_epoch; gc });
+  if observing sys then event sys mgr (Obs.Trace.Barrier_release { epoch = bar.bar_epoch; gc });
   (* Releases to the other nodes, each with the records it lacks. *)
   List.iter
     (fun (from, vt, _) ->
@@ -302,7 +300,6 @@ let arrive sys ~from ~vt ~ivs ~mem =
 let note_node_death sys = if all_live_arrived sys then complete_barrier sys
 
 let barrier sys node k =
-  node.stats.Stats.c.Stats.barriers <- node.stats.Stats.c.Stats.barriers + 1;
   Stats.mark_epoch node.stats;
   Intervals.end_interval sys node;
   block sys node ~resource:sys.barrier.bar_epoch Wait_barrier k;
@@ -316,8 +313,7 @@ let barrier sys node k =
   node.reported <- Proto.Vclock.get node.vt node.id;
   let vt = Proto.Vclock.copy node.vt in
   let mem = Mem.Accounting.current node.stats.Stats.proto_mem in
-  event sys node
-    (Obs.Trace.Barrier_arrive { epoch = sys.barrier.bar_epoch; intervals = List.length own });
+  record_barrier_arrive sys node ~epoch:sys.barrier.bar_epoch ~intervals:(List.length own);
   if spans_on sys then event sys node (Obs.Trace.Mem_sample { bytes = mem });
   (* Eager RC: the barrier arrival waits for this node's update acks. *)
   rc_when_drained sys node (fun drain_at ->

@@ -593,23 +593,6 @@ let sample_metrics t ~time =
             (float_of_int (Mem.Accounting.current node.stats.Stats.proto_mem)))
         t.nodes
 
-(* Page-fault hook (entry of Faults.read_fault/write_fault): per-node fault
-   rate plus the per-page heatmap. *)
-let metrics_fault t node page =
-  match t.metrics with
-  | None -> ()
-  | Some ms ->
-      Obs.Metrics.add ms.ms_faults ~node:node.id
-        ~time:node.mach.Machine.Node.ck.Machine.Node.clock 1.;
-      Obs.Metrics.hit ms.ms_fault_heat ~page 1.
-
-(* Diff-creation hook (Intervals): the other half of the heatmap — a page
-   hot in faults *and* diffs under a fine interleaving is false sharing. *)
-let metrics_diff t page =
-  match t.metrics with
-  | None -> ()
-  | Some ms -> Obs.Metrics.hit ms.ms_diff_heat ~page 1.
-
 (* ------------------------------------------------------------------ *)
 (* Structured observability ([observing]/[event_at] live above [create]) *)
 
@@ -617,10 +600,163 @@ let metrics_diff t page =
 let event t node kind =
   if observing t then event_at t ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock kind
 
-(* Observer closure for diff-level emission ([Mem.Diff.apply ?obs]):
-   [None] when tracing is off so the hot path stays allocation-free. *)
-let diff_obs t node =
-  if observing t then Some (fun kind -> event t node kind) else None
+(* ------------------------------------------------------------------ *)
+(* Recording: the one place a protocol fact is counted. Each fact with a
+   report counter or a metric series has one function here that bumps its
+   [Stats] counters, feeds its [Obs.Metrics] series when the recorder is
+   installed, and emits its trace event, built only under a sink. The
+   protocol modules call these and touch none of the three. Messages are
+   recorded in [send] and [transport_notify], waits in [close_wait].
+   test/test_record.ml states how each counter, series and kind relate. *)
+
+let counters node = node.stats.Stats.c
+
+(* Every trapped access feeds the [faults] series and page heatmap; the
+   write ones also count in [write_faults]. *)
+let record_fault t node ~page ~write =
+  let c = counters node in
+  if write then c.Stats.write_faults <- c.Stats.write_faults + 1;
+  match t.metrics with
+  | Some ms ->
+      Obs.Metrics.add ms.ms_faults ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock 1.;
+      Obs.Metrics.hit ms.ms_fault_heat ~page 1.
+  | None -> ()
+
+(* A fault that fetches or collects its page (all but a home's first
+   touch of a page homed there); no series, no trace kind. *)
+let record_read_miss node =
+  let c = counters node in
+  c.Stats.read_misses <- c.Stats.read_misses + 1
+
+(* A home fetch of [page], with [extras] adjacent pages piggybacked. *)
+let record_page_fetch t node ~page ~home ~extras =
+  let c = counters node in
+  c.Stats.page_fetches <- c.Stats.page_fetches + 1;
+  if observing t then event t node (Obs.Trace.Page_fetch { page; home });
+  if extras > 0 then begin
+    c.Stats.batch_prefetches <- c.Stats.batch_prefetches + extras;
+    if observing t then event t node (Obs.Trace.Batch_fetch { page; home; pages = 1 + extras })
+  end
+
+let record_full_page_fetch t node ~page ~source =
+  let c = counters node in
+  c.Stats.page_fetches <- c.Stats.page_fetches + 1;
+  if observing t then event t node (Obs.Trace.Full_page_fetch { page; source })
+
+let record_fenced_fetch t node ~time ~page ~requester =
+  let c = counters node in
+  c.Stats.fenced_fetches <- c.Stats.fenced_fetches + 1;
+  if observing t then event_at t ~node:node.id ~time (Obs.Trace.Fenced_fetch { page; requester })
+
+let record_failover t node ~time ~page ~from_ ~to_ =
+  let c = counters node in
+  c.Stats.failovers <- c.Stats.failovers + 1;
+  if observing t then event_at t ~node:node.id ~time (Obs.Trace.Failover { page; from_; to_ })
+
+(* The [page_diffs] heatmap beside [page_faults]: a page hot in both
+   under a fine interleaving is false sharing. *)
+let record_diff_create t node diff =
+  let c = counters node and page = Mem.Diff.page diff in
+  c.Stats.diffs_created <- c.Stats.diffs_created + 1;
+  (match t.metrics with Some ms -> Obs.Metrics.hit ms.ms_diff_heat ~page 1. | None -> ());
+  if observing t then
+    event t node
+      (Obs.Trace.Diff_create
+         { page; words = Mem.Diff.word_count diff; bytes = Mem.Diff.size_bytes diff })
+
+(* A diff applied to [node]'s copy. Eager RC's push-time apply is not
+   [counted]: the member counts the push when it arrives
+   ([record_eager_update]). *)
+let record_diff_apply t node diff ~counted =
+  let c = counters node in
+  if counted then c.Stats.diffs_applied <- c.Stats.diffs_applied + 1;
+  if observing t then
+    event t node
+      (Obs.Trace.Diff_apply
+         { page = Mem.Diff.page diff; words = Mem.Diff.word_count diff;
+           bytes = Mem.Diff.size_bytes diff })
+
+let record_eager_update t member ~writer diff =
+  let c = counters member in
+  c.Stats.diffs_applied <- c.Stats.diffs_applied + 1;
+  if observing t then
+    event t member
+      (Obs.Trace.Eager_update { page = Mem.Diff.page diff; writer; bytes = Mem.Diff.size_bytes diff })
+
+(* A flush arriving at [home]; [applied] unless stashed behind a recovery
+   or already reflected in the master. *)
+let record_flush t home ~writer ~index diff ~applied =
+  let c = counters home in
+  if applied then c.Stats.diffs_applied <- c.Stats.diffs_applied + 1;
+  if observing t then
+    event t home
+      (Obs.Trace.Diff_flush
+         { page = Mem.Diff.page diff; writer; index; bytes = Mem.Diff.size_bytes diff })
+
+(* AURC: one [send] models the last of an interval's combined
+   automatic-update messages to a home; the [messages] before it are
+   counted here, header-only, with no series and no trace kind. *)
+let record_au_combined node ~messages =
+  let c = counters node in
+  c.Stats.messages <- c.Stats.messages + messages;
+  c.Stats.update_bytes <- c.Stats.update_bytes + (header_bytes * messages)
+
+let record_lock_acquire t node ~lock ~remote =
+  let c = counters node in
+  c.Stats.lock_acquires <- c.Stats.lock_acquires + 1;
+  if remote then c.Stats.remote_acquires <- c.Stats.remote_acquires + 1;
+  if observing t then event t node (Obs.Trace.Lock_acquire { lock; remote })
+
+let record_barrier_arrive t node ~epoch ~intervals =
+  let c = counters node in
+  c.Stats.barriers <- c.Stats.barriers + 1;
+  if observing t then event t node (Obs.Trace.Barrier_arrive { epoch; intervals })
+
+let record_gc_start t node =
+  let c = counters node in
+  c.Stats.gc_runs <- c.Stats.gc_runs + 1;
+  if observing t then
+    event t node
+      (Obs.Trace.Gc_start { mem_bytes = Mem.Accounting.current node.stats.Stats.proto_mem })
+
+(* [node] ships [page]'s master away; the new home [dst] counts it. *)
+let record_home_migration t node ~page ~dst =
+  let c = counters t.nodes.(dst) in
+  c.Stats.home_migrations <- c.Stats.home_migrations + 1;
+  if observing t then event t node (Obs.Trace.Home_migration { page; dst })
+
+(* Replica traffic from [node] to the backup [dst]: an update (a streamed
+   or archived diff of [bytes]) or a header-only invalidation. *)
+let record_repl t node ~time ~page ~dst ~bytes ~update =
+  let c = counters node in
+  if update then c.Stats.repl_updates <- c.Stats.repl_updates + 1
+  else c.Stats.repl_invals <- c.Stats.repl_invals + 1;
+  c.Stats.repl_bytes <- c.Stats.repl_bytes + bytes;
+  (match t.metrics with
+  | Some ms -> Obs.Metrics.add ms.ms_repl_bytes ~node:node.id ~time (float_of_int bytes)
+  | None -> ());
+  if observing t then
+    event_at t ~node:node.id ~time
+      (if update then Obs.Trace.Repl_update { page; dst; bytes }
+       else Obs.Trace.Repl_inval { page; dst })
+
+(* Failover recovery: a pull request or reply of [bytes] carrying [pulled]
+   retained diffs, or the promoted primary's apply of [applied] of them.
+   No series, no trace kind. *)
+let record_recovery node ~pulled ~bytes ~applied =
+  let c = counters node in
+  c.Stats.repl_updates <- c.Stats.repl_updates + pulled;
+  c.Stats.repl_bytes <- c.Stats.repl_bytes + bytes;
+  c.Stats.diffs_applied <- c.Stats.diffs_applied + applied
+
+(* The heartbeat detector's [by] starts ([raised]) or stops suspecting
+   [peer]. *)
+let record_suspicion t ~by ~peer ~time ~raised =
+  let c = counters t.nodes.(by) in
+  if raised then c.Stats.suspicions <- c.Stats.suspicions + 1
+  else c.Stats.refutations <- c.Stats.refutations + 1;
+  if observing t then
+    event_at t ~node:by ~time (if raised then Obs.Trace.Suspect { peer } else Obs.Trace.Refute { peer })
 
 (* ------------------------------------------------------------------ *)
 (* Page metadata                                                      *)
@@ -890,10 +1026,34 @@ let block t node ?(resource = 0) kind k =
   node.wait_span <-
     span_begin t ~node:node.id ~time:node.block_clock ~bucket:(bucket_of_kind kind) ~resource
 
-(* Resume the node's blocked process at simulated time [at]: the wait (minus
-   any request service charged to the node during the wait) is accounted to
-   the bucket matching the block kind, and the continuation is re-entered
-   through the engine so handler stacks unwind. *)
+(* Close the node's open wait: its time, less the request service charged
+   to the node meanwhile, goes to the Figure-3 bucket of [kind] and, when
+   the wait [resumes] the process, to that bucket's latency histogram; its
+   span ends. *)
+let close_wait t node kind ~resumes =
+  let clock = node.mach.Machine.Node.ck.Machine.Node.clock in
+  let wait = Float.max 0. (clock -. node.block_clock -. node.wait_services) in
+  let b = node.stats.Stats.b in
+  (match kind with
+  | Wait_data -> b.Stats.data <- b.Stats.data +. wait
+  | Wait_lock -> b.Stats.lock <- b.Stats.lock +. wait
+  | Wait_barrier -> b.Stats.barrier <- b.Stats.barrier +. wait
+  | Wait_gc -> b.Stats.gc <- b.Stats.gc +. wait);
+  (match t.metrics with
+  | Some ms when resumes -> (
+      match kind with
+      | Wait_data -> Obs.Metrics.observe ms.ms_fetch_us wait
+      | Wait_lock -> Obs.Metrics.observe ms.ms_lock_us wait
+      | Wait_barrier -> Obs.Metrics.observe ms.ms_barrier_us wait
+      | Wait_gc -> ())
+  | _ -> ());
+  span_end t ~node:node.id ~time:clock ~span:node.wait_span ~bucket:(bucket_of_kind kind)
+    ~resource:node.wait_resource;
+  node.wait_span <- -1
+
+(* Resume the node's blocked process at simulated time [at]: the wait is
+   closed into its bucket, and the continuation is re-entered through the
+   engine so handler stacks unwind. *)
 let resume t node ~at =
   if not (Array.unsafe_get t.alive node.id) then
     (* A crash-stopped node never runs again; late wakeups (e.g. a barrier
@@ -905,26 +1065,7 @@ let resume t node ~at =
       node.cont <- None;
       node.blocked <- None;
       Machine.Node.sync_to node.mach at;
-      let wait =
-        Float.max 0. (node.mach.Machine.Node.ck.Machine.Node.clock -. node.block_clock -. node.wait_services)
-      in
-      let b = node.stats.Stats.b in
-      (match kind with
-      | Wait_data -> b.Stats.data <- b.Stats.data +. wait
-      | Wait_lock -> b.Stats.lock <- b.Stats.lock +. wait
-      | Wait_barrier -> b.Stats.barrier <- b.Stats.barrier +. wait
-      | Wait_gc -> b.Stats.gc <- b.Stats.gc +. wait);
-      (match t.metrics with
-      | Some ms -> (
-          match kind with
-          | Wait_data -> Obs.Metrics.observe ms.ms_fetch_us wait
-          | Wait_lock -> Obs.Metrics.observe ms.ms_lock_us wait
-          | Wait_barrier -> Obs.Metrics.observe ms.ms_barrier_us wait
-          | Wait_gc -> ())
-      | None -> ());
-      span_end t ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock ~span:node.wait_span
-        ~bucket:(bucket_of_kind kind) ~resource:node.wait_resource;
-      node.wait_span <- -1;
+      close_wait t node kind ~resumes:true;
       if node.stall_mark >= 0. then begin
         (* This wait crossed a failover: the time since the failover fired
            is the recovery stall this fetch actually suffered. *)
@@ -947,17 +1088,7 @@ let rebucket_block t node ?(resource = 0) kind =
   match node.blocked with
   | None -> invalid_arg "System.rebucket_block: node is not blocked"
   | Some old_kind ->
-      let wait =
-        Float.max 0. (node.mach.Machine.Node.ck.Machine.Node.clock -. node.block_clock -. node.wait_services)
-      in
-      let b = node.stats.Stats.b in
-      (match old_kind with
-      | Wait_data -> b.Stats.data <- b.Stats.data +. wait
-      | Wait_lock -> b.Stats.lock <- b.Stats.lock +. wait
-      | Wait_barrier -> b.Stats.barrier <- b.Stats.barrier +. wait
-      | Wait_gc -> b.Stats.gc <- b.Stats.gc +. wait);
-      span_end t ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock ~span:node.wait_span
-        ~bucket:(bucket_of_kind old_kind) ~resource:node.wait_resource;
+      close_wait t node old_kind ~resumes:false;
       node.blocked <- Some kind;
       node.block_clock <- node.mach.Machine.Node.ck.Machine.Node.clock;
       node.wait_services <- 0.;
@@ -1128,6 +1259,16 @@ let deliver_repl_update t backup ~arrival ~page ~writer ~index diff =
   if index > Proto.Vclock.get rp.rp_flush writer then
     Proto.Vclock.set rp.rp_flush writer index
 
+(* Backup side of an archived diff (homeless writers, and the primary's
+   own diffs under [Inval]): kept with its writer's interval and vector
+   time, for failover to replay in causal order. *)
+let archive t backup ~arrival ~page ~writer ~index diff vt =
+  ignore (serve t backup ~arrival ~cost:2.);
+  let rp = replica_page t backup page in
+  rp.rp_archive <- (writer, index, diff, vt) :: rp.rp_archive;
+  Mem.Accounting.add backup.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
+  rp
+
 (* Keep [page]'s backups consistent after the primary applied a diff.
    [payload] forces a full-diff push regardless of scheme: the primary's
    own writes have no surviving writer to re-flush them after a crash, so
@@ -1150,28 +1291,16 @@ let propagate_update t prim ~page ~writer ~index ~diff ~vt ~at ~payload =
   match replica_ranks t page with
   | None -> ()
   | Some ranks ->
-      let scheme = t.cfg.Config.repl_scheme in
-      let full = payload || scheme = Config.Backup in
-      let c = prim.stats.Stats.c in
       Array.iter
         (fun r ->
           if r <> prim.id && Array.unsafe_get t.alive r then
-            if full && scheme = Config.Backup then begin
+            if t.cfg.Config.repl_scheme = Config.Backup then begin
               let bytes = header_bytes + Mem.Diff.size_bytes diff in
-              c.Stats.repl_updates <- c.Stats.repl_updates + 1;
-              c.Stats.repl_bytes <- c.Stats.repl_bytes + bytes;
-              if observing t then
-                event_at t ~node:prim.id ~time:at
-                  (Obs.Trace.Repl_update { page; dst = r; bytes });
-              (match t.metrics with
-              | Some ms ->
-                  Obs.Metrics.add ms.ms_repl_bytes ~node:prim.id ~time:at
-                    (float_of_int bytes)
-              | None -> ());
+              record_repl t prim ~time:at ~page ~dst:r ~bytes ~update:true;
               send t ~src:prim ~dst:r ~at ~bytes ~update:0 (fun arrival ->
                   deliver_repl_update t t.nodes.(r) ~arrival ~page ~writer ~index diff)
             end
-            else if full then begin
+            else if payload then begin
               (* Inval scheme, payload push: archive at the backup. *)
               let vt =
                 match vt with
@@ -1181,35 +1310,14 @@ let propagate_update t prim ~page ~writer ~index ~diff ~vt ~at ~payload =
               let bytes =
                 header_bytes + Mem.Diff.size_bytes diff + Proto.Vclock.size_bytes vt
               in
-              c.Stats.repl_updates <- c.Stats.repl_updates + 1;
-              c.Stats.repl_bytes <- c.Stats.repl_bytes + bytes;
-              if observing t then
-                event_at t ~node:prim.id ~time:at
-                  (Obs.Trace.Repl_update { page; dst = r; bytes });
-              (match t.metrics with
-              | Some ms ->
-                  Obs.Metrics.add ms.ms_repl_bytes ~node:prim.id ~time:at
-                    (float_of_int bytes)
-              | None -> ());
+              record_repl t prim ~time:at ~page ~dst:r ~bytes ~update:true;
               send t ~src:prim ~dst:r ~at ~bytes ~update:0 (fun arrival ->
-                  let backup = t.nodes.(r) in
-                  ignore (serve t backup ~arrival ~cost:2.);
-                  let rp = replica_page t backup page in
-                  rp.rp_archive <- (writer, index, diff, vt) :: rp.rp_archive;
-                  Mem.Accounting.add backup.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
+                  let rp = archive t t.nodes.(r) ~arrival ~page ~writer ~index diff vt in
                   if index > Proto.Vclock.get rp.rp_flush writer then
                     Proto.Vclock.set rp.rp_flush writer index)
             end
             else begin
-              c.Stats.repl_invals <- c.Stats.repl_invals + 1;
-              c.Stats.repl_bytes <- c.Stats.repl_bytes + header_bytes;
-              (match t.metrics with
-              | Some ms ->
-                  Obs.Metrics.add ms.ms_repl_bytes ~node:prim.id ~time:at
-                    (float_of_int header_bytes)
-              | None -> ());
-              if observing t then
-                event_at t ~node:prim.id ~time:at (Obs.Trace.Repl_inval { page; dst = r });
+              record_repl t prim ~time:at ~page ~dst:r ~bytes:header_bytes ~update:false;
               send t ~src:prim ~dst:r ~at ~bytes:header_bytes ~update:0 (fun arrival ->
                   ignore (serve t t.nodes.(r) ~arrival ~cost:2.))
             end)
@@ -1225,28 +1333,14 @@ let propagate_archive t writer ~page ~index ~diff ~vt ~at =
   match replica_ranks t page with
   | None -> ()
   | Some ranks ->
-      let c = writer.stats.Stats.c in
       Array.iter
         (fun r ->
           if r <> writer.id && Array.unsafe_get t.alive r then begin
             let bytes = header_bytes + Mem.Diff.size_bytes diff in
-            c.Stats.repl_updates <- c.Stats.repl_updates + 1;
-            c.Stats.repl_bytes <- c.Stats.repl_bytes + bytes;
-            (match t.metrics with
-            | Some ms ->
-                Obs.Metrics.add ms.ms_repl_bytes ~node:writer.id ~time:at
-                  (float_of_int bytes)
-            | None -> ());
-            if observing t then
-              event_at t ~node:writer.id ~time:at
-                (Obs.Trace.Repl_update { page; dst = r; bytes });
+            record_repl t writer ~time:at ~page ~dst:r ~bytes ~update:true;
             let wid = writer.id in
             send t ~src:writer ~dst:r ~at ~bytes ~update:0 (fun arrival ->
-                let backup = t.nodes.(r) in
-                ignore (serve t backup ~arrival ~cost:2.);
-                let rp = replica_page t backup page in
-                rp.rp_archive <- (wid, index, diff, vt) :: rp.rp_archive;
-                Mem.Accounting.add backup.stats.Stats.proto_mem (Mem.Diff.size_bytes diff))
+                ignore (archive t t.nodes.(r) ~arrival ~page ~writer:wid ~index diff vt))
           end)
         ranks
 

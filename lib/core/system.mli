@@ -269,15 +269,6 @@ val metrics_registry : t -> Obs.Metrics.t option
     off. *)
 val sample_metrics : t -> time:float -> unit
 
-(** Record a page fault on [node] for the per-node fault series and the
-    page heatmap (called at the entry of [Faults.read_fault] /
-    [write_fault]). No-op when metrics are off. *)
-val metrics_fault : t -> node_state -> int -> unit
-
-(** Record a diff creation against a page for the diff heatmap. No-op when
-    metrics are off. *)
-val metrics_diff : t -> int -> unit
-
 (** {1 Structured observability}
 
     Protocol modules report what they do as typed {!Obs.Trace.kind} events,
@@ -295,9 +286,67 @@ val event : t -> node_state -> Obs.Trace.kind -> unit
     receiving node's clock has not been synced yet). *)
 val event_at : t -> node:int -> time:float -> Obs.Trace.kind -> unit
 
-(** Observer closure for {!Mem.Diff.apply}'s [?obs] hook, attributing
-    diff-level events to [node]; [None] when tracing is off. *)
-val diff_obs : t -> node_state -> (Obs.Trace.kind -> unit) option
+(** {1 Recording}
+
+    The one place a protocol fact is counted: each function bumps the
+    fact's {!Stats} counters, feeds its {!Obs.Metrics} series when the
+    recorder is installed, and emits its trace event (built only under a
+    sink). Messages are recorded in {!send}, waits in {!resume} and
+    {!rebucket_block}. Events go at the node's clock unless [time] is
+    given. *)
+
+(** A trapped access: the [faults] series and heatmap, and [write_faults]
+    when [write]. *)
+val record_fault : t -> node_state -> page:int -> write:bool -> unit
+
+(** [read_misses]: a fault that fetches or collects its page. *)
+val record_read_miss : node_state -> unit
+
+(** A home fetch with [extras] piggybacked pages ([page_fetches],
+    [batch_prefetches]; [Page_fetch], and [Batch_fetch] if [extras > 0]). *)
+val record_page_fetch : t -> node_state -> page:int -> home:int -> extras:int -> unit
+
+val record_full_page_fetch : t -> node_state -> page:int -> source:int -> unit
+
+val record_fenced_fetch : t -> node_state -> time:float -> page:int -> requester:int -> unit
+
+val record_failover : t -> node_state -> time:float -> page:int -> from_:int -> to_:int -> unit
+
+val record_diff_create : t -> node_state -> Mem.Diff.t -> unit
+
+(** [Diff_apply], and [diffs_applied] when [counted] (eager RC counts its
+    push-time applies on arrival, by {!record_eager_update}). *)
+val record_diff_apply : t -> node_state -> Mem.Diff.t -> counted:bool -> unit
+
+val record_eager_update : t -> node_state -> writer:int -> Mem.Diff.t -> unit
+
+(** [Diff_flush] at the home, and [diffs_applied] when [applied]. *)
+val record_flush :
+  t -> node_state -> writer:int -> index:int -> Mem.Diff.t -> applied:bool -> unit
+
+(** AURC: [messages] combined automatic-update messages beyond the one
+    {!send} models ([messages], header-only [update_bytes]). *)
+val record_au_combined : node_state -> messages:int -> unit
+
+val record_lock_acquire : t -> node_state -> lock:int -> remote:bool -> unit
+
+val record_barrier_arrive : t -> node_state -> epoch:int -> intervals:int -> unit
+
+val record_gc_start : t -> node_state -> unit
+
+(** The node ships the page's master away; the new home [dst] counts it. *)
+val record_home_migration : t -> node_state -> page:int -> dst:int -> unit
+
+(** A replica update ([update]) or invalidation of [bytes] to [dst]. *)
+val record_repl :
+  t -> node_state -> time:float -> page:int -> dst:int -> bytes:int -> update:bool -> unit
+
+(** Failover recovery: a pull request or reply carrying [pulled] diffs, or
+    the apply of [applied] ([repl_updates], [repl_bytes], [diffs_applied]). *)
+val record_recovery : node_state -> pulled:int -> bytes:int -> applied:int -> unit
+
+(** The detector's [by] starts ([raised]) or stops suspecting [peer]. *)
+val record_suspicion : t -> by:int -> peer:int -> time:float -> raised:bool -> unit
 
 (** Whether the causal layer is live: {!Config.trace_spans} is set {e and}
     a typed sink is installed. Gates every new-schema event so default

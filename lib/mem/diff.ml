@@ -27,9 +27,7 @@ let word_count t = Array.length t.values
 
 let size_bytes t = header_bytes + (entry_bytes * Array.length t.values)
 
-(* The typed event for a diff construction, for callers that observe the
-   operation (the node and timestamp attribution live with the caller). *)
-let created_event t = Obs.Trace.Diff_create { page = t.page; words = word_count t; bytes = size_bytes t }
+let page t = t.page
 
 (* Trailing zeros of each non-zero byte value: the position of its lowest
    set bit. *)
@@ -105,7 +103,7 @@ let create ~page ~twin ~current =
   done;
   of_full ~page mask values
 
-let apply ?obs t data =
+let apply t data =
   let n = Words.length data in
   let first = t.first and mask = t.mask and values = t.values in
   let k = ref 0 in
@@ -118,12 +116,7 @@ let apply ?obs t data =
       incr k;
       bits := !bits land (!bits - 1)
     done
-  done;
-  match obs with
-  | Some emit ->
-      emit
-        (Obs.Trace.Diff_apply { page = t.page; words = word_count t; bytes = size_bytes t })
-  | None -> ()
+  done
 
 let is_empty t = Array.length t.values = 0
 

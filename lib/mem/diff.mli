@@ -16,16 +16,11 @@ type t
     matching memcmp-based diffing. Both must have equal length. *)
 val create : page:int -> twin:Words.t -> current:Words.t -> t
 
-(** [apply ?obs t data] writes the diff's words into [data]. When [obs] is
-    given, a typed {!Obs.Trace.Diff_apply} event (page, changed words, wire
-    bytes) is emitted through it — the structured-observability hook the
-    simulator's runtime threads down here so every observed diff
-    application is attributed to the node whose copy it mutates. *)
-val apply : ?obs:(Obs.Trace.kind -> unit) -> t -> Words.t -> unit
+(** [apply t data] writes the diff's words into [data]. *)
+val apply : t -> Words.t -> unit
 
-(** The {!Obs.Trace.Diff_create} event describing this diff, for callers
-    that observe diff construction. *)
-val created_event : t -> Obs.Trace.kind
+(** The page the diff was taken of. *)
+val page : t -> int
 
 val is_empty : t -> bool
 
