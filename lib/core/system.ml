@@ -618,7 +618,8 @@ let record_fault t node ~page ~write =
   if write then c.Stats.write_faults <- c.Stats.write_faults + 1;
   match t.metrics with
   | Some ms ->
-      Obs.Metrics.add ms.ms_faults ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock 1.;
+      Obs.Metrics.add ms.ms_faults ~node:node.id
+        ~time:node.mach.Machine.Node.ck.Machine.Node.clock 1.;
       Obs.Metrics.hit ms.ms_fault_heat ~page 1.
   | None -> ()
 
@@ -681,7 +682,8 @@ let record_eager_update t member ~writer diff =
   c.Stats.diffs_applied <- c.Stats.diffs_applied + 1;
   if observing t then
     event t member
-      (Obs.Trace.Eager_update { page = Mem.Diff.page diff; writer; bytes = Mem.Diff.size_bytes diff })
+      (Obs.Trace.Eager_update
+         { page = Mem.Diff.page diff; writer; bytes = Mem.Diff.size_bytes diff })
 
 (* A flush arriving at [home]; [applied] unless stashed behind a recovery
    or already reflected in the master. *)
@@ -756,7 +758,8 @@ let record_suspicion t ~by ~peer ~time ~raised =
   if raised then c.Stats.suspicions <- c.Stats.suspicions + 1
   else c.Stats.refutations <- c.Stats.refutations + 1;
   if observing t then
-    event_at t ~node:by ~time (if raised then Obs.Trace.Suspect { peer } else Obs.Trace.Refute { peer })
+    event_at t ~node:by ~time
+      (if raised then Obs.Trace.Suspect { peer } else Obs.Trace.Refute { peer })
 
 (* ------------------------------------------------------------------ *)
 (* Page metadata                                                      *)

@@ -28,5 +28,6 @@ let () =
       ("failover", Test_failover.suite);
       ("detector", Test_detector.suite);
       ("metrics", Test_metrics.suite);
+      ("record", Test_record.suite);
       ("kvstore", Test_kvstore.suite);
     ]

@@ -72,43 +72,45 @@ let expected program =
     program.ops;
   mem
 
-let run_program protocol program =
+(* The program as an SPMD body; at the end every process checks the whole
+   memory, and names [label] in a mismatch. *)
+let body ~label program ctx =
   let total_words = (program.nlocks + program.nprocs) * program.region_words in
-  let app ctx =
-    let me = Svm.Api.pid ctx in
-    if me = 0 then ignore (Svm.Api.malloc ctx ~name:"mem" total_words);
-    Svm.Api.barrier ctx;
-    let mem = Svm.Api.root ctx "mem" in
-    List.iter
-      (fun op ->
-        match op with
-        | Locked_add { lock; value } ->
-            Svm.Api.lock ctx lock;
-            let base = mem + (lock * program.region_words) in
-            for i = 0 to program.region_words - 1 do
-              Svm.Api.write_int ctx (base + i) (Svm.Api.read_int ctx (base + i) + value)
-            done;
-            Svm.Api.unlock ctx lock
-        | Private_write { round } ->
-            let base = mem + ((program.nlocks + me) * program.region_words) in
-            for i = 0 to program.region_words - 1 do
-              Svm.Api.write_int ctx (base + i) ((round * 100) + i)
-            done
-        | Do_barrier -> Svm.Api.barrier ctx)
-      program.ops.(me);
-    Svm.Api.barrier ctx;
-    (* every process checks the whole memory *)
-    let want = expected program in
-    Array.iteri
-      (fun i w ->
-        let got = Svm.Api.read_int ctx (mem + i) in
-        if got <> w then
-          failwith
-            (Printf.sprintf "pid %d under %s: mem[%d] = %d, want %d" me
-               (Svm.Config.protocol_name protocol) i got w))
-      want
-  in
-  Svm.Runtime.run (Svm.Config.make ~nprocs:program.nprocs protocol) app
+  let me = Svm.Api.pid ctx in
+  if me = 0 then ignore (Svm.Api.malloc ctx ~name:"mem" total_words);
+  Svm.Api.barrier ctx;
+  let mem = Svm.Api.root ctx "mem" in
+  List.iter
+    (fun op ->
+      match op with
+      | Locked_add { lock; value } ->
+          Svm.Api.lock ctx lock;
+          let base = mem + (lock * program.region_words) in
+          for i = 0 to program.region_words - 1 do
+            Svm.Api.write_int ctx (base + i) (Svm.Api.read_int ctx (base + i) + value)
+          done;
+          Svm.Api.unlock ctx lock
+      | Private_write { round } ->
+          let base = mem + ((program.nlocks + me) * program.region_words) in
+          for i = 0 to program.region_words - 1 do
+            Svm.Api.write_int ctx (base + i) ((round * 100) + i)
+          done
+      | Do_barrier -> Svm.Api.barrier ctx)
+    program.ops.(me);
+  Svm.Api.barrier ctx;
+  (* every process checks the whole memory *)
+  let want = expected program in
+  Array.iteri
+    (fun i w ->
+      let got = Svm.Api.read_int ctx (mem + i) in
+      if got <> w then
+        failwith (Printf.sprintf "pid %d under %s: mem[%d] = %d, want %d" me label i got w))
+    want
+
+let run_program protocol program =
+  Svm.Runtime.run
+    (Svm.Config.make ~nprocs:program.nprocs protocol)
+    (body ~label:(Svm.Config.protocol_name protocol) program)
 
 let prop_protocol protocol =
   QCheck.Test.make
