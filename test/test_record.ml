@@ -428,7 +428,7 @@ let prop_counters protocol =
     ~name:
       (Printf.sprintf "counters and series match the trace under %s"
          (Svm.Config.protocol_name protocol))
-    ~count:8
+    ~count:15
     (QCheck.make QCheck.Gen.(pair Test_random.gen_program small_nat))
     (fun (program, seed) ->
       List.iter
