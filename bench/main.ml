@@ -19,7 +19,7 @@ let known_artifacts =
     "sor-zero"; "aurc"; "protocols"; "ablation-homes"; "ablation-network";
     "ablation-pagesize"; "ablation-locks"; "ablation-migration"; "ablation-fault-batch"; "chaos-soak";
     "kill-soak"; "availability"; "partition-soak"; "suspicion-soak"; "detector";
-    "profile"; "timeline"; "kvstore-skew"; "perf"; "micro"; "all";
+    "profile"; "timeline"; "kvstore-skew"; "micro"; "all";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -107,7 +107,7 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let main (c : Harness.Cli.common) ~nodes ~jobs ~perf_out artifacts =
+let main (c : Harness.Cli.common) ~nodes ~jobs artifacts =
   let ppf = Format.std_formatter in
   let sink =
     Option.map (fun _ -> Obs.Trace.create_sink ~capacity:c.trace_cap ()) c.trace_out
@@ -162,12 +162,6 @@ let main (c : Harness.Cli.common) ~nodes ~jobs ~perf_out artifacts =
         Harness.Ablations.aurc_comparison ppf m ~node_counts
     | "ablation-migration" -> Harness.Ablations.home_migration ppf ~pool ~scale ~node_counts ()
     | "ablation-fault-batch" -> Harness.Ablations.fault_batch ppf ~pool ~scale ~node_counts ()
-    | "perf" ->
-        let results = Harness.Perf.run_all () in
-        Harness.Perf.pp_table ppf results;
-        Option.iter
-          (fun file -> Obs.Export.write_json ~what:"perf" file (Harness.Perf.to_json results))
-          perf_out
     | soak when List.mem soak Harness.Soak.names ->
         if not (Harness.Soak.report ppf ~pool ~scale soak) then incr failures
     | "profile" ->
@@ -220,13 +214,6 @@ let () =
             "Evaluate independent cells on $(docv) domains (default: the recommended domain \
              count - 1). Output is byte-identical to --jobs 1.")
   in
-  let perf_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perf-out" ] ~docv:"FILE"
-          ~doc:"Write the perf artifact's cells (events/sec, minor words/event, wall) as JSON.")
-  in
   let artifacts =
     Arg.(
       value
@@ -250,18 +237,15 @@ let () =
          every cell; chaos-soak and ablation-fault-batch sweep their own. The fault-schedule \
          and failure-detector knobs are svm_run's; the soak artifacts build those plans \
          internally.";
-      `P "perf runs the fixed cells of the CI perf gate; --perf-out writes them as JSON.";
     ]
   in
   let doc = "regenerate the paper's tables and figures on the simulated SVM system" in
-  let c, nodes, jobs, perf_out, artifacts =
+  let c, nodes, jobs, artifacts =
     Harness.Cli.eval (Cmd.info "bench" ~doc ~man)
-      Term.(
-        const (fun c n j p a -> (c, n, j, p, a))
-        $ Harness.Cli.common $ nodes $ jobs $ perf_out $ artifacts)
+      Term.(const (fun c n j a -> (c, n, j, a)) $ Harness.Cli.common $ nodes $ jobs $ artifacts)
   in
   (* An unwritable output file is one line and exit 2. *)
-  try main c ~nodes ~jobs ~perf_out artifacts
+  try main c ~nodes ~jobs artifacts
   with Failure msg ->
     Printf.eprintf "bench: %s\n" msg;
     exit 2
