@@ -241,6 +241,39 @@ let memory_digest sys =
   done;
   !h
 
+(* Heapsort: build a max-heap, then move the maximum behind the shrinking
+   heap. The sift compares and moves floats in place; an out-of-module
+   comparison function would box both arguments of every comparison. *)
+let sort_floats (a : float array) =
+  (* Sinks the element at [root] into the max-heap [a.(0 .. len - 1)]. *)
+  let sift root len =
+    let v = a.(root) in
+    let i = ref root and moving = ref true in
+    while !moving do
+      let left = (2 * !i) + 1 in
+      if left >= len then moving := false
+      else begin
+        let child = if left + 1 < len && a.(left + 1) > a.(left) then left + 1 else left in
+        if a.(child) > v then begin
+          a.(!i) <- a.(child);
+          i := child
+        end
+        else moving := false
+      end
+    done;
+    a.(!i) <- v
+  in
+  let n = Array.length a in
+  for root = (n / 2) - 1 downto 0 do
+    sift root n
+  done;
+  for last = n - 1 downto 1 do
+    let max = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- max;
+    sift 0 last
+  done
+
 let collect sys =
   let nodes =
     Array.map
@@ -280,7 +313,7 @@ let collect sys =
       | None -> None
       | Some s ->
           let lats = Array.sub s.System.sv_lats 0 s.System.sv_count in
-          Stats.sort_floats lats;
+          sort_floats lats;
           Some
             {
               or_gets = s.System.sv_gets;

@@ -84,3 +84,9 @@ val run :
   report
 
 val pp_report : Format.formatter -> report -> unit
+
+(** [sort_floats a] sorts [a] ascending in place: a heapsort specialised
+    to float arrays, so it neither boxes an element nor allocates a
+    buffer. Without NaNs and negative zeros its result is bit for bit
+    that of [Array.sort Float.compare]. *)
+val sort_floats : float array -> unit

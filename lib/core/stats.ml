@@ -191,39 +191,6 @@ let quantile sorted p =
   else
     Some sorted.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
 
-(* Heapsort: build a max-heap, then move the maximum behind the shrinking
-   heap. The sift compares and moves floats in place; an out-of-module
-   comparison function would box both arguments of every comparison. *)
-let sort_floats (a : float array) =
-  (* Sinks the element at [root] into the max-heap [a.(0 .. len - 1)]. *)
-  let sift root len =
-    let v = a.(root) in
-    let i = ref root and moving = ref true in
-    while !moving do
-      let left = (2 * !i) + 1 in
-      if left >= len then moving := false
-      else begin
-        let child = if left + 1 < len && a.(left + 1) > a.(left) then left + 1 else left in
-        if a.(child) > v then begin
-          a.(!i) <- a.(child);
-          i := child
-        end
-        else moving := false
-      end
-    done;
-    a.(!i) <- v
-  in
-  let n = Array.length a in
-  for root = (n / 2) - 1 downto 0 do
-    sift root n
-  done;
-  for last = n - 1 downto 1 do
-    let max = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- max;
-    sift 0 last
-  done
-
 let pp_breakdown ppf b =
   Format.fprintf ppf
     "@[<h>compute=%.0f data=%.0f lock=%.0f barrier=%.0f proto=%.0f gc=%.0f@]"

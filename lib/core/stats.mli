@@ -104,10 +104,4 @@ val epoch_deltas : t -> breakdown list
     and mirrored by the log2 histogram quantiles in [Obs.Metrics]. *)
 val quantile : float array -> float -> float option
 
-(** [sort_floats a] sorts [a] ascending in place: a heapsort specialised
-    to float arrays, so it neither boxes an element nor allocates a
-    buffer. Without NaNs and negative zeros its result is bit for bit
-    that of [Array.sort Float.compare]. *)
-val sort_floats : float array -> unit
-
 val pp_breakdown : Format.formatter -> breakdown -> unit

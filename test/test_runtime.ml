@@ -153,6 +153,27 @@ let test_home_policies () =
       ignore r)
     [ Svm.Config.Round_robin; Svm.Config.Block; Svm.Config.Allocator ]
 
+(* The serving latencies' in-place sort against the stdlib's, bit for bit.
+   Latencies are never NaN or -0.0, so neither is drawn (a -0.0 draw is
+   folded into +0.0); duplicates and +0.0 are. *)
+let prop_sort_floats =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map (fun x -> if x = 0. then 0. else x) (float_range (-1e6) 1e6));
+          (2, oneofl [ 0.0; 1.0; 42.5; 1e9 ]);
+          (1, map float_of_int (int_bound 10));
+        ])
+  in
+  QCheck.Test.make ~name:"sort_floats matches Array.sort" ~count:200
+    (QCheck.make QCheck.Gen.(array_size (int_bound 2000) value))
+    (fun a ->
+      let expected = Array.copy a and sorted = Array.copy a in
+      Array.sort Float.compare expected;
+      Svm.Runtime.sort_floats sorted;
+      Array.map Int64.bits_of_float sorted = Array.map Int64.bits_of_float expected)
+
 let suite =
   [
     ("malloc and roots", `Quick, test_malloc_and_roots);
@@ -167,4 +188,5 @@ let suite =
     ("breakdown covers elapsed", `Quick, test_breakdown_covers_elapsed);
     ("timing window", `Quick, test_timing_window);
     ("home policies", `Quick, test_home_policies);
+    QCheck_alcotest.to_alcotest prop_sort_floats;
   ]

@@ -261,27 +261,6 @@ let test_mean_compute_balanced () =
   in
   check (Alcotest.float 1.) "mean compute" 1000. (Svm.Runtime.mean_compute r)
 
-(* The serving latencies' in-place sort against the stdlib's, bit for bit.
-   Latencies are never NaN or -0.0, so neither is drawn (a -0.0 draw is
-   folded into +0.0); duplicates and +0.0 are. *)
-let prop_sort_floats =
-  let value =
-    QCheck.Gen.(
-      frequency
-        [
-          (4, map (fun x -> if x = 0. then 0. else x) (float_range (-1e6) 1e6));
-          (2, oneofl [ 0.0; 1.0; 42.5; 1e9 ]);
-          (1, map float_of_int (int_bound 10));
-        ])
-  in
-  QCheck.Test.make ~name:"sort_floats matches Array.sort" ~count:200
-    (QCheck.make QCheck.Gen.(array_size (int_bound 2000) value))
-    (fun a ->
-      let expected = Array.copy a and sorted = Array.copy a in
-      Array.sort Float.compare expected;
-      Svm.Stats.sort_floats sorted;
-      Array.map Int64.bits_of_float sorted = Array.map Int64.bits_of_float expected)
-
 let suite =
   [
     ("breakdown arithmetic", `Quick, test_breakdown_arithmetic);
@@ -295,5 +274,4 @@ let suite =
     ("home effect: no diffs (paper 4.4)", `Quick, test_home_effect_no_diffs);
     ("update-traffic trade-off", `Quick, test_update_traffic_tradeoff);
     ("mean compute", `Quick, test_mean_compute_balanced);
-    QCheck_alcotest.to_alcotest prop_sort_floats;
   ]
