@@ -80,15 +80,14 @@ let reapply_own_diffs sys node pi entry =
    (possible when a false-sharing invalidation hit a page the node was
    still writing); under AURC's write-through the copy already holds them.
    The replaced copy goes back on the run's free list, after the node's
-   own writes were diffed out of it. *)
+   own writes were diffed out of it. The new twin is the received copy, so
+   the copy differs from it only at [own]'s words, which the written-word
+   log already holds: the log is kept. *)
 let install_copy sys entry (data : Mem.Words.t) =
   let old = entry.Mem.Page_table.data in
   (match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
-  | true, Some twin ->
-      let own =
-        Mem.Diff.create ~page:entry.Mem.Page_table.page ~twin
-          ~current:(Mem.Page_table.data_exn entry)
-      in
+  | true, Some _ ->
+      let own = Mem.Diff.of_entry ~check:sys.cfg.Config.paranoid entry in
       entry.Mem.Page_table.data <- Some data;
       entry.Mem.Page_table.twin <- Some (Mem.Words.copy data);
       Mem.Diff.apply own data
@@ -96,7 +95,7 @@ let install_copy sys entry (data : Mem.Words.t) =
   | true, None -> invalid_arg "install_copy: dirty page without twin"
   | false, _ ->
       entry.Mem.Page_table.data <- Some data;
-      entry.Mem.Page_table.twin <- None);
+      Mem.Page_table.drop_twin entry);
   match old with Some frame -> Mem.Words.release sys.frames frame | None -> ()
 
 (* A home-fetch reply: install the snapshot and open the page up. *)

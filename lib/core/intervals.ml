@@ -109,16 +109,10 @@ let deliver_flush sys home_node ~arrival ~writer ~index ~page diff =
   serve_pending_fetches hp ~at:done_t;
   record_flush sys home_node ~writer ~index diff ~applied
 
-let twin_of entry =
-  match entry.Mem.Page_table.twin with
-  | Some t -> t
-  | None -> invalid_arg "end_interval: dirty page without twin"
-
 (* Diff a dirty page against its twin, and trade the twin's memory for the
    diff's. *)
-let take_diff sys node entry twin =
-  let page = entry.Mem.Page_table.page in
-  let diff = Mem.Diff.create ~page ~twin ~current:(Mem.Page_table.data_exn entry) in
+let take_diff sys node entry =
+  let diff = Mem.Diff.of_entry ~check:sys.cfg.Config.paranoid entry in
   record_diff_create sys node diff;
   Mem.Page_table.drop_twin entry;
   Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Layout.page_bytes sys.layout);
@@ -159,7 +153,7 @@ let end_interval sys node =
             (* Eager RC (paper 2, Munin-style): diff the page and push the
                update to every other node caching it; the acknowledgements
                gate this node's next lock handoff or barrier arrival. *)
-            let diff = take_diff sys node entry (twin_of entry) in
+            let diff = take_diff sys node entry in
             let done_t = local_protocol_work sys node ~cost:(diff_create_cost c ~page_words) in
             Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
             finish_page entry;
@@ -234,14 +228,14 @@ let end_interval sys node =
               let hp = home_page sys node page in
               (if replicated sys then
                  match entry.Mem.Page_table.twin with
-                 | Some twin ->
+                 | Some _ ->
                      (* Retain the diff here too, like any non-home writer:
                         the stream to the backups can be in flight (or
                         silenced by a gray failure) at the moment a
                         suspicion quorum deposes this node, and the
                         promotion pull must then be able to recover the
                         ex-home's own writes from the ex-home itself. *)
-                     let diff = take_diff sys node entry twin in
+                     let diff = take_diff sys node entry in
                      let done_t =
                        local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
                      in
@@ -258,7 +252,7 @@ let end_interval sys node =
               serve_pending_fetches hp ~at:node.mach.Machine.Node.ck.Machine.Node.clock
             end
             else begin
-              let diff = take_diff sys node entry (twin_of entry) in
+              let diff = take_diff sys node entry in
               let done_t =
                 local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
               in
@@ -284,7 +278,7 @@ let end_interval sys node =
           end
           else begin
             (* Homeless: create the diff and retain it until GC. *)
-            let diff = take_diff sys node entry (twin_of entry) in
+            let diff = take_diff sys node entry in
             ignore (local_protocol_work sys node ~cost:(diff_create_cost c ~page_words));
             let vt =
               match vt_snap with Some vt -> vt | None -> assert false

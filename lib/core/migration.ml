@@ -99,7 +99,7 @@ let transfer sys ~page ~old_home ~new_home ~at =
       let done_t = serve sys new_node ~arrival ~cost:decision_cost_per_page in
       let entry = Mem.Page_table.ensure new_node.pt page in
       entry.Mem.Page_table.data <- Some snapshot;
-      entry.Mem.Page_table.twin <- None;
+      Mem.Page_table.drop_twin entry;
       entry.Mem.Page_table.mirror <- None;
       entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
       let hp_new = home_page sys new_node page in

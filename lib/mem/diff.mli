@@ -16,6 +16,18 @@ type t
     matching memcmp-based diffing. Both must have equal length. *)
 val create : page:int -> twin:Words.t -> current:Words.t -> t
 
+(** [of_entry ~check e] is the diff of [e]'s local copy against its twin:
+    every diff a protocol takes is built here. While [e]'s written-word log
+    holds, it sorts and deduplicates the log in place and compares only the
+    logged words; a saturated log falls back to {!create}'s full scan. The
+    result is {!create}'s either way, provided the copy changed since the
+    twin was made only through logged stores, or by changes applied to the
+    twin as well. With [~check:true] (under [Config.paranoid]) a logged
+    diff is compared with the full scan's.
+    @raise Invalid_argument if [e] has no twin or no local copy.
+    @raise Failure if [~check] finds the two diffs differ. *)
+val of_entry : check:bool -> Page_table.entry -> t
+
 (** [apply t data] writes the diff's words into [data]. *)
 val apply : t -> Words.t -> unit
 

@@ -107,9 +107,12 @@ let body ~label program ctx =
         failwith (Printf.sprintf "pid %d under %s: mem[%d] = %d, want %d" me label i got w))
     want
 
+(* Paranoid: every diff taken from a written-word log is checked against
+   the full scan. The 3-40-word locked regions leave pages with logs that
+   hold and logs that saturate. *)
 let run_program protocol program =
   Svm.Runtime.run
-    (Svm.Config.make ~nprocs:program.nprocs protocol)
+    (Svm.Config.make ~paranoid:true ~nprocs:program.nprocs protocol)
     (body ~label:(Svm.Config.protocol_name protocol) program)
 
 let prop_protocol protocol =

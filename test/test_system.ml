@@ -107,6 +107,43 @@ let test_serve_placement () =
   check Alcotest.(pair int int) "HLRC on compute" (1, 0) (probe Svm.Config.Hlrc);
   check Alcotest.(pair int int) "OHLRC on coproc" (0, 1) (probe Svm.Config.Ohlrc)
 
+(* A store allocates nothing, whether its page's written-word log holds
+   (a twinned page, written fewer times than the log has slots) or is
+   saturated (a page without a twin). The values are boxed beforehand, so
+   passing one allocates nothing. *)
+let test_write_allocation_free () =
+  let sys = mk ~nprocs:2 () in
+  let node = sys.Svm.System.nodes.(0) in
+  let ctx = Svm.Api.make_ctx sys node in
+  let writable page ~twin =
+    let e = Mem.Page_table.ensure node.Svm.System.pt page in
+    ignore (Mem.Page_table.attach_copy node.Svm.System.pt e);
+    e.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+    if twin then Mem.Page_table.make_twin e;
+    e
+  in
+  let logged = writable 0 ~twin:true and saturated = writable 1 ~twin:false in
+  let values = Array.init 100_000 (fun i -> ref (float_of_int i)) in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = minor_words (fun () -> ()) in
+  let stores ~page n =
+    let base = page * Svm.Api.page_words ctx in
+    minor_words (fun () ->
+        for i = 0 to n - 1 do
+          Svm.Api.write ctx (base + (i land 7)) !(values.(i))
+        done)
+    -. overhead
+  in
+  check (Alcotest.float 0.) "minor words for 15 logged stores" 0. (stores ~page:0 15);
+  check Alcotest.int "the log has one slot left" 1 logged.Mem.Page_table.log_free;
+  check (Alcotest.float 0.) "minor words for 100k saturated stores" 0.
+    (stores ~page:1 (Array.length values));
+  check Alcotest.int "the log stays saturated" 0 saturated.Mem.Page_table.log_free
+
 let prop_malloc_disjoint =
   QCheck.Test.make ~name:"allocations never overlap" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 10) (int_range 1 5000))
@@ -131,5 +168,6 @@ let suite =
     ("protocol predicates", `Quick, test_protocol_predicates);
     ("protocol string roundtrip", `Quick, test_protocol_string_roundtrip);
     ("service placement", `Quick, test_serve_placement);
+    ("api write allocation-free", `Quick, test_write_allocation_free);
     QCheck_alcotest.to_alcotest prop_malloc_disjoint;
   ]
