@@ -3,7 +3,9 @@
    chaos, kill, pause, partition and detector groups, the serving totals,
    stall percentiles both present and absent, empty and non-empty
    histograms, the timeline, trace (with and without dropped_by_kind) and
-   critical-path sections, and meta. Each runs at --scale test. *)
+   critical-path sections, and meta. The last two move homes at barriers
+   (LU migrates two homes on 8 HLRC nodes, one on 4 AURC nodes, tearing
+   down its write-through mappings). Each runs at --scale test. *)
 
 let argvs =
   List.map
@@ -33,6 +35,8 @@ let argvs =
       "--app kvstore --protocol hlrc --nodes 4 --replicas 2 --repl-scheme inval --metrics";
       "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme backup --kill-node 3 \
        --kill-at 1000 --no-verify --metrics";
+      "--app lu --protocol hlrc --nodes 8 --migrate";
+      "--app lu --protocol aurc --nodes 4 --migrate";
     ]
 
 (* [svm_run ARGS] through the flag table: the parsed run, or the usage
