@@ -17,45 +17,11 @@ open System
 
 let request_service_cost = 10.
 
-(* Causal order on write notices carried by homeless protocols. Incomparable
-   (truly concurrent) diffs touch disjoint words in data-race-free programs,
-   so any tie order is sound. *)
-let compare_causal (a : Proto.Interval.t) (b : Proto.Interval.t) =
-  if a.Proto.Interval.node = b.Proto.Interval.node then
-    compare a.Proto.Interval.index b.Proto.Interval.index
-  else if Proto.Interval.causally_before a b then -1
-  else if Proto.Interval.causally_before b a then 1
-  else 0
-
-(* Topological order of (interval, diff) pairs under the causal partial
-   order. A comparison sort on the partial order itself is unsound
-   (incomparable pairs compare equal, breaking transitivity), but the sum of
-   a timestamp's entries is strictly monotone in the pointwise order:
-   a < b implies sum(a) < sum(b). Sorting by (sum, node, index) is
-   therefore a linear extension of causality, computed in O(k log k).
-   Same-sum elements are equal or concurrent, and concurrent diffs touch
-   disjoint words in data-race-free programs, so their order is free. *)
-let vt_weight (iv : Proto.Interval.t) =
-  match iv.Proto.Interval.vt with
-  | None -> invalid_arg "vt_weight: interval lacks a timestamp"
-  | Some vt ->
-      let sum = ref 0 in
-      for i = 0 to Proto.Vclock.nprocs vt - 1 do
-        sum := !sum + Proto.Vclock.get vt i
-      done;
-      !sum
-
-let causal_key iv = (vt_weight iv, iv.Proto.Interval.node, iv.Proto.Interval.index)
-
-let causal_order tagged =
-  let keyed = List.map (fun (iv, diff) -> (causal_key iv, (iv, diff))) tagged in
-  List.map snd (List.sort (fun (ka, _) (kb, _) -> compare ka kb) keyed)
-
 let apply_one_diff sys node entry diff =
   Mem.Diff.apply diff (Mem.Page_table.data_exn entry);
   (match entry.Mem.Page_table.twin with Some t -> Mem.Diff.apply diff t | None -> ());
   record_diff_apply sys node diff ~counted:true;
-  charge_protocol node (Intervals.diff_apply_cost (costs sys) diff)
+  charge_protocol node (diff_apply_cost (costs sys) diff)
 
 (* Re-apply the node's own retained diffs newer than [applied.(self)] after a
    full-page fetch overwrote the local copy (homeless protocols only). *)
@@ -89,7 +55,7 @@ let install_copy sys entry (data : Mem.Words.t) =
   | true, Some _ ->
       let own = Mem.Diff.of_entry ~check:sys.cfg.Config.paranoid entry in
       entry.Mem.Page_table.data <- Some data;
-      entry.Mem.Page_table.twin <- Some (Mem.Words.copy data);
+      Mem.Page_table.retwin entry;
       Mem.Diff.apply own data
   | true, None when aurc sys -> entry.Mem.Page_table.data <- Some data
   | true, None -> invalid_arg "install_copy: dirty page without twin"
@@ -101,20 +67,12 @@ let install_copy sys entry (data : Mem.Words.t) =
 (* A home-fetch reply: install the snapshot and open the page up. *)
 let install_fetched sys entry snapshot =
   install_copy sys entry snapshot;
-  entry.Mem.Page_table.prot <-
-    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-     else Mem.Page_table.Read_only)
+  Mem.Page_table.open_copy entry
 
-(* The home's master copy of [page], materialized (zero-filled) on the
-   home's first touch. *)
+(* The home's master copy of [page], materialized on the home's first
+   touch. *)
 let master_of home_node page =
-  let hentry = Mem.Page_table.ensure home_node.pt page in
-  match hentry.Mem.Page_table.data with
-  | Some d -> d
-  | None ->
-      let d = Mem.Page_table.attach_copy home_node.pt hentry in
-      hentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
-      d
+  Mem.Page_table.materialize home_node.pt (Mem.Page_table.ensure home_node.pt page)
 
 (* The run of adjacent same-home pages currently invalid on [node], right
    after [page] — the pages a sequential reader faults on next (a cold
@@ -246,9 +204,7 @@ let rec fetch_from_home sys node page ~extras ~on_valid =
       if Proto.Vclock.leq needed hp.hp_flush then serve_fetch arrival
       else if not (fenced arrival) then begin
         ignore (serve sys home_node ~arrival ~cost:request_service_cost);
-        hp.hp_pending <-
-          { pf_needed = needed; pf_serve = serve_fetch; pf_requester = node.id }
-          :: hp.hp_pending;
+        park_pending hp ~needed ~requester:node.id serve_fetch;
         if observing sys then event sys home_node (Obs.Trace.Page_fetch_pending { page })
       end)
 
@@ -265,8 +221,7 @@ let finish_homeless_validation node pi entry ~on_valid =
   Mem.Accounting.sub node.stats.Stats.proto_mem
     (missing_entry_bytes * List.length pi.missing);
   pi.missing <- [];
-  entry.Mem.Page_table.prot <-
-    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write else Mem.Page_table.Read_only);
+  Mem.Page_table.open_copy entry;
   on_valid ()
 
 (* Collect and apply the diffs for the page's outstanding write notices. One
@@ -290,32 +245,26 @@ let collect_diffs sys node page ~on_valid =
       wanted;
     let writers = Hashtbl.fold (fun w idxs acc -> (w, idxs) :: acc) by_writer [] in
     let outstanding = ref (List.length writers) in
-    let received : (int * int * Mem.Diff.t) list ref = ref [] in
-    let vt_of = Hashtbl.create 8 in
-    List.iter
-      (fun (iv : Proto.Interval.t) ->
-        Hashtbl.replace vt_of (iv.Proto.Interval.node, iv.Proto.Interval.index) iv)
-      wanted;
+    let received = ref [] in
     let complete at =
       Machine.Node.sync_to node.mach at;
-      (* Sort the collected diffs by the causal order of their intervals. *)
-      let tagged =
-        List.map (fun (w, idx, diff) -> (Hashtbl.find vt_of (w, idx), diff)) !received
-      in
-      let ordered = causal_order tagged in
       List.iter
-        (fun ((iv : Proto.Interval.t), diff) ->
+        (fun (writer, index, diff, _) ->
           apply_one_diff sys node entry diff;
-          if iv.Proto.Interval.index > Proto.Vclock.get pi.applied iv.Proto.Interval.node then
-            Proto.Vclock.set pi.applied iv.Proto.Interval.node iv.Proto.Interval.index)
-        ordered;
+          if index > Proto.Vclock.get pi.applied writer then
+            Proto.Vclock.set pi.applied writer index)
+        (causal_sort !received);
       finish_homeless_validation node pi entry ~on_valid
     in
-    (* [server] replies with [writer]'s diffs, one per requested interval. *)
+    (* [server] replies with [writer]'s diffs, one per requested interval,
+       each as the writer retained it: with the timestamp its write notice
+       carries, which orders the apply. *)
     let reply server ~at writer diffs =
       let cost = request_service_cost *. float_of_int (List.length diffs) in
       let done_t = serve sys server ~arrival:at ~cost in
-      let payload = List.fold_left (fun acc (_, d) -> acc + Mem.Diff.size_bytes d) 0 diffs in
+      let payload =
+        List.fold_left (fun acc (_, d, _) -> acc + Mem.Diff.size_bytes d) 0 diffs
+      in
       if spans_on sys then
         event_at sys ~node:server.id ~time:done_t
           (Obs.Trace.Diff_reply { page; dst = node.id; bytes = payload });
@@ -323,7 +272,9 @@ let collect_diffs sys node page ~on_valid =
         ~update:payload (fun reply_at ->
           if node.fetch_gen = gen then begin
             Machine.Node.sync_to node.mach reply_at;
-            List.iter (fun (idx, diff) -> received := (writer, idx, diff) :: !received) diffs;
+            List.iter
+              (fun (idx, diff, vt) -> received := (writer, idx, diff, vt) :: !received)
+              diffs;
             decr outstanding;
             if !outstanding = 0 then complete node.mach.Machine.Node.ck.Machine.Node.clock
           end)
@@ -345,7 +296,7 @@ let collect_diffs sys node page ~on_valid =
                 List.map
                   (fun idx ->
                     match List.find_opt (fun (i, _, _) -> i = idx) stored with
-                    | Some (_, diff, _) -> (idx, diff)
+                    | Some retained -> retained
                     | None ->
                         invalid_arg
                           (Printf.sprintf
@@ -382,7 +333,7 @@ let collect_diffs sys node page ~on_valid =
                         (List.map
                            (fun idx ->
                              match find idx with
-                             | Some (_, _, d, _) -> (idx, d)
+                             | Some (_, _, d, vt) -> (idx, d, vt)
                              | None -> assert false)
                            idxs)
                     else if tries >= 1000 then
@@ -459,17 +410,10 @@ let fetch_full_page sys node page ~on_valid =
       ~update:0 (fun arrival ->
         let done_t = serve sys source_node ~arrival ~cost:request_service_cost in
         let sentry = Mem.Page_table.ensure source_node.pt page in
-        let sdata =
-          match sentry.Mem.Page_table.data with
-          | Some d -> d
-          | None ->
-              (* Only reachable for the homeless-lazy protocols (an RC
-                 source is always an installed member). *)
-              assert (not (eager_rc sys));
-              let d = Mem.Page_table.attach_copy source_node.pt sentry in
-              sentry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
-              d
-        in
+        (* An RC source is always an installed member: only the homeless-lazy
+           protocols materialize the source's copy here. *)
+        assert (sentry.Mem.Page_table.data <> None || not (eager_rc sys));
+        let sdata = Mem.Page_table.materialize source_node.pt sentry in
         (* Eager RC: the requester joins the copyset before the snapshot is
            taken, so any update pushed from now on reaches it (held in its
            backlog until the copy installs below). *)
@@ -526,23 +470,9 @@ let make_valid sys node page ~on_valid =
            flushes): a failover must not re-issue it, or the park would be
            duplicated and the process resumed twice. *)
         node.fault_retry <- None;
-        let span =
-          span_begin sys ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock
-            ~bucket:Obs.Trace.Wb_home ~resource:page
-        in
-        hp.hp_pending <-
-          {
-            pf_needed = Proto.Vclock.copy pi.needed;
-            pf_serve =
-              (fun at ->
-                Machine.Node.sync_to node.mach at;
-                span_end sys ~node:node.id ~time:node.mach.Machine.Node.ck.Machine.Node.clock ~span
-                  ~bucket:Obs.Trace.Wb_home ~resource:page;
-                entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
-                on_valid ());
-            pf_requester = node.id;
-          }
-          :: hp.hp_pending
+        await_own_master sys node hp (fun () ->
+            entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+            on_valid ())
       end
     end
     else begin

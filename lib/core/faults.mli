@@ -14,18 +14,6 @@
     (beyond the interrupt / dispatch cost). *)
 val request_service_cost : float
 
-(** Total order on intervals extending the happened-before partial order:
-    the sum of a vector timestamp's entries is strictly monotone in the
-    pointwise order, so sorting by [(sum, node, index)] is a valid linear
-    extension, computed in O(k log k). Used to order diff application and
-    to elect GC keepers deterministically. *)
-val causal_key : Proto.Interval.t -> int * int * int
-
-(** Three-way comparison on the causal partial order itself (same creator:
-    by index; different creators: by happened-before; 0 when concurrent).
-    Not a total order — do not feed it to a sort. *)
-val compare_causal : Proto.Interval.t -> Proto.Interval.t -> int
-
 (** The page's write notices not yet reflected in the local copy. *)
 val still_missing : System.page_info -> Proto.Interval.t list
 

@@ -13,8 +13,13 @@
 open System
 
 (* Deterministic total order refining the causal order (see
-   Faults.causal_key: the timestamp-sum key is a linear extension). *)
-let later a b = Faults.causal_key a > Faults.causal_key b
+   [System.causal_key]: the timestamp-sum key is a linear extension). *)
+let later (a : Proto.Interval.t) (b : Proto.Interval.t) =
+  let key (iv : Proto.Interval.t) =
+    causal_key (Option.get iv.Proto.Interval.vt) ~writer:iv.Proto.Interval.node
+      ~index:iv.Proto.Interval.index
+  in
+  key a > key b
 
 (* page -> the designated keeper interval: the maximum under the [later]
    total order. After a barrier every node holds the same set of interval

@@ -9,7 +9,7 @@
     records, so no validation can miss a diff. *)
 
 (** [later a b]: deterministic total order refining causality (via
-    {!Faults.causal_key}); used to elect keepers identically on every
+    {!System.causal_key}); used to elect keepers identically on every
     node. *)
 val later : Proto.Interval.t -> Proto.Interval.t -> bool
 

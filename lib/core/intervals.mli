@@ -18,12 +18,9 @@
 (** Simulated cost of creating one diff (full-page scan). *)
 val diff_create_cost : Machine.Costs.t -> page_words:int -> float
 
-(** Simulated cost of applying [diff] (proportional to its size). *)
-val diff_apply_cost : Machine.Costs.t -> Mem.Diff.t -> float
-
-(** Serve the pending fetches of a home page whose flush level now covers
-    them; [at] is when the enabling update finished applying. *)
-val serve_pending_fetches : System.home_page -> at:float -> unit
+(** AURC: words the network interface combines into one automatic-update
+    message (the SHRIMP combining buffer): 32. *)
+val au_combine_words : int
 
 (** A diff flushed by [writer] (interval [index]) arrives at the home at
     [arrival]: apply it to the master copy, raise the per-writer flush

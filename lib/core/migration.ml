@@ -78,12 +78,7 @@ let transfer sys ~page ~old_home ~new_home ~at =
   let old_node = sys.nodes.(old_home) in
   let new_node = sys.nodes.(new_home) in
   let hentry = Mem.Page_table.ensure old_node.pt page in
-  let master =
-    match hentry.Mem.Page_table.data with
-    | Some d -> d
-    | None -> Mem.Page_table.attach_copy old_node.pt hentry
-  in
-  let snapshot = Mem.Words.copy master in
+  let snapshot = Mem.Words.copy (Mem.Page_table.materialize old_node.pt hentry) in
   let hp_old = home_page sys old_node page in
   let flush = Proto.Vclock.copy hp_old.hp_flush in
   assert (hp_old.hp_pending = []);
@@ -104,7 +99,7 @@ let transfer sys ~page ~old_home ~new_home ~at =
       entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
       let hp_new = home_page sys new_node page in
       Proto.Vclock.merge_into hp_new.hp_flush flush;
-      Intervals.serve_pending_fetches hp_new ~at:done_t)
+      serve_pending hp_new ~at:done_t)
 
 (* Entry point, called by the barrier manager at completion (before the
    releases go out, so every node's release application already sees the
@@ -133,11 +128,9 @@ let run sys epoch_ivs =
         if Proto.Vclock.leq required hp_old.hp_flush then
           start mgr.mach.Machine.Node.ck.Machine.Node.clock
         else
-          hp_old.hp_pending <-
-            (* System-initiated transfer, not a node's fetch; attribute it to
-               the receiving home. Migration excludes replication (Config
-               forbids the combination), so this park is never fenced. *)
-            { pf_needed = required; pf_serve = start; pf_requester = new_home }
-            :: hp_old.hp_pending)
+          (* System-initiated transfer, not a node's fetch; attribute it to
+             the receiving home. Migration excludes replication (Config
+             forbids the combination), so this park is never fenced. *)
+          park_pending hp_old ~needed:required ~requester:new_home start)
       moves
   end

@@ -74,24 +74,6 @@ let pull sys b ~page ~cut ~(rc : recovery) ~complete ~at =
     sys.nodes;
   if rc.rc_outstanding = 0 then complete ~at
 
-(* Linear extension of causality on recovered diffs: sorting by the
-   timestamp's entry sum (strictly monotone in the pointwise order), then
-   (writer, index), applies every causally-ordered pair in order; same-sum
-   diffs are concurrent and touch disjoint words in data-race-free
-   programs, so their relative order is free (see [Faults.causal_key]). *)
-let causal_sort nprocs pulled =
-  let weight vt =
-    let sum = ref 0 in
-    for i = 0 to nprocs - 1 do
-      sum := !sum + Proto.Vclock.get vt i
-    done;
-    !sum
-  in
-  List.sort
-    (fun (w1, i1, _, vt1) (w2, i2, _, vt2) ->
-      compare (weight vt1, w1, i1) (weight vt2, w2, i2))
-    pulled
-
 (* All writer replies are in: rebuild the master, install it (preserving
    the new primary's uncommitted local writes), restore the flush vector,
    and let the parked fetches and stashed flushes drain. *)
@@ -119,11 +101,9 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
         d
     | None -> Mem.Words.make page_words
   in
-  let ordered = causal_sort (nprocs sys) rc.rc_pull in
+  let ordered = causal_sort rc.rc_pull in
   let apply_cost =
-    List.fold_left
-      (fun acc (_, _, diff, _) -> acc +. Intervals.diff_apply_cost (costs sys) diff)
-      0. ordered
+    List.fold_left (fun acc (_, _, diff, _) -> acc +. diff_apply_cost (costs sys) diff) 0. ordered
   in
   List.iter (fun (_, _, diff, _) -> Mem.Diff.apply diff base) ordered;
   record_recovery b ~pulled:0 ~bytes:0 ~applied:(List.length ordered);
@@ -137,12 +117,10 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
     (fun (w, idx, _, _) ->
       if idx > Proto.Vclock.get hp.hp_flush w then Proto.Vclock.set hp.hp_flush w idx)
     ordered;
-  let pi = page_info sys b page in
-  entry.Mem.Page_table.prot <-
-    (if entry.Mem.Page_table.dirty then Mem.Page_table.Read_write
-     else if Proto.Vclock.leq pi.needed hp.hp_flush then Mem.Page_table.Read_only
-     else Mem.Page_table.No_access);
-  Intervals.serve_pending_fetches hp ~at:done_t;
+  if entry.Mem.Page_table.dirty || Proto.Vclock.leq (page_info sys b page).needed hp.hp_flush
+  then Mem.Page_table.open_copy entry
+  else entry.Mem.Page_table.prot <- Mem.Page_table.No_access;
+  serve_pending hp ~at:done_t;
   (* Replay the flushes that raced the recovery, oldest first, through the
      normal (idempotent) flush path: they apply, raise the flush level,
      propagate to the surviving backups and serve newly-unparked fetches. *)
@@ -304,18 +282,13 @@ let rejoin sys ~ex ~at =
   in
   List.iter
     (fun page ->
-      let hp = Hashtbl.find node.homes page in
-      let own, foreign = List.partition (fun pf -> pf.pf_requester = ex) hp.hp_pending in
+      let parked = take_pending (Hashtbl.find node.homes page) in
+      let own, foreign = List.partition (fun pf -> pf.pf_requester = ex) parked in
       List.iter
         (fun pf -> record_fenced_fetch sys node ~time:at ~page ~requester:pf.pf_requester)
         foreign;
-      hp.hp_pending <- [];
       Hashtbl.remove node.homes page;
-      let entry = Mem.Page_table.ensure node.pt page in
-      if
-        entry.Mem.Page_table.data <> None
-        && entry.Mem.Page_table.prot <> Mem.Page_table.No_access
-      then entry.Mem.Page_table.prot <- Mem.Page_table.No_access;
+      ignore (Mem.Page_table.invalidate (Mem.Page_table.ensure node.pt page));
       List.iter
         (fun pf ->
           Machine.Node.sync_to node.mach at;

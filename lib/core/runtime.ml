@@ -326,6 +326,11 @@ let collect sys =
 let run ?sink cfg app =
   let sys = System.create cfg in
   sys.System.sink <- sink;
+  let live_unfinished () =
+    Array.exists
+      (fun (n : System.node_state) -> (not n.System.finished) && System.is_alive sys n.System.id)
+      sys.System.nodes
+  in
   if Config.metrics_enabled cfg then begin
     let interval = cfg.Config.metrics_interval in
     let reg =
@@ -346,13 +351,7 @@ let run ?sink cfg app =
       let executed = Sim.Engine.executed sys.System.engine in
       let progressed = executed - !last_executed > 1 in
       last_executed := executed;
-      let live_unfinished =
-        Array.exists
-          (fun (n : System.node_state) ->
-            (not n.System.finished) && System.is_alive sys n.System.id)
-          sys.System.nodes
-      in
-      if live_unfinished && (progressed || Sim.Engine.pending sys.System.engine > 0) then
+      if live_unfinished () && (progressed || Sim.Engine.pending sys.System.engine > 0) then
         Sim.Engine.schedule sys.System.engine
           ~at:(float_of_int (k + 1) *. interval)
           (tick (k + 1))
@@ -402,12 +401,6 @@ let run ?sink cfg app =
       let interval = cfg.Config.hb_interval in
       let timeout = Config.hb_timeout_effective cfg in
       let quiet_after = fault_horizon +. timeout +. (10. *. interval) in
-      let live_unfinished () =
-        Array.exists
-          (fun (n : System.node_state) ->
-            (not n.System.finished) && System.is_alive sys n.System.id)
-          sys.System.nodes
-      in
       let wedged () =
         System.now sys > quiet_after
         && Array.for_all
@@ -423,21 +416,10 @@ let run ?sink cfg app =
         ~on_suspect:(fun ~by ~peer ~time -> Replica.suspect sys ~by ~peer ~at:time)
         ~on_refute:(fun ~by ~peer ~time -> Replica.refute sys ~by ~peer ~at:time));
   ignore (Sim.Engine.run sys.System.engine);
-  let unfinished_live =
-    Array.exists
-      (fun (n : System.node_state) ->
-        (not n.System.finished) && System.is_alive sys n.System.id)
-      sys.System.nodes
-  in
-  if unfinished_live then begin
+  if live_unfinished () then begin
     (* The watchdog: a quiescent engine with unfinished processes can never
        make progress again. Emit a trace event, then fail loudly with the
        full diagnosis instead of silently returning a truncated report. *)
-    let blocked =
-      Array.fold_left
-        (fun acc (n : System.node_state) -> if n.System.finished then acc else acc + 1)
-        0 sys.System.nodes
-    in
     let inflight =
       match sys.System.transport with
       | Some tr -> Machine.Transport.inflight_count tr
@@ -445,7 +427,7 @@ let run ?sink cfg app =
     in
     if System.observing sys then
       System.event_at sys ~node:0 ~time:(System.now sys)
-        (Obs.Trace.Watchdog_stall { blocked; inflight });
+        (Obs.Trace.Watchdog_stall { blocked = System.blocked_count sys; inflight });
     raise (System.Deadlock (stall_dump sys))
   end;
   (* Close the timeline: one last gauge sample at the run's end time, so
@@ -469,14 +451,3 @@ let total_protocol_bytes r =
   Array.fold_left (fun acc n -> acc + n.nr_counters.Stats.protocol_bytes) 0 r.r_nodes
 
 let max_mem_peak r = Array.fold_left (fun acc n -> max acc n.nr_mem_peak) 0 r.r_nodes
-
-let pp_report ppf r =
-  Format.fprintf ppf "@[<v>%s on %d nodes: elapsed %.0f us@,"
-    (Config.protocol_name r.r_config.Config.protocol)
-    r.r_config.Config.nprocs r.r_elapsed;
-  Array.iter
-    (fun n ->
-      Format.fprintf ppf "  node %2d: %.0f us  %a@," n.nr_id n.nr_elapsed Stats.pp_breakdown
-        n.nr_breakdown)
-    r.r_nodes;
-  Format.fprintf ppf "@]"

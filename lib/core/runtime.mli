@@ -83,8 +83,6 @@ val run :
   (Api.ctx -> unit) ->
   report
 
-val pp_report : Format.formatter -> report -> unit
-
 (** [sort_floats a] sorts [a] ascending in place: a heapsort specialised
     to float arrays, so it neither boxes an element nor allocates a
     buffer. Without NaNs and negative zeros its result is bit for bit

@@ -71,13 +71,32 @@ let attach_copy t e =
   e.data <- Some data;
   data
 
+let materialize t e =
+  match e.data with
+  | Some d -> d
+  | None ->
+      let d = attach_copy t e in
+      e.prot <- Read_only;
+      d
+
+let open_copy e = e.prot <- (if e.dirty then Read_write else Read_only)
+
+let invalidate e =
+  if e.data = None || e.prot = No_access then false
+  else begin
+    e.prot <- No_access;
+    true
+  end
+
 (* A kvstore put writes one or two words of a page; SOR writes hundreds.
    16 slots cover the first with room to spare and saturate early on the
    second, whose full scan is then the cheaper way to find the changes. *)
 let log_capacity = 16
 
+let retwin e = e.twin <- Some (Words.copy (data_exn e))
+
 let make_twin e =
-  e.twin <- Some (Words.copy (data_exn e));
+  retwin e;
   if Array.length e.log = 0 then e.log <- Array.make log_capacity 0;
   e.log_free <- log_capacity
 

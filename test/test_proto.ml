@@ -109,17 +109,23 @@ let test_interval_no_vt_ordering () =
     (Invalid_argument "Interval.causally_before: interval lacks a timestamp") (fun () ->
       ignore (Proto.Interval.causally_before a a))
 
-(* The timestamp-sum key used to order diff application is a linear
-   extension of the causal order: strictly ordered intervals get strictly
-   ordered keys. *)
+(* The timestamp-sum key that orders diff application (at a fault and in
+   failover recovery) is a linear extension of the causal order: strictly
+   ordered intervals get strictly ordered keys, so the sort puts the
+   earlier one first. *)
 let prop_sum_key_linear_extension =
   QCheck.Test.make ~name:"vt-sum key extends the causal order" ~count:500
     (QCheck.make QCheck.Gen.(pair (vclock_gen 6) (vclock_gen 6)))
     (fun (xs, ys) ->
-      let a = Proto.Interval.make ~node:0 ~index:0 ~vt:(Some (vt_of_array xs)) ~pages:[] in
-      let b = Proto.Interval.make ~node:1 ~index:0 ~vt:(Some (vt_of_array ys)) ~pages:[] in
+      let va = vt_of_array xs and vb = vt_of_array ys in
+      let a = Proto.Interval.make ~node:0 ~index:0 ~vt:(Some va) ~pages:[] in
+      let b = Proto.Interval.make ~node:1 ~index:0 ~vt:(Some vb) ~pages:[] in
       (not (Proto.Interval.causally_before a b))
-      || Svm.Faults.causal_key a < Svm.Faults.causal_key b)
+      || Svm.System.causal_key va ~writer:0 ~index:0 < Svm.System.causal_key vb ~writer:1 ~index:0
+         && List.map
+              (fun (writer, _, _, _) -> writer)
+              (Svm.System.causal_sort [ (1, 0, (), vb); (0, 0, (), va) ])
+            = [ 0; 1 ])
 
 let suite =
   [
