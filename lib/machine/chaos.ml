@@ -200,8 +200,6 @@ type t = {
 
 let params t = t.p
 
-let enabled_t t = enabled t.p
-
 let create p ~nprocs =
   (match validate p with Ok () -> () | Error e -> invalid_arg ("Chaos.create: " ^ e));
   if nprocs <= 0 then invalid_arg "Chaos.create: nprocs must be positive";

@@ -99,8 +99,6 @@ val create : params -> nprocs:int -> t
 
 val params : t -> params
 
-val enabled_t : t -> bool
-
 (** Per-message verdict for one transmission attempt on link [src -> dst].
     [delay] applies to the primary copy, [dup_delay] to the duplicate (only
     meaningful when [duplicate]); both are extra latency in microseconds.

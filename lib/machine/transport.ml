@@ -56,7 +56,6 @@ type t = {
   links : (int * int, link) Hashtbl.t;
   mutable pool : packet list;  (* free packets, recycled by [release] *)
   dead : (int, unit) Hashtbl.t;  (* crash-stopped peers, via [kill_peer] *)
-  mutable hb_sent : int;  (* heartbeat copies put on the wire *)
 }
 
 let create ~engine ~net ~chaos ?(max_retries = 10) ~notify () =
@@ -69,7 +68,6 @@ let create ~engine ~net ~chaos ?(max_retries = 10) ~notify () =
     links = Hashtbl.create 64;
     pool = [];
     dead = Hashtbl.create 4;
-    hb_sent = 0;
   }
 
 (* A node's links are down at [time] if it crash-stopped or sits inside a
@@ -302,9 +300,8 @@ let hb_bytes = 8
    suspector exists to interpret. Each copy is charged to the timing model
    ([Network.transfer_time] plus the chaos verdict's jitter) and judged on
    the same per-link streams as payload traffic, so a lossy or partitioned
-   link starves the observer honestly. Nothing is notified per heartbeat
-   (they would drown the trace); [hb_sent] counts the copies for the
-   report's availability block. *)
+   link starves the observer honestly. Nothing is notified per heartbeat:
+   they would drown the trace. *)
 let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect ~on_refute =
   if interval <= 0. then invalid_arg "Transport.start_heartbeats: interval must be > 0";
   if timeout <= 0. then invalid_arg "Transport.start_heartbeats: timeout must be > 0";
@@ -321,7 +318,6 @@ let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect ~on_refute
   let beam node peer ~now =
     let v = Chaos.judge t.chaos ~src:node ~dst:peer in
     let transfer = Network.transfer_time t.net ~src:node ~dst:peer ~bytes:hb_bytes in
-    t.hb_sent <- t.hb_sent + 1;
     if
       (not v.Chaos.drop)
       && (not (down_at t node ~time:now))
@@ -365,8 +361,6 @@ let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect ~on_refute
   for node = 0 to nprocs - 1 do
     Sim.Engine.schedule t.engine ~at:(start +. phases.(node)) (tick node)
   done
-
-let heartbeats_sent t = t.hb_sent
 
 (* --- diagnostics ---------------------------------------------------- *)
 

@@ -99,9 +99,6 @@ val start_heartbeats :
   on_refute:(by:int -> peer:int -> time:float -> unit) ->
   unit
 
-(** Heartbeat copies put on the wire so far (sent, not delivered). *)
-val heartbeats_sent : t -> int
-
 (** Packets currently awaiting acknowledgement, across all links. *)
 val inflight_count : t -> int
 

@@ -52,7 +52,6 @@ let float t bound =
 
 type zipf = {
   z_n : int;
-  z_theta : float;
   z_zetan : float;
   z_alpha : float;
   z_eta : float;
@@ -80,15 +79,11 @@ let zipf_create ~n ~theta =
   in
   {
     z_n = n;
-    z_theta = theta;
     z_zetan = zetan;
     z_alpha = 1. /. (1. -. theta);
     z_eta = eta;
     z_half_pow = half_pow;
   }
-
-let zipf_n z = z.z_n
-let zipf_theta z = z.z_theta
 
 let zipf t z =
   let u = float t 1.0 in

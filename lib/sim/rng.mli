@@ -39,6 +39,3 @@ val zipf_create : n:int -> theta:float -> zipf
 
 (** [zipf t z] draws a rank in [0 .. n-1], consuming one variate of [t]. *)
 val zipf : t -> zipf -> int
-
-val zipf_n : zipf -> int
-val zipf_theta : zipf -> float
