@@ -74,7 +74,6 @@ type t = {
   home_policy : home_policy;
   gc_threshold_bytes : int;
   coproc_locks : bool;
-  au_combine_words : int;
   home_migration : bool;
   paranoid : bool;
   seed : int;
@@ -112,7 +111,7 @@ let power_of_two n = n > 0 && n land (n - 1) = 0
 
 let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     ?(home_policy = Round_robin) ?(gc_threshold_bytes = 2 * 1024 * 1024)
-    ?(coproc_locks = false) ?(au_combine_words = 32) ?(home_migration = false)
+    ?(coproc_locks = false) ?(home_migration = false)
     ?(paranoid = false) ?(seed = 42) ?(chaos = Machine.Chaos.none)
     ?(trace_spans = false) ?(fault_batch = 1) ?(replicas = 1)
     ?(repl_scheme = Inval) ?(metrics_interval = 0.) ?(detector = Oracle)
@@ -127,10 +126,6 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     invalid_arg
       (Printf.sprintf "Config.make: gc_threshold_bytes must be positive (got %d)"
          gc_threshold_bytes);
-  if au_combine_words <= 0 then
-    invalid_arg
-      (Printf.sprintf "Config.make: au_combine_words must be positive (got %d)"
-         au_combine_words);
   if fault_batch < 1 then
     invalid_arg
       (Printf.sprintf "Config.make: fault_batch must be at least 1 (got %d)" fault_batch);
@@ -189,7 +184,6 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     home_policy;
     gc_threshold_bytes;
     coproc_locks;
-    au_combine_words;
     home_migration;
     paranoid;
     seed;

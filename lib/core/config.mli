@@ -101,9 +101,6 @@ type t = {
           the communication co-processor (overlapped protocols only),
           reducing a remote acquire from ~1,550 us to ~150 us. Off by
           default, as in the paper's prototypes. *)
-  au_combine_words : int;
-      (** AURC only: words combined into one automatic-update message by the
-          network interface (the SHRIMP combining buffer). *)
   home_migration : bool;
       (** Extension (home-based protocols): at each barrier, re-home pages
           to the dominant writer of the epoch (JIAJIA-style adaptive
@@ -185,12 +182,12 @@ val metrics_enabled : t -> bool
 val default_hb_interval : float
 
 (** Raises [Invalid_argument] with a descriptive message when a knob is out
-    of range: [nprocs], [gc_threshold_bytes] or [au_combine_words]
-    non-positive, [page_words] not a positive power of two, [fault_batch]
-    < 1, [metrics_interval] negative, an invalid chaos plan (rates outside
-    [0, 1], negative jitter, straggler < 1, or a malformed fault schedule —
-    see {!Machine.Chaos.validate}; killing or pausing node 0, the
-    lock/barrier manager, is rejected there), a scheduled fault naming a
+    of range: [nprocs] or [gc_threshold_bytes] non-positive, [page_words]
+    not a positive power of two, [fault_batch] < 1, [metrics_interval]
+    negative, an invalid chaos plan (rates outside [0, 1], negative jitter,
+    straggler < 1, or a malformed fault schedule — see
+    {!Machine.Chaos.validate}; killing or pausing node 0, the lock/barrier
+    manager, is rejected there), a scheduled fault naming a
     node >= [nprocs], a partition group holding every node, [hb_interval]
     non-positive, [hb_timeout] negative, [replicas] outside [1, nprocs], or
     [replicas] > 1 combined with AURC/RC or with [home_migration]. *)
@@ -200,7 +197,6 @@ val make :
   ?home_policy:home_policy ->
   ?gc_threshold_bytes:int ->
   ?coproc_locks:bool ->
-  ?au_combine_words:int ->
   ?home_migration:bool ->
   ?paranoid:bool ->
   ?seed:int ->

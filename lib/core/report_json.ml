@@ -96,7 +96,7 @@ let config : Config.t t =
       field "home_policy" str (fun cfg -> home_policy_name cfg.home_policy);
       field "gc_threshold_bytes" int (fun cfg -> cfg.gc_threshold_bytes);
       field "coproc_locks" bool (fun cfg -> cfg.coproc_locks);
-      field "au_combine_words" int (fun cfg -> cfg.au_combine_words);
+      field "au_combine_words" int (fun _ -> Intervals.au_combine_words);
       field "home_migration" bool (fun cfg -> cfg.home_migration);
       field "seed" int (fun cfg -> cfg.seed);
       field "costs" (obj costs) (fun cfg -> cfg.costs);

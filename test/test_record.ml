@@ -60,7 +60,7 @@ let header = Svm.System.header_bytes
 let au_combined r ~bytes ~update =
   let cfg = r.report.Svm.Runtime.r_config in
   if cfg.Svm.Config.protocol = Svm.Config.Aurc && bytes - update = header then
-    let combine = max 1 cfg.Svm.Config.au_combine_words in
+    let combine = Svm.Intervals.au_combine_words in
     max 1 (((update / 12) + combine - 1) / combine) - 1
   else 0
 
