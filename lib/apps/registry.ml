@@ -13,26 +13,26 @@ type t = {
   description : string;
 }
 
+let lu_params = function
+  | Test -> { Lu.default with n = 64; block = 16 }
+  | Bench -> { Lu.default with n = 512; block = 32; flop_us = 0.7 }
+  | Full -> { Lu.default with n = 1024; block = 32; flop_us = 0.7 }
+
 let lu scale =
-  let p =
-    match scale with
-    | Test -> { Lu.default with n = 64; block = 16 }
-    | Bench -> { Lu.default with n = 512; block = 32; flop_us = 0.7 }
-    | Full -> { Lu.default with n = 1024; block = 32; flop_us = 0.7 }
-  in
+  let p = lu_params scale in
   {
     name = Lu.name;
     body = (fun ~verify ctx -> Lu.body ~verify p ctx);
     description = Printf.sprintf "blocked LU factorization, %dx%d, block %d" p.Lu.n p.Lu.n p.Lu.block;
   }
 
+let sor_params = function
+  | Test -> { Sor.default with rows = 64; cols = 64; iters = 4 }
+  | Bench -> { Sor.default with rows = 512; cols = 512; iters = 10; flop_us = 6. }
+  | Full -> { Sor.default with rows = 1024; cols = 1024; iters = 12; flop_us = 6. }
+
 let sor scale =
-  let p =
-    match scale with
-    | Test -> { Sor.default with rows = 64; cols = 64; iters = 4 }
-    | Bench -> { Sor.default with rows = 512; cols = 512; iters = 10; flop_us = 6. }
-    | Full -> { Sor.default with rows = 1024; cols = 1024; iters = 12; flop_us = 6. }
-  in
+  let p = sor_params scale in
   {
     name = Sor.name;
     body = (fun ~verify ctx -> Sor.body ~verify p ctx);
@@ -41,13 +41,7 @@ let sor scale =
   }
 
 let sor_zero scale =
-  let base =
-    match scale with
-    | Test -> { Sor.default with rows = 64; cols = 64; iters = 4 }
-    | Bench -> { Sor.default with rows = 512; cols = 512; iters = 10; flop_us = 6. }
-    | Full -> { Sor.default with rows = 1024; cols = 1024; iters = 12; flop_us = 6. }
-  in
-  let p = { base with Sor.zero_interior = true } in
+  let p = { (sor_params scale) with Sor.zero_interior = true } in
   {
     name = "SOR-zero";
     body = (fun ~verify ctx -> Sor.body ~verify p ctx);

@@ -19,6 +19,9 @@ type t = {
 
 val lu : scale -> t
 
+(** The LU parameters {!lu} runs at a scale. *)
+val lu_params : scale -> Lu.params
+
 val sor : scale -> t
 
 (** SOR with a zero interior: the paper's §4.8 LRC-favourable ablation. *)

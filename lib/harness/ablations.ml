@@ -29,12 +29,6 @@ let evaluate pool specs run =
 
 (* --- Home placement (paper 4.4: "if homes are chosen intelligently") --- *)
 
-let lu_params scale =
-  match scale with
-  | Apps.Registry.Test -> { Apps.Lu.default with n = 64; block = 16 }
-  | Apps.Registry.Bench -> { Apps.Lu.default with n = 512; block = 32; flop_us = 0.7 }
-  | Apps.Registry.Full -> { Apps.Lu.default with n = 1024; block = 32; flop_us = 0.7 }
-
 let home_placement ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   title ppf "Ablation: home placement for LU under HLRC (paper 4.4)";
   Format.fprintf ppf "%-8s %14s %14s %14s %10s@." "nodes" "owner homes(s)" "round robin(s)"
@@ -52,7 +46,7 @@ let home_placement ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   in
   let time =
     evaluate pool specs (fun (np, owner_homes, policy) ->
-        let p = { (lu_params scale) with Apps.Lu.owner_homes } in
+        let p = { (Apps.Registry.lu_params scale) with Apps.Lu.owner_homes } in
         let cfg = Svm.Config.make ~home_policy:policy ~nprocs:np Svm.Config.Hlrc in
         fst (elapsed_of cfg (fun ~verify ctx -> Apps.Lu.body ~verify p ctx)))
   in
@@ -240,7 +234,7 @@ let home_migration ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   Format.fprintf ppf "%-8s %12s %14s %12s %10s@." "nodes" "fixed (s)" "migrating (s)" "moves"
     "gain";
   hline ppf 62;
-  let p = { (lu_params scale) with Apps.Lu.owner_homes = false } in
+  let p = { (Apps.Registry.lu_params scale) with Apps.Lu.owner_homes = false } in
   let specs = List.concat_map (fun np -> [ (np, false); (np, true) ]) node_counts in
   let report =
     evaluate pool specs (fun (np, home_migration) ->

@@ -14,12 +14,11 @@ let pct finish x = if finish > 0. then 100. *. x /. finish else 0.
 let cell ~verify ~chaos ?trace_cap app proto np =
   let cfg = Svm.Config.make ~nprocs:np ~chaos ~trace_spans:true proto in
   let sink = Obs.Trace.create_sink ?capacity:trace_cap () in
-  let r = Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify) in
-  (r, Obs.Critical_path.analyze sink, sink)
+  ignore (Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify));
+  (Obs.Critical_path.analyze sink, sink)
 
 let report ppf ?(pool = Pool.sequential) ?(verify = true) ?(chaos = Machine.Chaos.none)
-    ?trace_cap ?(protocols = Svm.Config.all_protocols) ~scale ~node_counts ()
-    =
+    ?trace_cap ~scale ~node_counts () =
   Format.fprintf ppf "@.=== Critical-path composition (on-path blame, %% of finish time) ===@.@.";
   Format.fprintf ppf
     "%-12s %-6s %4s  %12s %6s %6s %6s %6s %6s  %-10s %-10s %s@." "app" "proto" "np"
@@ -32,13 +31,13 @@ let report ppf ?(pool = Pool.sequential) ?(verify = true) ?(chaos = Machine.Chao
       (fun (app : Apps.Registry.t) ->
         List.concat_map
           (fun proto -> List.map (fun np -> (app, proto, np)) node_counts)
-          protocols)
+          Svm.Config.all_protocols)
       (Apps.Registry.all scale)
   in
   let rows =
     Pool.map pool
       (fun (app, proto, np) ->
-        let _, cp, sink = cell ~verify ~chaos ?trace_cap app proto np in
+        let cp, sink = cell ~verify ~chaos ?trace_cap app proto np in
         ((app, proto, np), cp, sink))
       grid
   in

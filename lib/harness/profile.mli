@@ -10,30 +10,19 @@
     widest-spread barrier epoch — Figure 3's story told by what actually
     bounded the run rather than by per-node averages. *)
 
-(** Run one profiled cell: the report, its critical-path analysis, and the
-    trace sink (for export or occupancy checks) of capacity [trace_cap]
-    (default {!Obs.Trace.default_capacity}). *)
-val cell :
-  verify:bool ->
-  chaos:Machine.Chaos.params ->
-  ?trace_cap:int ->
-  Apps.Registry.t ->
-  Svm.Config.protocol ->
-  int ->
-  Svm.Runtime.report * Obs.Critical_path.t * Obs.Trace.sink
-
-(** Print the composition table for [protocols] (default: the paper's
-    four) over every registered application at [scale] and each node count.
-    Cells are independent profiled runs and are evaluated through [pool]
-    (default {!Pool.sequential}); the table renders only after every cell
-    has finished, so the bytes are identical for any pool width. *)
+(** Print the composition table for the paper's four protocols over
+    every registered application at [scale] and each node count, each
+    cell traced into a sink of capacity [trace_cap] (default
+    {!Obs.Trace.default_capacity}). Cells are independent profiled runs
+    and are evaluated through [pool] (default {!Pool.sequential}); the
+    table renders only after every cell has finished, so the bytes are
+    identical for any pool width. *)
 val report :
   Format.formatter ->
   ?pool:Pool.t ->
   ?verify:bool ->
   ?chaos:Machine.Chaos.params ->
   ?trace_cap:int ->
-  ?protocols:Svm.Config.protocol list ->
   scale:Apps.Registry.scale ->
   node_counts:int list ->
   unit ->
