@@ -101,7 +101,7 @@ let transport_enabled t = chaos_enabled t || t.detector = Heartbeat
    way, and a little slack for the transfer itself. *)
 let hb_timeout_effective t =
   if t.hb_timeout > 0. then t.hb_timeout
-  else (3. *. t.hb_interval) +. (2. *. Machine.Chaos.max_delay_params t.chaos) +. 100.
+  else (3. *. t.hb_interval) +. (2. *. Machine.Chaos.max_delay t.chaos) +. 100.
 
 let metrics_enabled t = t.metrics_interval > 0.
 

@@ -524,14 +524,12 @@ let read_fault sys node page k =
   record_fault sys node ~page ~write:false;
   block sys node ~resource:page Wait_data k;
   let finish () =
-    node.fault_page <- -1;
     node.fault_retry <- None;
     resume sys node ~at:node.mach.Machine.Node.ck.Machine.Node.clock
   in
   (* Record how to re-issue this fault's fetch: if a failover re-homes the
      page while the fetch is in flight at a dead node, the detector bumps
      [fetch_gen] (discarding any stale replies) and invokes the retry. *)
-  node.fault_page <- page;
   node.fault_retry <- Some (fun () -> make_valid sys node page ~on_valid:finish);
   make_valid sys node page ~on_valid:finish
 
@@ -543,12 +541,10 @@ let write_fault sys node page k =
   let entry = Mem.Page_table.ensure node.pt page in
   if entry.Mem.Page_table.prot = Mem.Page_table.No_access then begin
     let finish () =
-      node.fault_page <- -1;
       node.fault_retry <- None;
       make_writable sys node page;
       resume sys node ~at:node.mach.Machine.Node.ck.Machine.Node.clock
     in
-    node.fault_page <- page;
     node.fault_retry <- Some (fun () -> make_valid sys node page ~on_valid:finish);
     make_valid sys node page ~on_valid:finish
   end

@@ -219,8 +219,10 @@ let failover sys ~dead ~at =
 (* ------------------------------------------------------------------ *)
 (* Heartbeat detector: suspicion bookkeeping, quorum membership, and the
    rejoin of falsely-deposed nodes. [Runtime] wires the transport's
-   per-node suspectors to {!suspect}/{!refute}; the oracle never calls
-   either, so every oracle run carries an all-false matrix and zero cost.
+   heartbeat observations to {!suspect} (a peer found silent at an audit)
+   and {!refute} (a heartbeat heard); each acts only when it changes the
+   matrix. The oracle never calls either, so every oracle run carries an
+   all-false matrix and zero cost.
 
    The suspicion matrix is global simulator state: a node's vote is
    visible to the quorum check the instant it forms. This models an

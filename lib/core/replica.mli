@@ -23,8 +23,9 @@ val failover : System.t -> dead:int -> at:float -> unit
 
 (** {1 Heartbeat detector}
 
-    With [--detector heartbeat], {!Runtime} wires the transport's per-node
-    suspectors ({!Machine.Transport.start_heartbeats}) to these two hooks.
+    With [--detector heartbeat], {!Runtime} wires the transport's heartbeat
+    observations ({!Machine.Transport.start_heartbeats}) to these two
+    hooks, which keep the suspicion matrix [System.suspects].
     A suspicion is one node's local view; only a strict global majority of
     current members deposes a node and triggers {!failover} — so a single
     paused node (which suspects everyone it can no longer hear) or a
@@ -35,8 +36,10 @@ val failover : System.t -> dead:int -> at:float -> unit
     against the current home), local copies of re-homed pages invalidated,
     and {!Obs.Trace.Rejoin} emitted. *)
 
-(** [by] has not heard [peer] for longer than the suspicion timeout. *)
+(** [by] has not heard [peer] for longer than the suspicion timeout. A
+    no-op if [by] already suspects [peer]. *)
 val suspect : System.t -> by:int -> peer:int -> at:float -> unit
 
-(** [by] heard the suspected [peer] again: the suspicion was false. *)
+(** [by] heard [peer]: if [by] suspected it, the suspicion was false. A
+    no-op otherwise. *)
 val refute : System.t -> by:int -> peer:int -> at:float -> unit

@@ -42,9 +42,7 @@ let start_process sys (node : System.node_state) app =
   match_with app ctx
     {
       retc =
-        (fun () ->
-          node.System.finished <- true;
-          sys.System.finished_count <- sys.System.finished_count + 1);
+        (fun () -> node.System.finished <- true);
       exnc = (fun exn -> raise exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -70,7 +68,7 @@ let start_process sys (node : System.node_state) app =
 let stall_dump sys =
   let buf = Buffer.create 256 in
   let nprocs = System.nprocs sys in
-  let unfinished = nprocs - sys.System.finished_count in
+  let unfinished = System.blocked_count sys in
   Buffer.add_string buf
     (Printf.sprintf
        "no-progress watchdog: event queue drained with %d of %d processes unfinished" unfinished
@@ -413,8 +411,8 @@ let run ?sink cfg app =
       in
       Machine.Transport.start_heartbeats tr ~nprocs:cfg.Config.nprocs ~interval ~timeout
         ~active:(fun () -> live_unfinished () && not (wedged ()))
-        ~on_suspect:(fun ~by ~peer ~time -> Replica.suspect sys ~by ~peer ~at:time)
-        ~on_refute:(fun ~by ~peer ~time -> Replica.refute sys ~by ~peer ~at:time));
+        ~on_silent:(fun ~by ~peer ~time -> Replica.suspect sys ~by ~peer ~at:time)
+        ~on_heard:(fun ~by ~peer ~time -> Replica.refute sys ~by ~peer ~at:time));
   ignore (Sim.Engine.run sys.System.engine);
   if live_unfinished () then begin
     (* The watchdog: a quiescent engine with unfinished processes can never

@@ -208,7 +208,6 @@ let all_live_arrived sys =
    the records it lacked, then collect garbage or resume the process. *)
 let apply_release sys node ~max_vt ~gc home_waits =
   Proto.Vclock.merge_into node.vt max_vt;
-  node.mgr_vt <- Proto.Vclock.copy max_vt;
   if home_based sys then discard_interval_records node;
   note_release_applied sys;
   if gc then begin

@@ -60,7 +60,6 @@ and pending_fetch = {
    first; archives are never freed — that retained memory is the
    availability price the bench artifact reports. *)
 type replica_page = {
-  rp_page : int;
   mutable rp_data : Mem.Words.t option;
   rp_flush : Proto.Vclock.t;
   mutable rp_archive : (int * int * Mem.Diff.t * Proto.Vclock.t) list;
@@ -93,7 +92,6 @@ type node_state = {
   homes : (int, home_page) Hashtbl.t;  (* pages homed at this node *)
   locks : (int, lock_state) Hashtbl.t;
   stats : Stats.t;
-  mutable mgr_vt : Proto.Vclock.t;  (* global cut as of last barrier release *)
   mutable reported : int;  (* own interval index last sent to the barrier mgr *)
   (* Blocking state of the node's application process. *)
   mutable cont : (unit, unit) Effect.Deep.continuation option;
@@ -108,7 +106,6 @@ type node_state = {
          outstanding updates are acknowledged *)
   mutable in_gc : bool;  (* protocol work is re-billed to the GC bucket *)
   repl : (int, replica_page) Hashtbl.t;  (* pages this node backs up *)
-  mutable fault_page : int;  (* page of the in-flight fault fetch (-1 = none) *)
   mutable fault_retry : (unit -> unit) option;
       (* re-issues the blocked fault's fetch; failover bumps [fetch_gen]
          and invokes this so a fetch lost to a dead home is re-routed *)
@@ -226,7 +223,6 @@ type t = {
   gc_on_done : (int, unit -> unit) Hashtbl.t;  (* per-node GC completions *)
   mutable sink : Obs.Trace.sink option;  (* typed trace-event sink *)
   mutable next_span : int;  (* wait-span id allocator (causal layer) *)
-  mutable finished_count : int;
   alive : bool array;  (* false once the chaos schedule killed the node *)
   deposed : bool array;
       (* membership view of the failure detector: true while a suspicion
@@ -337,9 +333,6 @@ let transport_notify t ~time (n : Machine.Transport.notice) =
       | None -> ());
       if observing t then
         event_at t ~node:sender ~time (Obs.Trace.Msg_drop { dst = peer; seq; bytes; ack })
-  | Machine.Transport.Duplicated _ ->
-      (* The observable effect is the receiver-side [Dup_dropped]. *)
-      ()
   | Machine.Transport.Retransmit { src; dst; seq; retries; bytes; rto } ->
       let c = t.nodes.(src).stats.Stats.c in
       c.Stats.msg_retransmits <- c.Stats.msg_retransmits + 1;
@@ -415,7 +408,6 @@ let create (cfg : Config.t) =
       homes = Hashtbl.create 64;
       locks = Hashtbl.create 16;
       stats = Stats.create ();
-      mgr_vt = Proto.Vclock.create ~nprocs;
       reported = -1;
       cont = None;
       blocked = None;
@@ -427,7 +419,6 @@ let create (cfg : Config.t) =
       rc_drain = [];
       in_gc = false;
       repl = Hashtbl.create 16;
-      fault_page = -1;
       fault_retry = None;
       fetch_gen = 0;
       stall_mark = -1.;
@@ -469,7 +460,6 @@ let create (cfg : Config.t) =
       gc_on_done = Hashtbl.create 8;
       sink = None;
       next_span = 0;
-      finished_count = 0;
       alive = Array.make nprocs true;
       deposed = Array.make nprocs false;
       suspects = Array.make_matrix nprocs nprocs false;
@@ -490,6 +480,7 @@ let create (cfg : Config.t) =
       t.transport <-
         Some
           (Machine.Transport.create ~engine:t.engine ~net:t.net ~chaos:ch
+             ~alive:(fun n -> t.alive.(n))
              ~notify:(fun ~time n -> transport_notify t ~time n)
              ())
   | None -> ());
@@ -994,19 +985,18 @@ let send t ~src ~dst ~at ~bytes ~update handler =
   match t.transport with
   | Some tr when src.id <> dst ->
       (* Chaos run: hand the payload to the reliable transport, which owns
-         sequencing, dedup, the per-link FIFO clamp and retransmission. The
-         sequence header is protocol overhead on the wire. *)
+         sequencing, dedup, the per-link FIFO clamp and retransmission, and
+         delivers nothing to a crash-stopped receiver. The sequence header
+         is protocol overhead on the wire. *)
       c.Stats.protocol_bytes <- c.Stats.protocol_bytes + Machine.Transport.seq_bytes;
       Machine.Transport.send tr ~src:src.id ~dst
         ~at:(Float.max at (now t))
         ~bytes
         (fun arrival ->
-          if Array.unsafe_get t.alive dst then begin
-            if observing t then
-              event_at t ~node:dst ~time:arrival
-                (Obs.Trace.Msg_recv { src = src.id; bytes; update });
-            handler arrival
-          end)
+          if observing t then
+            event_at t ~node:dst ~time:arrival
+              (Obs.Trace.Msg_recv { src = src.id; bytes; update });
+          handler arrival)
   | _ ->
       (* Fault-free (or loopback) fast path: exactly the pre-chaos code. *)
       let transfer = Machine.Network.transfer_time t.net ~src:src.id ~dst ~bytes in
@@ -1279,7 +1269,6 @@ let replica_page t node page =
   | None ->
       let rp =
         {
-          rp_page = page;
           rp_data = None;
           rp_flush = Proto.Vclock.create ~nprocs:(nprocs t);
           rp_archive = [];

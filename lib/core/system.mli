@@ -55,7 +55,6 @@ and pending_fetch = {
     writers stream to the page's replica members — (writer, interval,
     diff, writer vt), newest first, never freed. *)
 type replica_page = {
-  rp_page : int;
   mutable rp_data : Mem.Words.t option;
   rp_flush : Proto.Vclock.t;
   mutable rp_archive : (int * int * Mem.Diff.t * Proto.Vclock.t) list;
@@ -85,7 +84,6 @@ type node_state = {
   homes : (int, home_page) Hashtbl.t;
   locks : (int, lock_state) Hashtbl.t;
   stats : Stats.t;
-  mutable mgr_vt : Proto.Vclock.t;
   mutable reported : int;
   mutable cont : (unit, unit) Effect.Deep.continuation option;
   mutable blocked : block_kind option;
@@ -99,8 +97,6 @@ type node_state = {
   mutable rc_drain : (float -> unit) list;
   mutable in_gc : bool;
   repl : (int, replica_page) Hashtbl.t;  (** Pages this node backs up. *)
-  mutable fault_page : int;
-      (** Page of the in-flight fault fetch ([-1] = none). *)
   mutable fault_retry : (unit -> unit) option;
       (** Re-issues the blocked fault's fetch; failover bumps [fetch_gen]
           and invokes this to re-route a fetch lost to a dead home. *)
@@ -181,7 +177,6 @@ type t = {
   gc_on_done : (int, unit -> unit) Hashtbl.t;
   mutable sink : Obs.Trace.sink option;
   mutable next_span : int;  (** Wait-span id allocator (causal layer). *)
-  mutable finished_count : int;
   alive : bool array;  (** [false] once the chaos schedule killed the node. *)
   deposed : bool array;
       (** Membership view of the failure detector: [true] while a suspicion

@@ -185,13 +185,8 @@ let digest_col r =
 
 let proto_col p = String.lowercase_ascii (Svm.Config.protocol_name p)
 
-(* Nearest-rank p99 of an ascending list. *)
-let p99 = function
-  | [] -> 0.
-  | stalls ->
-      let a = Array.of_list stalls in
-      let n = Array.length a in
-      a.(min (n - 1) (max 0 (int_of_float (ceil (0.99 *. float_of_int n)) - 1)))
+(* Nearest-rank p99 of an ascending list; 0 when it is empty. *)
+let p99 stalls = Option.value ~default:0. (Svm.Stats.quantile (Array.of_list stalls) 0.99)
 
 (* ------------------------------------------------------------------ *)
 (* Tables                                                             *)

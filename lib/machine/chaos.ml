@@ -35,7 +35,7 @@ let none =
   }
 
 (* Schedule accessors: the old single-fault [kill]/[pause] options became a
-   schedule, but most consumers (runtime scheduling, report rendering) still
+   schedule, but some consumers (report rendering, the soak tables) still
    want "the kill" or "the pause" — first by time, as before. *)
 let kills p =
   List.filter_map (function Kill { node; at } -> Some (node, at) | _ -> None) p.faults
@@ -154,7 +154,9 @@ let validate p =
 
 (* [silenced p ~node ~time]: the node-fault schedule has this node's links
    down at [time] (killed for good, or inside a pause window). Partitions
-   are a link property, not a node property — see [severed]. *)
+   are a link property, not a node property — see [severed]. The kill
+   clause is not the runtime's liveness record: a send is judged at its
+   send time, which can lie ahead of the engine's clock and of the kill. *)
 let silenced p ~node ~time =
   List.exists
     (function
@@ -163,30 +165,13 @@ let silenced p ~node ~time =
       | Partition _ -> false)
     p.faults
 
-(* [severed p ~src ~dst ~time]: some active partition puts [src] and [dst]
-   on opposite sides of the cut. The [group] names one side; every node not
-   in it is on the other. *)
-let severed p ~src ~dst ~time =
-  List.exists
-    (function
-      | Partition { group; from_; until } ->
-          time >= from_ && time < until
-          && List.mem src group <> List.mem dst group
-      | Kill _ | Pause _ -> false)
-    p.faults
-
 (* One spike in [spike_one_in] jittered messages lands [spike_factor] times
    further out: a crude heavy tail (congestion burst, route flap). *)
 let spike_one_in = 64
 
 let spike_factor = 8.0
 
-type verdict = {
-  mutable drop : bool;
-  mutable duplicate : bool;
-  mutable delay : float;
-  mutable dup_delay : float;
-}
+type verdict = { drop : bool; duplicate : bool; delay : float; dup_delay : float }
 
 type t = {
   p : params;
@@ -195,7 +180,6 @@ type t = {
   backoff : (int, Sim.Rng.t) Hashtbl.t;  (* link -> RTO-jitter stream *)
   slowdowns : float array;  (* per-node CPU multiplier, drawn at create *)
   parts : (bool array * float * float) array;  (* membership, from, until *)
-  scratch : verdict;  (* pooled: [judge] refills and returns this record *)
 }
 
 let params t = t.p
@@ -227,15 +211,7 @@ let create p ~nprocs =
            (side, from_, until))
     |> Array.of_list
   in
-  {
-    p;
-    nprocs;
-    links = Hashtbl.create 64;
-    backoff = Hashtbl.create 64;
-    slowdowns;
-    parts;
-    scratch = { drop = false; duplicate = false; delay = 0.; dup_delay = 0. };
-  }
+  { p; nprocs; links = Hashtbl.create 64; backoff = Hashtbl.create 64; slowdowns; parts }
 
 let link_rng t ~src ~dst =
   let key = (src * t.nprocs) + dst in
@@ -255,13 +231,12 @@ let one_delay t rng =
 
 let judge t ~src ~dst =
   let rng = link_rng t ~src ~dst in
-  let v = t.scratch in
   (* Fixed draw order so the stream stays aligned across outcomes. *)
-  v.drop <- t.p.drop_rate > 0. && Sim.Rng.float rng 1.0 < t.p.drop_rate;
-  v.duplicate <- t.p.dup_rate > 0. && Sim.Rng.float rng 1.0 < t.p.dup_rate;
-  v.delay <- one_delay t rng;
-  v.dup_delay <- one_delay t rng;
-  v
+  let drop = t.p.drop_rate > 0. && Sim.Rng.float rng 1.0 < t.p.drop_rate in
+  let duplicate = t.p.dup_rate > 0. && Sim.Rng.float rng 1.0 < t.p.dup_rate in
+  let delay = one_delay t rng in
+  let dup_delay = one_delay t rng in
+  { drop; duplicate; delay; dup_delay }
 
 (* RTO backoff jitter: a dedicated per-link stream (salted differently from
    the verdict stream, so backoff draws never shift message verdicts) in
@@ -279,7 +254,10 @@ let backoff_factor t ~src ~dst =
   in
   0.75 +. Sim.Rng.float rng 0.5
 
-let severed_t t ~src ~dst ~time =
+(* [severed t ~src ~dst ~time]: some active partition puts [src] and [dst]
+   on opposite sides of the cut. A partition's [group] names one side;
+   every node not in it is on the other. *)
+let severed t ~src ~dst ~time =
   let n = Array.length t.parts in
   let rec go i =
     i < n
@@ -291,6 +269,4 @@ let severed_t t ~src ~dst ~time =
 
 let slowdown t ~node = t.slowdowns.(node)
 
-let max_delay_params p = p.jitter *. spike_factor
-
-let max_delay t = max_delay_params t.p
+let max_delay p = p.jitter *. spike_factor

@@ -45,7 +45,7 @@ type params = {
           the runtime rather than decided from missed messages. The oracle
           is deterministic and perfect — spurious failover is impossible by
           construction. [--detector heartbeat] replaces it with a
-          timeout-based suspector that can be wrong ({!Transport}). *)
+          timeout-based detector that can be wrong ({!Transport}). *)
 }
 
 (** The inert plan: zero rates, no jitter, no stragglers, no node faults. *)
@@ -60,8 +60,8 @@ val pauses : params -> (int * float * float) list
 (** The schedule's partitions, as [(group, from, until)] sorted by start. *)
 val partitions : params -> (int list * float * float) list
 
-(** Earliest kill / pause of the schedule, if any (legacy single-fault
-    consumers: runtime scheduling, report rendering). *)
+(** Earliest kill / pause of the schedule, if any (single-fault consumers:
+    report rendering, the soak tables). *)
 val first_kill : params -> (int * float) option
 
 val first_pause : params -> (int * float * float) option
@@ -86,10 +86,6 @@ val validate : params -> (unit, string) result
     silence a node; they sever links ({!severed}). *)
 val silenced : params -> node:int -> time:float -> bool
 
-(** [severed p ~src ~dst ~time]: an active partition has [src] and [dst] on
-    opposite sides at [time]. *)
-val severed : params -> src:int -> dst:int -> time:float -> bool
-
 type t
 
 (** [create ~params ~nprocs] builds the plan. Raises [Invalid_argument] if
@@ -103,18 +99,8 @@ val params : t -> params
     [delay] applies to the primary copy, [dup_delay] to the duplicate (only
     meaningful when [duplicate]); both are extra latency in microseconds.
     All four draws are consumed on every call, so the per-link stream stays
-    aligned whatever the outcomes are.
-
-    The returned record is a pooled scratch owned by the plan — the next
-    [judge] call on the same plan overwrites it, so read the fields before
-    judging again (a chaos run issues one verdict per message copy, and a
-    fresh record per copy was measurable allocation for nothing). *)
-type verdict = {
-  mutable drop : bool;
-  mutable duplicate : bool;
-  mutable delay : float;
-  mutable dup_delay : float;
-}
+    aligned whatever the outcomes are. *)
+type verdict = { drop : bool; duplicate : bool; delay : float; dup_delay : float }
 
 val judge : t -> src:int -> dst:int -> verdict
 
@@ -125,8 +111,9 @@ val judge : t -> src:int -> dst:int -> verdict
     partition heals. *)
 val backoff_factor : t -> src:int -> dst:int -> float
 
-(** {!severed} against the plan's precomputed partition membership. *)
-val severed_t : t -> src:int -> dst:int -> time:float -> bool
+(** [severed t ~src ~dst ~time]: an active partition has [src] and [dst] on
+    opposite sides at [time]. *)
+val severed : t -> src:int -> dst:int -> time:float -> bool
 
 (** [slowdown t ~node] is the node's CPU multiplier in [1.0, straggler];
     exactly [1.0] when [params.straggler = 1.0]. *)
@@ -135,7 +122,4 @@ val slowdown : t -> node:int -> float
 (** Upper bound of the injected per-copy latency (jitter including the
     spike factor); transports use it to size retransmission timeouts and
     the heartbeat detector its default suspicion timeout. *)
-val max_delay : t -> float
-
-(** {!max_delay} computed from bare parameters (no plan needed). *)
-val max_delay_params : params -> float
+val max_delay : params -> float

@@ -9,7 +9,6 @@
 
 type notice =
   | Dropped of { src : int; dst : int; seq : int; bytes : int; ack : bool }
-  | Duplicated of { src : int; dst : int; seq : int }
   | Retransmit of { src : int; dst : int; seq : int; retries : int; bytes : int; rto : float }
   | Dup_dropped of { src : int; dst : int; seq : int }
   | Ack_sent of { src : int; dst : int; upto : int }
@@ -20,20 +19,12 @@ let seq_bytes = 8
 
 let ack_bytes = 16
 
-(* Pooled: a transport recycles packet records through a free list. A
-   packet may be captured by scheduled closures (retransmission timers,
-   in-flight copies) that fire after the ack, so recycling is refcounted:
-   [p_refs] counts pending closures, and a packet returns to the pool only
-   when the last one fires with the packet no longer in flight. The
-   handler is swapped for a dummy at that point so a pooled husk never
-   pins an application closure (same discipline as the event queues). *)
 type packet = {
-  mutable p_seq : int;
-  mutable p_bytes : int;
-  mutable p_handler : float -> unit;
+  p_seq : int;
+  p_bytes : int;
+  p_handler : float -> unit;
   mutable p_retries : int;
   mutable p_rto : float;
-  mutable p_refs : int;
 }
 
 type link = {
@@ -53,57 +44,22 @@ type t = {
   chaos : Chaos.t;
   max_retries : int;
   notify : time:float -> notice -> unit;
+  alive : int -> bool;  (* the caller's liveness record *)
   links : (int * int, link) Hashtbl.t;
-  mutable pool : packet list;  (* free packets, recycled by [release] *)
-  dead : (int, unit) Hashtbl.t;  (* crash-stopped peers, via [kill_peer] *)
 }
 
-let create ~engine ~net ~chaos ?(max_retries = 10) ~notify () =
-  {
-    engine;
-    net;
-    chaos;
-    max_retries;
-    notify;
-    links = Hashtbl.create 64;
-    pool = [];
-    dead = Hashtbl.create 4;
-  }
+let create ~engine ~net ~chaos ~alive ?(max_retries = 10) ~notify () =
+  { engine; net; chaos; max_retries; notify; alive; links = Hashtbl.create 64 }
 
 (* A node's links are down at [time] if it crash-stopped or sits inside a
    pause (gray-failure) window of the chaos schedule. *)
 let down_at t node ~time =
-  Hashtbl.mem t.dead node || Chaos.silenced (Chaos.params t.chaos) ~node ~time
+  (not (t.alive node)) || Chaos.silenced (Chaos.params t.chaos) ~node ~time
 
 (* A directed link is cut at [time] if an active partition puts its
    endpoints on opposite sides. Checked at both ends of every copy's
    flight, so a partition also guillotines copies already in the air. *)
-let severed t ~src ~dst ~time = Chaos.severed_t t.chaos ~src ~dst ~time
-
-let dummy_handler (_ : float) = ()
-
-(* Drop one closure's claim on [p]; recycle once nothing can fire for it.
-   While a packet is in flight its retransmission timer always holds a
-   reference, so an in-flight packet is never recycled. *)
-let release t l (p : packet) =
-  p.p_refs <- p.p_refs - 1;
-  if p.p_refs = 0 && not (Hashtbl.mem l.l_inflight p.p_seq) then begin
-    p.p_handler <- dummy_handler;
-    t.pool <- p :: t.pool
-  end
-
-let alloc_packet t ~seq ~bytes ~handler ~rto =
-  match t.pool with
-  | p :: rest ->
-      t.pool <- rest;
-      p.p_seq <- seq;
-      p.p_bytes <- bytes;
-      p.p_handler <- handler;
-      p.p_retries <- 0;
-      p.p_rto <- rto;
-      p
-  | [] ->
-      { p_seq = seq; p_bytes = bytes; p_handler = handler; p_retries = 0; p_rto = rto; p_refs = 0 }
+let severed t ~src ~dst ~time = Chaos.severed t.chaos ~src ~dst ~time
 
 let link t ~src ~dst =
   match Hashtbl.find_opt t.links (src, dst) with
@@ -132,7 +88,7 @@ let initial_rto t l ~bytes =
     Network.transfer_time t.net ~src:l.l_src ~dst:l.l_dst ~bytes:(bytes + seq_bytes)
   in
   let back = Network.transfer_time t.net ~src:l.l_dst ~dst:l.l_src ~bytes:ack_bytes in
-  (2.0 *. (fwd +. back)) +. (2.0 *. Chaos.max_delay t.chaos) +. 100.
+  (2.0 *. (fwd +. back)) +. (2.0 *. Chaos.max_delay (Chaos.params t.chaos)) +. 100.
 
 (* --- receiver ------------------------------------------------------- *)
 
@@ -175,7 +131,7 @@ let deliver t l handler ~at =
   let slot = if at <= l.l_last_deliver then l.l_last_deliver +. 1e-6 else at in
   l.l_last_deliver <- slot;
   Sim.Engine.schedule t.engine ~at:slot (fun () ->
-      if not (Hashtbl.mem t.dead l.l_dst) then handler slot)
+      if t.alive l.l_dst then handler slot)
 
 let receive t l ~seq ~handler ~at =
   if seq < l.l_expected || Hashtbl.mem l.l_reorder seq then
@@ -203,14 +159,12 @@ let transmit t l (p : packet) ~at =
     Network.transfer_time t.net ~src:l.l_src ~dst:l.l_dst ~bytes:(p.p_bytes + seq_bytes)
   in
   let copy delay =
-    p.p_refs <- p.p_refs + 1;
     Sim.Engine.schedule t.engine
       ~at:(at +. transfer +. delay)
       (fun () ->
         let seq = p.p_seq and bytes = p.p_bytes and handler = p.p_handler in
-        release t l p;
         let now = Sim.Engine.now t.engine in
-        if Hashtbl.mem t.dead l.l_dst then
+        if not (t.alive l.l_dst) then
           t.notify ~time:now (Peer_dead { src = l.l_src; dst = l.l_dst; seq; bytes })
         else if
           down_at t l.l_dst ~time:now
@@ -229,28 +183,22 @@ let transmit t l (p : packet) ~at =
     t.notify ~time:at
       (Dropped { src = l.l_src; dst = l.l_dst; seq = p.p_seq; bytes = p.p_bytes; ack = false })
   else copy v.Chaos.delay;
-  if v.Chaos.duplicate then begin
-    t.notify ~time:at (Duplicated { src = l.l_src; dst = l.l_dst; seq = p.p_seq });
-    copy v.Chaos.dup_delay
-  end
+  if v.Chaos.duplicate then copy v.Chaos.dup_delay
 
 let rec arm_timer t l (p : packet) ~at =
-  p.p_refs <- p.p_refs + 1;
   (* Seeded per-link jitter on the armed delay (the nominal [p_rto] keeps
      doubling cleanly): without it, every sender stranded by a partition
      fires its timer in lockstep when the link heals — a synchronized
      retransmit storm. *)
   let delay = p.p_rto *. Chaos.backoff_factor t.chaos ~src:l.l_src ~dst:l.l_dst in
   Sim.Engine.schedule t.engine ~at:(at +. delay) (fun () ->
-      if not (Hashtbl.mem l.l_inflight p.p_seq) then release t l p
-      else begin
+      if Hashtbl.mem l.l_inflight p.p_seq then begin
         let now = Sim.Engine.now t.engine in
         if p.p_retries >= t.max_retries then begin
           Hashtbl.remove l.l_inflight p.p_seq;
           l.l_gave_up <- (p.p_seq, p.p_retries) :: l.l_gave_up;
           t.notify ~time:now
-            (Gave_up { src = l.l_src; dst = l.l_dst; seq = p.p_seq; retries = p.p_retries });
-          release t l p
+            (Gave_up { src = l.l_src; dst = l.l_dst; seq = p.p_seq; retries = p.p_retries })
         end
         else begin
           (* [waited] is the timeout that just expired (captured before the
@@ -269,21 +217,26 @@ let rec arm_timer t l (p : packet) ~at =
                  rto = waited;
                });
           transmit t l p ~at:now;
-          arm_timer t l p ~at:now;
-          release t l p
+          arm_timer t l p ~at:now
         end
       end)
 
 let send t ~src ~dst ~at ~bytes handler =
   if src = dst then invalid_arg "Transport.send: loopback is the caller's fast path";
-  if Hashtbl.mem t.dead dst || Hashtbl.mem t.dead src then
+  if not (t.alive dst && t.alive src) then
     (* No sequence number, no timer, no retransmission storm: the send is
        abandoned up front ([seq = -1] marks the never-transmitted case). *)
     t.notify ~time:at (Peer_dead { src; dst; seq = -1; bytes })
   else begin
     let l = link t ~src ~dst in
     let p =
-      alloc_packet t ~seq:l.l_next_seq ~bytes ~handler ~rto:(initial_rto t l ~bytes)
+      {
+        p_seq = l.l_next_seq;
+        p_bytes = bytes;
+        p_handler = handler;
+        p_retries = 0;
+        p_rto = initial_rto t l ~bytes;
+      }
     in
     l.l_next_seq <- l.l_next_seq + 1;
     Hashtbl.replace l.l_inflight p.p_seq p;
@@ -297,20 +250,21 @@ let hb_bytes = 8
 
 (* Heartbeats are deliberately *unreliable*: no sequence numbers, no
    retransmission, no acks — a missed ping is exactly the signal the
-   suspector exists to interpret. Each copy is charged to the timing model
-   ([Network.transfer_time] plus the chaos verdict's jitter) and judged on
-   the same per-link streams as payload traffic, so a lossy or partitioned
-   link starves the observer honestly. Nothing is notified per heartbeat:
-   they would drown the trace. *)
-let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect ~on_refute =
+   failure detector exists to interpret. Each copy is charged to the
+   timing model ([Network.transfer_time] plus the chaos verdict's jitter)
+   and judged on the same per-link streams as payload traffic, so a lossy
+   or partitioned link starves the observer honestly. No notice is sent
+   per heartbeat: they would drown the trace. The transport keeps only
+   when each node last heard each peer; the caller keeps any suspicion
+   state. *)
+let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_silent ~on_heard =
   if interval <= 0. then invalid_arg "Transport.start_heartbeats: interval must be > 0";
   if timeout <= 0. then invalid_arg "Transport.start_heartbeats: timeout must be > 0";
   let start = Sim.Engine.now t.engine in
-  (* observer -> peer matrices; [last.(o).(p)] = last time o heard p. *)
+  (* [last.(o).(p)] = last time observer o heard peer p. *)
   let last = Array.make_matrix nprocs nprocs start in
-  let suspected = Array.make_matrix nprocs nprocs false in
   (* Seeded per-node phase offsets desynchronize the emission ticks (and
-     therefore the suspicion checks) across nodes. *)
+     therefore the audits) across nodes. *)
   let phase_rng =
     Sim.Rng.create ~seed:((Chaos.params t.chaos).Chaos.fault_seed + 0x48b2)
   in
@@ -326,33 +280,25 @@ let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect ~on_refute
       Sim.Engine.schedule t.engine ~at:(now +. transfer +. v.Chaos.delay) (fun () ->
           let arrival = Sim.Engine.now t.engine in
           if
-            (not (Hashtbl.mem t.dead peer))
-            && (not (down_at t peer ~time:arrival))
+            (not (down_at t peer ~time:arrival))
             && not (severed t ~src:node ~dst:peer ~time:arrival)
           then begin
             last.(peer).(node) <- arrival;
-            if suspected.(peer).(node) then begin
-              suspected.(peer).(node) <- false;
-              on_refute ~by:peer ~peer:node ~time:arrival
-            end
+            on_heard ~by:peer ~peer:node ~time:arrival
           end)
   in
   (* One tick per node per interval: emit a ping to every peer, then audit
      the node's own view for peers gone quiet past the timeout. A killed
-     node's tick stops re-arming (and with it its suspicions); a paused
-     node keeps ticking — it cannot hear anyone, so it suspects everyone,
+     node's tick stops re-arming (and with it its audits); a paused node
+     keeps ticking — it cannot hear anyone, so it finds everyone silent,
      which is precisely the false-suspicion storm quorum must survive. *)
   let rec tick node () =
     let now = Sim.Engine.now t.engine in
-    if active () && not (Hashtbl.mem t.dead node) then begin
+    if active () && t.alive node then begin
       for peer = 0 to nprocs - 1 do
         if peer <> node then begin
-          if not (Hashtbl.mem t.dead peer) then beam node peer ~now;
-          if (not suspected.(node).(peer)) && now -. last.(node).(peer) > timeout
-          then begin
-            suspected.(node).(peer) <- true;
-            on_suspect ~by:node ~peer ~time:now
-          end
+          if t.alive peer then beam node peer ~now;
+          if now -. last.(node).(peer) > timeout then on_silent ~by:node ~peer ~time:now
         end
       done;
       Sim.Engine.schedule t.engine ~at:(now +. interval) (tick node)
@@ -367,14 +313,13 @@ let start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect ~on_refute
 let fold_links t f acc =
   Hashtbl.fold (fun _ l acc -> f acc l) t.links acc
 
-(* Crash-stop [peer]: every packet in flight on a link touching it is
-   abandoned now — removed from the in-flight table so the already-armed
-   backoff timers find nothing to do and just release their packet to the
-   pool (cancellation without retransmission), and reported as [Peer_dead]
+(* Crash-stop [peer], whom [alive] already reports dead: every packet in
+   flight on a link touching it is abandoned now — removed from the
+   in-flight table so the already-armed backoff timers find nothing to do
+   (cancellation without retransmission), and reported as [Peer_dead]
    instead of silently burning the retry cap. Future sends to or from the
    peer are refused up front in [send]. *)
 let kill_peer t ~peer ~time =
-  Hashtbl.replace t.dead peer ();
   let links =
     fold_links t (fun acc l -> if l.l_src = peer || l.l_dst = peer then l :: acc else acc) []
     |> List.sort (fun a b -> compare (a.l_src, a.l_dst) (b.l_src, b.l_dst))

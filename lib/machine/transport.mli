@@ -24,8 +24,6 @@
 type notice =
   | Dropped of { src : int; dst : int; seq : int; bytes : int; ack : bool }
       (** The network lost a copy ([ack] distinguishes lost acks). *)
-  | Duplicated of { src : int; dst : int; seq : int }
-      (** The network duplicated a copy in flight. *)
   | Retransmit of { src : int; dst : int; seq : int; retries : int; bytes : int; rto : float }
       (** Sender timeout: one more copy on the wire. *)
   | Dup_dropped of { src : int; dst : int; seq : int }
@@ -50,10 +48,14 @@ val seq_bytes : int
 (** Size of a standalone cumulative acknowledgement message. *)
 val ack_bytes : int
 
+(** [alive n] is the caller's record of whether node [n] has crash-stopped;
+    the transport reads it wherever a dead endpoint matters and keeps no
+    copy. *)
 val create :
   engine:Sim.Engine.t ->
   net:Network.t ->
   chaos:Chaos.t ->
+  alive:(int -> bool) ->
   ?max_retries:int ->
   notify:(time:float -> notice -> unit) ->
   unit ->
@@ -65,9 +67,9 @@ val create :
     ([src = dst]) is not supported here; callers short-circuit it. *)
 val send : t -> src:int -> dst:int -> at:float -> bytes:int -> (float -> unit) -> unit
 
-(** [kill_peer t ~peer ~time] records [peer] as crash-stopped: every packet
-    in flight on a link touching it is cancelled (its backoff timer finds
-    nothing in flight and releases the packet to the pool — no
+(** [kill_peer t ~peer ~time] abandons every packet in flight on a link
+    touching [peer], which [alive] must already report dead: each is
+    cancelled (its backoff timer finds nothing in flight — no
     retransmission storm at the retry cap) and reported as {!Peer_dead};
     later sends to or from the peer are refused up front the same way.
     Nodes inside a {!Chaos.fault.Pause} window (and links cut by a
@@ -76,27 +78,27 @@ val send : t -> src:int -> dst:int -> at:float -> bytes:int -> (float -> unit) -
     clears. *)
 val kill_peer : t -> peer:int -> time:float -> unit
 
-(** [start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_suspect
-    ~on_refute] starts the failure-detector plumbing: every node emits an
+(** [start_heartbeats t ~nprocs ~interval ~timeout ~active ~on_silent
+    ~on_heard] starts the failure-detector plumbing: every node emits an
     unreliable [hb_bytes] ping to every live peer once per [interval]
     (seeded per-node phase offsets desynchronize the ticks), charged to the
     timing model and judged on the same per-link chaos streams as payload
-    traffic — no sequence numbers, no retransmission. At each of its own
-    ticks a node also audits its view: a peer not heard from for more than
-    [timeout] microseconds raises [on_suspect ~by ~peer] once; a later
-    heartbeat from a suspected peer (pause or partition healed) raises
-    [on_refute] and clears the suspicion. Emission stops for crash-stopped
-    nodes and, globally, once [active ()] turns false (so the simulation
-    can drain). Suspicions are local opinions — turning them into failover
-    (quorum, fencing) is the caller's job. *)
+    traffic — no sequence numbers, no retransmission. Each heartbeat heard
+    raises [on_heard ~by ~peer], and at each of its own ticks a node audits
+    its view: every peer not heard from for more than [timeout]
+    microseconds raises [on_silent ~by ~peer], at this audit and each later
+    one until it is heard again. Emission stops for crash-stopped nodes
+    and, globally, once [active ()] turns false (so the simulation can
+    drain). The transport reports observations only: suspicion state and
+    what follows from it (quorum, fencing) are the caller's. *)
 val start_heartbeats :
   t ->
   nprocs:int ->
   interval:float ->
   timeout:float ->
   active:(unit -> bool) ->
-  on_suspect:(by:int -> peer:int -> time:float -> unit) ->
-  on_refute:(by:int -> peer:int -> time:float -> unit) ->
+  on_silent:(by:int -> peer:int -> time:float -> unit) ->
+  on_heard:(by:int -> peer:int -> time:float -> unit) ->
   unit
 
 (** Packets currently awaiting acknowledgement, across all links. *)

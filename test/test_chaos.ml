@@ -135,7 +135,7 @@ let test_transport_reliable_fifo () =
     | Machine.Transport.Dup_dropped _ -> incr dups
     | _ -> ()
   in
-  let tr = Machine.Transport.create ~engine ~net ~chaos ~notify () in
+  let tr = Machine.Transport.create ~engine ~net ~chaos ~alive:(fun _ -> true) ~notify () in
   let n = 200 in
   let delivered = ref [] in
   for i = 0 to n - 1 do
@@ -179,7 +179,7 @@ let test_transport_no_spurious_retransmits () =
     | Machine.Transport.Retransmit _ -> incr retransmits
     | _ -> ()
   in
-  let tr = Machine.Transport.create ~engine ~net ~chaos ~notify () in
+  let tr = Machine.Transport.create ~engine ~net ~chaos ~alive:(fun _ -> true) ~notify () in
   let delivered = ref [] in
   (* Call order 0,1,2,3 but transmit times far apart and inverted. *)
   List.iteri
@@ -209,7 +209,8 @@ let test_transport_gives_up () =
     | Machine.Transport.Retransmit _ -> incr retransmits
     | _ -> ()
   in
-  let tr = Machine.Transport.create ~engine ~net ~chaos ~max_retries:3 ~notify () in
+  let tr = Machine.Transport.create ~engine ~net ~chaos ~alive:(fun _ -> true) ~max_retries:3 ~notify ()
+  in
   let delivered = ref false in
   Machine.Transport.send tr ~src:0 ~dst:1 ~at:0. ~bytes:64 (fun _ -> delivered := true);
   ignore (Sim.Engine.run engine);
@@ -221,6 +222,59 @@ let test_transport_gives_up () =
   check Alcotest.int "the abandonment notice reports the cap" 3 !final_retries;
   check Alcotest.int "nothing left in flight after giving up" 0
     (Machine.Transport.inflight_count tr)
+
+let test_transport_crash_stop () =
+  (* The caller owns liveness: it flips [alive] and calls [kill_peer] in one
+     event, as [Svm.System.kill_node] does. Seed 2 drops 6 of the 20 first
+     copies, none of seq 0-6: without the kill the dropped ones would be
+     retransmitted, and the in-order prefix 0-6 would reach its handlers. *)
+  let engine = Sim.Engine.create () in
+  let net = Machine.Network.create ~costs:Machine.Costs.paragon ~nprocs:3 in
+  let chaos =
+    Machine.Chaos.create
+      { Machine.Chaos.none with Machine.Chaos.drop_rate = 0.5; fault_seed = 2 }
+      ~nprocs:3
+  in
+  let alive = Array.make 3 true in
+  let notices = ref [] in
+  let notify ~time n = notices := (time, n) :: !notices in
+  let tr =
+    Machine.Transport.create ~engine ~net ~chaos ~alive:(fun n -> alive.(n)) ~notify ()
+  in
+  let n = 20 and handled = ref 0 in
+  for _ = 1 to n do
+    Machine.Transport.send tr ~src:0 ~dst:2 ~at:0. ~bytes:64 (fun _ -> incr handled)
+  done;
+  let kill_at = Machine.Network.transfer_time net ~src:0 ~dst:2 ~bytes:64 /. 2. in
+  Sim.Engine.schedule engine ~at:kill_at (fun () ->
+      check Alcotest.int "every packet still in flight at the kill" n
+        (Machine.Transport.inflight_count tr);
+      alive.(2) <- false;
+      Machine.Transport.kill_peer tr ~peer:2 ~time:kill_at);
+  ignore (Sim.Engine.run engine);
+  let cancelled =
+    List.filter
+      (function
+        | time, Machine.Transport.Peer_dead _ -> time = kill_at
+        | _ -> false)
+      !notices
+  in
+  check Alcotest.int "the kill reports each packet in flight" n (List.length cancelled);
+  check Alcotest.bool "no retransmission or ack follows the kill" true
+    (List.for_all
+       (function
+         | _, (Machine.Transport.Retransmit _ | Machine.Transport.Ack_sent _) -> false
+         | _ -> true)
+       !notices);
+  check Alcotest.int "no handler ran at the dead receiver" 0 !handled;
+  check Alcotest.int "nothing left in flight" 0 (Machine.Transport.inflight_count tr);
+  notices := [];
+  Machine.Transport.send tr ~src:0 ~dst:2 ~at:(Sim.Engine.now engine) ~bytes:64 (fun _ ->
+      incr handled);
+  ignore (Sim.Engine.run engine);
+  match !notices with
+  | [ (_, Machine.Transport.Peer_dead { src = 0; dst = 2; seq = -1; bytes = 64 }) ] -> ()
+  | _ -> Alcotest.fail "a later send to the dead peer must be refused with seq -1"
 
 (* --- Config plumbing ---------------------------------------------------- *)
 
@@ -307,6 +361,7 @@ let suite =
     ("transport reliable fifo", `Quick, test_transport_reliable_fifo);
     ("transport no spurious retransmits", `Quick, test_transport_no_spurious_retransmits);
     ("transport gives up", `Quick, test_transport_gives_up);
+    ("transport crash stop", `Quick, test_transport_crash_stop);
     ("config rejects bad chaos", `Quick, test_config_rejects_bad_chaos);
     ("zero chaos byte identical", `Quick, test_zero_chaos_byte_identical);
     ("chaos report valid", `Quick, test_chaos_report_valid);
