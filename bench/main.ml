@@ -17,10 +17,10 @@ let known_artifacts =
   [
     "table1"; "table2"; "table3"; "table4"; "table5"; "table6"; "figure3"; "figure4";
     "sor-zero"; "aurc"; "protocols"; "ablation-homes"; "ablation-network";
-    "ablation-pagesize"; "ablation-locks"; "ablation-migration"; "ablation-fault-batch"; "chaos-soak";
-    "kill-soak"; "availability"; "partition-soak"; "suspicion-soak"; "detector";
-    "profile"; "timeline"; "kvstore-skew"; "micro"; "all";
+    "ablation-pagesize"; "ablation-locks"; "ablation-migration"; "ablation-fault-batch";
   ]
+  @ Harness.Soak.names
+  @ [ "profile"; "timeline"; "kvstore-skew"; "micro"; "all" ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot protocol primitives             *)
@@ -126,54 +126,30 @@ let main (c : Harness.Cli.common) ~nodes ~jobs artifacts =
   let sink =
     Option.map (fun _ -> Obs.Trace.create_sink ~capacity:c.trace_cap ()) c.trace_out
   in
+  let pool = Harness.Pool.create ~jobs in
   let m =
     Harness.Matrix.create ~verify:c.verify ?sink ~chaos:c.chaos ~fault_batch:c.fault_batch
-      ~metrics_interval:c.metrics_interval ~scale:c.scale ()
+      ~metrics_interval:c.metrics_interval ~pool ~scale:c.scale ()
   in
-  let pool = Harness.Pool.create ~jobs in
   let failures = ref 0 in
   Harness.Matrix.on_progress m (fun s -> Format.eprintf "  [%s]@." s);
-  (* With --jobs 1 the prefetch is skipped entirely and every cell is
-     simulated inline by its renderer, exactly as before; with a wider pool
-     the renderer's cells are evaluated on the pool first (in first-use
-     order, so progress lines and trace events keep the sequential order)
-     and the renderer then reads them from the memo cache. *)
-  let prefetch cells = if Harness.Pool.jobs pool > 1 then Harness.Matrix.prefetch m pool cells in
   let scale = c.scale and node_counts = nodes in
   let np = match nodes with n :: _ when n >= 2 -> n | _ -> 8 in
   let rec run = function
-    | "table1" ->
-        prefetch (Harness.Tables.table1_cells m);
-        Harness.Tables.table1 ppf m
-    | "table2" ->
-        prefetch (Harness.Tables.table2_cells m ~node_counts);
-        Harness.Tables.table2 ppf m ~node_counts
+    | "table1" -> Harness.Tables.table1 ppf m
+    | "table2" -> Harness.Tables.table2 ppf m ~node_counts
     | "table3" -> Harness.Tables.table3 ppf
-    | "table4" ->
-        prefetch (Harness.Tables.table4_cells m ~node_counts);
-        Harness.Tables.table4 ppf m ~node_counts
-    | "table5" ->
-        prefetch (Harness.Tables.table5_cells m ~node_counts);
-        Harness.Tables.table5 ppf m ~node_counts
-    | "table6" ->
-        prefetch (Harness.Tables.table6_cells m ~node_counts);
-        Harness.Tables.table6 ppf m ~node_counts
-    | "figure3" ->
-        prefetch (Harness.Tables.figure3_cells m ~node_counts);
-        Harness.Tables.figure3 ppf m ~node_counts
-    | "figure4" ->
-        prefetch (Harness.Tables.figure4_cells m ~node_counts);
-        Harness.Tables.figure4 ppf m ~node_counts ~epoch:9
-    | "sor-zero" ->
-        prefetch (Harness.Tables.sor_zero_cells m ~node_counts);
-        Harness.Tables.sor_zero ppf m ~node_counts
+    | "table4" -> Harness.Tables.table4 ppf m ~node_counts
+    | "table5" -> Harness.Tables.table5 ppf m ~node_counts
+    | "table6" -> Harness.Tables.table6 ppf m ~node_counts
+    | "figure3" -> Harness.Tables.figure3 ppf m ~node_counts
+    | "figure4" -> Harness.Tables.figure4 ppf m ~node_counts ~epoch:9
+    | "sor-zero" -> Harness.Tables.sor_zero ppf m ~node_counts
     | "ablation-homes" -> Harness.Ablations.home_placement ppf ~pool ~scale ~node_counts ()
     | "ablation-network" -> Harness.Ablations.network_sensitivity ppf ~pool ~scale ~node_counts ()
     | "ablation-pagesize" -> Harness.Ablations.page_size ppf ~pool ~scale ~node_counts ()
     | "ablation-locks" -> Harness.Ablations.coproc_locks ppf ~pool ~scale ~node_counts ()
-    | "aurc" | "protocols" ->
-        prefetch (Harness.Ablations.aurc_cells m ~node_counts);
-        Harness.Ablations.aurc_comparison ppf m ~node_counts
+    | "aurc" | "protocols" -> Harness.Ablations.aurc_comparison ppf m ~node_counts
     | "ablation-migration" -> Harness.Ablations.home_migration ppf ~pool ~scale ~node_counts ()
     | "ablation-fault-batch" -> Harness.Ablations.fault_batch ppf ~pool ~scale ~node_counts ()
     | soak when List.mem soak Harness.Soak.names ->

@@ -26,9 +26,7 @@ let run (o : Harness.Cli.run) ~trace ~breakdown =
   (match (o.metrics_out, r.Svm.Runtime.r_metrics) with
   | Some file, Some m -> Obs.Export.write_metrics_csv file m
   | _ -> ());
-  let sum field =
-    Array.fold_left (fun acc n -> acc + field n.Svm.Runtime.nr_counters) 0 r.Svm.Runtime.r_nodes
-  in
+  let sum = Svm.Runtime.sum r in
   Format.printf "application : %s (%s)@." app.Apps.Registry.name app.Apps.Registry.description;
   Format.printf "protocol    : %s, %d nodes@." (Svm.Config.protocol_name cfg.protocol) cfg.nprocs;
   Format.printf "elapsed     : %.3f simulated seconds (%.2f s wall, %d events)@."
@@ -43,15 +41,10 @@ let run (o : Harness.Cli.run) ~trace ~breakdown =
   (match r.Svm.Runtime.r_ops with
   | None -> ()
   | Some ops ->
-      let n = ops.Svm.Runtime.or_gets + ops.Svm.Runtime.or_puts + ops.Svm.Runtime.or_txns in
-      let throughput =
-        if r.Svm.Runtime.r_elapsed > 0. then
-          float_of_int n /. (r.Svm.Runtime.r_elapsed /. 1_000_000.)
-        else 0.
-      in
-      Format.printf "serving     : %d ops (%d get / %d put / %d txn), %.0f ops/s@." n
-        ops.Svm.Runtime.or_gets ops.Svm.Runtime.or_puts ops.Svm.Runtime.or_txns throughput;
       let lats = ops.Svm.Runtime.or_lats in
+      Format.printf "serving     : %d ops (%d get / %d put / %d txn), %.0f ops/s@."
+        (Array.length lats) ops.Svm.Runtime.or_gets ops.Svm.Runtime.or_puts
+        ops.Svm.Runtime.or_txns (Svm.Runtime.throughput r);
       let pct q = match Svm.Stats.quantile lats q with Some v -> v | None -> 0. in
       if Array.length lats > 0 then
         Format.printf "op latency  : p50 %.0f us, p99 %.0f us, max %.0f us@." (pct 0.5)

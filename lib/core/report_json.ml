@@ -185,12 +185,7 @@ let detect_counters =
 
 let per_node group = List.map (fun (name, get) -> field name int (fun (_, c) -> get c)) group
 
-let summed group =
-  List.map
-    (fun (name, get) ->
-      field name int (fun r ->
-          Array.fold_left (fun acc n -> acc + get n.Runtime.nr_counters) 0 r.Runtime.r_nodes))
-    group
+let summed group = List.map (fun (name, get) -> field name int (fun r -> Runtime.sum r get)) group
 
 let on_config p (cfg, _) = p cfg
 
@@ -227,8 +222,8 @@ let quantile p xs = Option.get (Stats.quantile xs p)
 
 let last xs = xs.(Array.length xs - 1)
 
-(* The value is the run's elapsed time and its op log. *)
-let serving : (float * Runtime.ops_report) t =
+(* The value is the run's report and its op log. *)
+let serving : (Runtime.report * Runtime.ops_report) t =
   let lats f (_, ops) = f ops.Runtime.or_lats in
   Runtime.
     [
@@ -236,9 +231,7 @@ let serving : (float * Runtime.ops_report) t =
       field "gets" int (fun (_, ops) -> ops.or_gets);
       field "puts" int (fun (_, ops) -> ops.or_puts);
       field "txns" int (fun (_, ops) -> ops.or_txns);
-      field "throughput_ops_per_s" num (fun (elapsed, ops) ->
-          if elapsed > 0. then float_of_int (Array.length ops.or_lats) /. (elapsed /. 1_000_000.)
-          else 0.);
+      field "throughput_ops_per_s" num (fun (r, _) -> throughput r);
       iff (positive "ops")
         [
           field "lat_mean_us" num (lats mean);
@@ -282,7 +275,7 @@ let totals : Runtime.report t =
       field "protocol_bytes" int total_protocol_bytes;
       field "mem_peak" int max_mem_peak;
       field "mean_compute_us" num mean_compute;
-      opt "serving" (obj serving) (fun r -> Option.map (fun ops -> (r.r_elapsed, ops)) r.r_ops);
+      opt "serving" (obj serving) (fun r -> Option.map (fun ops -> (r, ops)) r.r_ops);
       opt "replication" (obj (summed repl_counters)) (only (on_run repl));
       opt "availability" (obj availability) (only (on_run kill));
       opt "chaos" (obj chaos_totals) (only (on_run chaos));

@@ -439,13 +439,18 @@ let mean_compute r =
   in
   total /. float_of_int (Array.length r.r_nodes)
 
-let total_messages r =
-  Array.fold_left (fun acc n -> acc + n.nr_counters.Stats.messages) 0 r.r_nodes
+let sum r f = Array.fold_left (fun acc n -> acc + f n.nr_counters) 0 r.r_nodes
 
-let total_update_bytes r =
-  Array.fold_left (fun acc n -> acc + n.nr_counters.Stats.update_bytes) 0 r.r_nodes
+let total_messages r = sum r (fun c -> c.Stats.messages)
 
-let total_protocol_bytes r =
-  Array.fold_left (fun acc n -> acc + n.nr_counters.Stats.protocol_bytes) 0 r.r_nodes
+let total_update_bytes r = sum r (fun c -> c.Stats.update_bytes)
+
+let total_protocol_bytes r = sum r (fun c -> c.Stats.protocol_bytes)
+
+let throughput r =
+  match r.r_ops with
+  | Some ops when r.r_elapsed > 0. ->
+      float_of_int (Array.length ops.or_lats) /. (r.r_elapsed /. 1_000_000.)
+  | _ -> 0.
 
 let max_mem_peak r = Array.fold_left (fun acc n -> max acc n.nr_mem_peak) 0 r.r_nodes

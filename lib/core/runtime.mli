@@ -65,6 +65,9 @@ type report = {
     divide by. *)
 val mean_compute : report -> float
 
+(** [sum r f] adds the per-node counter [f] over every node of [r]. *)
+val sum : report -> (Stats.counters -> int) -> int
+
 val total_messages : report -> int
 
 val total_update_bytes : report -> int
@@ -73,6 +76,10 @@ val total_protocol_bytes : report -> int
 
 (** Maximum peak protocol memory over the nodes, bytes. *)
 val max_mem_peak : report -> int
+
+(** Serving operations completed per simulated second; 0 for a run that
+    records none or takes no time. *)
+val throughput : report -> float
 
 (** [run ?sink cfg app] executes the simulation. [sink] receives the typed
     protocol trace events ({!Obs.Trace}); a tap on it can print them as they

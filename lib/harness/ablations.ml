@@ -27,6 +27,8 @@ let evaluate pool specs run =
   let results = Pool.map pool (fun spec -> (spec, run spec)) specs in
   fun spec -> List.assoc spec results
 
+let app_of scale name = Option.get (Apps.Registry.find name scale)
+
 (* --- Home placement (paper 4.4: "if homes are chosen intelligently") --- *)
 
 let home_placement ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
@@ -71,9 +73,6 @@ let network_sensitivity ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   Format.fprintf ppf "%-16s %5s | %21s | %21s@." "" "nodes" "Paragon LRC/HLRC" "low-lat LRC/HLRC";
   hline ppf 75;
   let apps = [ Apps.Registry.sor scale; Apps.Registry.raytrace scale ] in
-  let app_of name =
-    List.find (fun (a : Apps.Registry.t) -> a.Apps.Registry.name = name) apps
-  in
   let costs_of = function
     | `Paragon -> Machine.Costs.paragon
     | `Low_latency -> Machine.Costs.low_latency
@@ -95,7 +94,7 @@ let network_sensitivity ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   let time =
     evaluate pool specs (fun (name, np, profile, proto) ->
         let cfg = Svm.Config.make ~costs:(costs_of profile) ~nprocs:np proto in
-        fst (elapsed_of cfg (app_of name).Apps.Registry.body))
+        fst (elapsed_of cfg (app_of scale name).Apps.Registry.body))
   in
   List.iter
     (fun (app : Apps.Registry.t) ->
@@ -117,9 +116,6 @@ let page_size ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   Format.fprintf ppf "%-16s %5s | %12s %12s %12s@." "" "nodes" "4KB (s)" "8KB (s)" "16KB (s)";
   hline ppf 70;
   let apps = [ Apps.Registry.sor scale; Apps.Registry.raytrace scale ] in
-  let app_of name =
-    List.find (fun (a : Apps.Registry.t) -> a.Apps.Registry.name = name) apps
-  in
   let specs =
     List.concat_map
       (fun (app : Apps.Registry.t) ->
@@ -132,7 +128,7 @@ let page_size ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   let time =
     evaluate pool specs (fun (name, np, page_words) ->
         let cfg = Svm.Config.make ~page_words ~nprocs:np Svm.Config.Hlrc in
-        fst (elapsed_of cfg (app_of name).Apps.Registry.body) /. 1e6)
+        fst (elapsed_of cfg (app_of scale name).Apps.Registry.body) /. 1e6)
   in
   List.iter
     (fun (app : Apps.Registry.t) ->
@@ -153,9 +149,6 @@ let coproc_locks ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
     "gain";
   hline ppf 70;
   let apps = [ Apps.Registry.water_nsq scale; Apps.Registry.raytrace scale ] in
-  let app_of name =
-    List.find (fun (a : Apps.Registry.t) -> a.Apps.Registry.name = name) apps
-  in
   let specs =
     List.concat_map
       (fun (app : Apps.Registry.t) ->
@@ -167,7 +160,7 @@ let coproc_locks ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   let time =
     evaluate pool specs (fun (name, np, coproc_locks) ->
         let cfg = Svm.Config.make ~coproc_locks ~nprocs:np Svm.Config.Ohlrc in
-        fst (elapsed_of cfg (app_of name).Apps.Registry.body) /. 1e6)
+        fst (elapsed_of cfg (app_of scale name).Apps.Registry.body) /. 1e6)
   in
   List.iter
     (fun (app : Apps.Registry.t) ->
@@ -186,18 +179,16 @@ let coproc_locks ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
 
 let aurc_protocols = [ Svm.Config.Rc; Svm.Config.Lrc; Svm.Config.Hlrc; Svm.Config.Aurc ]
 
-(* Matrix cells [aurc_comparison] will get, in first-use order (speedups
-   read the one-node HLRC baseline first) — see {!Tables.table2_cells}. *)
-let aurc_cells m ~node_counts =
-  List.concat_map
-    (fun (app : Apps.Registry.t) ->
-      List.concat_map
-        (fun np ->
-          (app, Svm.Config.Hlrc, 1) :: List.map (fun p -> (app, p, np)) aurc_protocols)
-        node_counts)
-    (Apps.Registry.all (Matrix.scale m))
-
 let aurc_comparison ppf m ~node_counts =
+  let apps = Apps.Registry.all (Matrix.scale m) in
+  Matrix.prefetch m
+    (List.concat_map
+       (fun app ->
+         List.concat_map
+           (fun np ->
+             (app, Svm.Config.Hlrc, 1) :: List.map (fun p -> (app, p, np)) aurc_protocols)
+           node_counts)
+       apps);
   title ppf "Protocol family: eager RC vs LRC vs HLRC vs AURC (paper 2.2-2.3)";
   Format.fprintf ppf "%-16s %5s | %8s %8s %8s %8s | %10s %10s@." "" "nodes" "RC" "LRC" "HLRC"
     "AURC" "RC updMB" "AURC updMB";
@@ -211,18 +202,12 @@ let aurc_comparison ppf m ~node_counts =
             float_of_int (Svm.Runtime.total_update_bytes (Matrix.get m app proto np))
             /. 1048576.0
           in
-          (* Bind left-to-right so the matrix-get order is explicit (fprintf
-             arguments evaluate right-to-left) and matches [aurc_cells]. *)
-          let s_rc = speedup Svm.Config.Rc in
-          let s_lrc = speedup Svm.Config.Lrc in
-          let s_hlrc = speedup Svm.Config.Hlrc in
-          let s_aurc = speedup Svm.Config.Aurc in
-          let u_rc = upd Svm.Config.Rc in
-          let u_aurc = upd Svm.Config.Aurc in
           Format.fprintf ppf "%-16s %5d | %8.2f %8.2f %8.2f %8.2f | %10.2f %10.2f@."
-            app.Apps.Registry.name np s_rc s_lrc s_hlrc s_aurc u_rc u_aurc)
+            app.Apps.Registry.name np (speedup Svm.Config.Rc) (speedup Svm.Config.Lrc)
+            (speedup Svm.Config.Hlrc) (speedup Svm.Config.Aurc) (upd Svm.Config.Rc)
+            (upd Svm.Config.Aurc))
         node_counts)
-    (Apps.Registry.all (Matrix.scale m))
+    apps
 
 (* --- Adaptive home migration (extension): repairing un-hinted placement
    at run time --- *)
@@ -244,11 +229,7 @@ let home_migration ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   List.iter
     (fun np ->
       let fixed = report (np, false) and migrating = report (np, true) in
-      let moves =
-        Array.fold_left
-          (fun acc n -> acc + n.Svm.Runtime.nr_counters.Svm.Stats.home_migrations)
-          0 migrating.Svm.Runtime.r_nodes
-      in
+      let moves = Svm.Runtime.sum migrating (fun c -> c.Svm.Stats.home_migrations) in
       Format.fprintf ppf "%-8d %12.3f %14.3f %12d %9.2fx@." np
         (fixed.Svm.Runtime.r_elapsed /. 1e6)
         (migrating.Svm.Runtime.r_elapsed /. 1e6)
@@ -270,9 +251,6 @@ let fault_batch ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
   hline ppf 106;
   let batches = [ 1; 2; 4; 8 ] in
   let apps = [ Apps.Registry.raytrace scale; Apps.Registry.sor scale ] in
-  let app_of name =
-    List.find (fun (a : Apps.Registry.t) -> a.Apps.Registry.name = name) apps
-  in
   let specs =
     List.concat_map
       (fun (app : Apps.Registry.t) ->
@@ -287,7 +265,7 @@ let fault_batch ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
           Svm.Config.make ~home_policy:Svm.Config.Block ~fault_batch ~nprocs:np
             Svm.Config.Hlrc
         in
-        snd (elapsed_of cfg (app_of name).Apps.Registry.body))
+        snd (elapsed_of cfg (app_of scale name).Apps.Registry.body))
   in
   List.iter
     (fun (app : Apps.Registry.t) ->
@@ -296,12 +274,7 @@ let fault_batch ppf ?(pool = Pool.sequential) ~scale ~node_counts () =
           let t b =
             (report (app.Apps.Registry.name, np, b)).Svm.Runtime.r_elapsed /. 1e6
           in
-          let sum b f =
-            Array.fold_left
-              (fun acc n -> acc + f n.Svm.Runtime.nr_counters)
-              0
-              (report (app.Apps.Registry.name, np, b)).Svm.Runtime.r_nodes
-          in
+          let sum b = Svm.Runtime.sum (report (app.Apps.Registry.name, np, b)) in
           Format.fprintf ppf "%-16s %5d | %10.3f %10.3f %10.3f %10.3f | %9d %9d %10d@."
             app.Apps.Registry.name np (t 1) (t 2) (t 4) (t 8)
             (sum 1 (fun c -> c.Svm.Stats.page_fetches))

@@ -46,13 +46,9 @@ val coproc_locks :
   unit
 
 (** The protocol family of the paper's §2: eager RC vs LRC vs HLRC vs AURC
-    (speedups and update traffic). Reads the shared {!Matrix.t}; for a
-    parallel run, {!Matrix.prefetch} the {!aurc_cells} first. *)
+    (speedups and update traffic). Reads the shared {!Matrix.t}, evaluating
+    its cells first with {!Matrix.prefetch}. *)
 val aurc_comparison : Format.formatter -> Matrix.t -> node_counts:int list -> unit
-
-(** The matrix cells {!aurc_comparison} reads, in first-use order. *)
-val aurc_cells :
-  Matrix.t -> node_counts:int list -> (Apps.Registry.t * Svm.Config.protocol * int) list
 
 (** Adaptive home migration (extension) on un-hinted LU. *)
 val home_migration :

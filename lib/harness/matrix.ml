@@ -7,10 +7,10 @@
    sequential executables the same way).
 
    Cells are self-contained (one [System.create] per run, per-run RNG and
-   trace sink), so uncached cells can also be evaluated concurrently on
-   OCaml 5 domains via {!prefetch}; the cache and the progress callback are
+   trace sink), so every uncached cell is evaluated by {!prefetch} on the
+   matrix's pool, at any width; the cache and the progress callback are
    mutex-guarded, and per-cell sinks are merged into the shared sink in
-   request order so parallel runs stay byte-identical to sequential ones. *)
+   request order so the output does not depend on the pool's width. *)
 
 type key = { k_app : string; k_proto : Svm.Config.protocol; k_np : int }
 
@@ -21,12 +21,14 @@ type t = {
   chaos : Machine.Chaos.params option;  (* [None]: Config.make's defaults *)
   fault_batch : int option;
   metrics_interval : float option;
+  pool : Pool.t;
   cache : (key, Svm.Runtime.report) Hashtbl.t;
   mu : Mutex.t;  (* guards [cache] and serializes [progress] calls *)
   mutable progress : (string -> unit) option;
 }
 
-let create ?(verify = true) ?sink ?chaos ?fault_batch ?metrics_interval ~scale () =
+let create ?(verify = true) ?sink ?chaos ?fault_batch ?metrics_interval ?(pool = Pool.sequential)
+    ~scale () =
   {
     scale;
     verify;
@@ -34,6 +36,7 @@ let create ?(verify = true) ?sink ?chaos ?fault_batch ?metrics_interval ~scale (
     chaos;
     fault_batch;
     metrics_interval;
+    pool;
     cache = Hashtbl.create 64;
     mu = Mutex.create ();
     progress = None;
@@ -63,17 +66,7 @@ let run_cell t ?sink (app : Apps.Registry.t) proto np =
   in
   Svm.Runtime.run ?sink cfg (app.Apps.Registry.body ~verify:t.verify)
 
-let get t (app : Apps.Registry.t) proto np =
-  let key = key_of app proto np in
-  match Mutex.protect t.mu (fun () -> Hashtbl.find_opt t.cache key) with
-  | Some r -> r
-  | None ->
-      announce t app proto np;
-      let r = run_cell t ?sink:t.sink app proto np in
-      Mutex.protect t.mu (fun () -> Hashtbl.replace t.cache key r);
-      r
-
-let prefetch t pool cells =
+let prefetch t cells =
   let seen = Hashtbl.create 16 in
   let todo =
     List.filter
@@ -87,11 +80,12 @@ let prefetch t pool cells =
         end)
       cells
   in
-  (* Each concurrent cell traces into its own sink (same capacity as the
-     shared one); after the barrier the sinks are absorbed in request
-     order, which reproduces the sequential emission stream exactly. *)
+  (* Each cell traces into its own sink (same capacity as the shared one);
+     after the pool's barrier the sinks are absorbed in request order, which
+     stores the events and counts the drops that emitting every cell into
+     the shared sink in that order would. *)
   let results =
-    Pool.map pool
+    Pool.map t.pool
       (fun ((app : Apps.Registry.t), proto, np) ->
         announce t app proto np;
         let cell_sink =
@@ -110,6 +104,10 @@ let prefetch t pool cells =
       | _ -> ());
       Mutex.protect t.mu (fun () -> Hashtbl.replace t.cache key r))
     results
+
+let get t app proto np =
+  prefetch t [ (app, proto, np) ];
+  Mutex.protect t.mu (fun () -> Hashtbl.find t.cache (key_of app proto np))
 
 (* Cached cells in a deterministic order for machine-readable dumps:
    application name, then the canonical protocol order of the paper's
@@ -154,5 +152,4 @@ let speedup t app proto np =
 
 (* Averages of a per-node integer counter. *)
 let mean_counter (r : Svm.Runtime.report) f =
-  let total = Array.fold_left (fun acc n -> acc + f n.Svm.Runtime.nr_counters) 0 r.Svm.Runtime.r_nodes in
-  float_of_int total /. float_of_int (Array.length r.Svm.Runtime.r_nodes)
+  float_of_int (Svm.Runtime.sum r f) /. float_of_int (Array.length r.Svm.Runtime.r_nodes)

@@ -12,13 +12,15 @@ type t
     applies one fault-injection plan to every cell, [fault_batch] sets
     {!Svm.Config.fault_batch} and [metrics_interval] sets
     {!Svm.Config.metrics_interval} on every cell (so cached reports carry a
-    timeline, [r_metrics]); each defaults to {!Svm.Config.make}'s. *)
+    timeline, [r_metrics]); each defaults to {!Svm.Config.make}'s. Uncached
+    cells run on [pool] (default {!Pool.sequential}). *)
 val create :
   ?verify:bool ->
   ?sink:Obs.Trace.sink ->
   ?chaos:Machine.Chaos.params ->
   ?fault_batch:int ->
   ?metrics_interval:float ->
+  ?pool:Pool.t ->
   scale:Apps.Registry.scale ->
   unit ->
   t
@@ -28,18 +30,18 @@ val on_progress : t -> (string -> unit) -> unit
 
 val scale : t -> Apps.Registry.scale
 
-(** Run (or recall) one cell. *)
-val get : t -> Apps.Registry.t -> Svm.Config.protocol -> int -> Svm.Runtime.report
+(** [prefetch t cells] evaluates every not-yet-cached cell of [cells]
+    (duplicates ignored, order preserved) on the matrix's pool, so later
+    {!get}s are cache hits. Each cell is a self-contained simulation tracing
+    into its own sink; the per-cell sinks are merged into the matrix's
+    shared sink in [cells] order, and the progress callback is
+    mutex-serialized — so reports, dumps and traces are byte-identical at
+    every pool width. If a cell raises, so does [prefetch], as {!Pool.map}
+    does, and it caches no cell of [cells]. *)
+val prefetch : t -> (Apps.Registry.t * Svm.Config.protocol * int) list -> unit
 
-(** [prefetch t pool cells] evaluates every not-yet-cached cell of [cells]
-    (duplicates ignored, order preserved) through [pool], so later {!get}s
-    are cache hits. Each concurrent cell is a self-contained simulation
-    tracing into its own sink; the per-cell sinks are merged into the
-    matrix's shared sink in [cells] order, and the progress callback is
-    mutex-serialized — so reports, dumps and traces are byte-identical to
-    a sequential run whose first [get]s happen in [cells] order. *)
-val prefetch :
-  t -> Pool.t -> (Apps.Registry.t * Svm.Config.protocol * int) list -> unit
+(** Recall one cell, or evaluate it alone through {!prefetch}. *)
+val get : t -> Apps.Registry.t -> Svm.Config.protocol -> int -> Svm.Runtime.report
 
 (** Sequential baseline: the computation-only time of a one-node run
     (protocol-independent; what the paper divides by for speedups). *)

@@ -28,9 +28,6 @@ let default_thetas = [ 0.0; 0.5; 0.9; 0.99 ]
 
 let default_write_ratios = [ 0.0; 0.2; 0.5 ]
 
-let protocols =
-  List.filter_map Svm.Config.protocol_of_string Svm.Config.protocol_strings
-
 (* Cells are enumerated protocol-major in list order and evaluated with
    [Pool.map], which returns results in input order — the rendered table is
    byte-identical for any --jobs width. *)
@@ -45,7 +42,7 @@ let sweep ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) ?(nprocs = 8)
         List.concat_map
           (fun theta -> List.map (fun w -> (proto, theta, w)) write_ratios)
           thetas)
-      protocols
+      Svm.Config.extended_protocols
   in
   Pool.map pool
     (fun (proto, theta, write_ratio) ->
@@ -68,20 +65,14 @@ let sweep ?(pool = Pool.sequential) ?(scale = Apps.Registry.Test) ?(nprocs = 8)
               match Svm.Stats.quantile lats q with Some v -> v | None -> 0.
             in
             let mx = if Array.length lats = 0 then 0. else lats.(Array.length lats - 1) in
-            ( o.Svm.Runtime.or_gets + o.Svm.Runtime.or_puts + o.Svm.Runtime.or_txns,
-              pct 0.5, pct 0.99, mx )
-      in
-      let throughput =
-        if r.Svm.Runtime.r_elapsed > 0. then
-          float_of_int ops /. (r.Svm.Runtime.r_elapsed /. 1_000_000.)
-        else 0.
+            (Array.length lats, pct 0.5, pct 0.99, mx)
       in
       {
         sv_proto = proto;
         sv_theta = theta;
         sv_write_ratio = write_ratio;
         sv_ops = ops;
-        sv_throughput = throughput;
+        sv_throughput = Svm.Runtime.throughput r;
         sv_p50_us = p50;
         sv_p99_us = p99;
         sv_max_us = mx;

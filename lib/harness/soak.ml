@@ -16,10 +16,9 @@ let nprocs = 4
    and cannot fail. *)
 let victim = nprocs - 1
 
-let protocols = List.filter_map Svm.Config.protocol_of_string Svm.Config.protocol_strings
-
 (* Eager protocols have no replica machinery (Config rejects --replicas > 1). *)
-let replicable = List.filter (fun p -> p <> Svm.Config.Aurc && p <> Svm.Config.Rc) protocols
+let replicable =
+  List.filter (fun p -> p <> Svm.Config.Aurc && p <> Svm.Config.Rc) Svm.Config.extended_protocols
 
 let schemes = [ Svm.Config.Inval; Svm.Config.Backup ]
 
@@ -174,9 +173,6 @@ let digest x = (report x).r_mem_digest
 let elapsed x = match x.result with Ok (r, _) -> r.r_elapsed | Error _ -> nan
 let matches (r : row) = List.for_all (fun x -> Int64.equal (digest x) (digest r.twin)) r.faulted
 
-let sum (r : Svm.Runtime.report) f =
-  Array.fold_left (fun acc (n : Svm.Runtime.node_report) -> acc + f n.nr_counters) 0 r.r_nodes
-
 let the_faulted r = match r.faulted with [ x ] -> x | _ -> invalid_arg "Soak: one faulted run"
 
 let digest_col r =
@@ -215,7 +211,7 @@ let chaos_soak =
   let plan =
     { Machine.Chaos.none with drop_rate = 0.02; dup_rate = 0.01; jitter = 5.0; straggler = 1.25 }
   in
-  table ~protocols "Chaos soak: differential soundness"
+  table ~protocols:Svm.Config.extended_protocols "Chaos soak: differential soundness"
     (Printf.sprintf "%-10s %-6s %5s  %8s %8s %9s  %s" "app" "proto" "seed" "drops" "rexmits"
        "slowdown" "digest")
     (fun app proto ->
@@ -228,8 +224,8 @@ let chaos_soak =
     (fun _ r ->
       let x = report (the_faulted r) in
       Printf.sprintf "  %8d %8d %8.2fx  %s"
-        (sum x (fun c -> c.msg_drops))
-        (sum x (fun c -> c.msg_retransmits))
+        (Svm.Runtime.sum x (fun c -> c.msg_drops))
+        (Svm.Runtime.sum x (fun c -> c.msg_retransmits))
         (x.r_elapsed /. elapsed r.twin) (digest_col r))
 
 let kill_soak =
@@ -248,7 +244,7 @@ let kill_soak =
       let k = report x in
       Printf.sprintf " %10.0f %9d %8.0fu  %s"
         (match Machine.Chaos.first_kill x.cfg.chaos with Some (_, at) -> at | None -> nan)
-        (sum k (fun c -> c.failovers))
+        (Svm.Runtime.sum k (fun c -> c.failovers))
         (p99 k.r_failover_stalls) (digest_col r))
 
 (* What replication costs when nothing fails (traffic, slowdown vs K = 1)
@@ -279,10 +275,10 @@ let availability =
       let stalls = List.concat_map (fun (k : Svm.Runtime.report) -> k.r_failover_stalls) killed in
       let n = List.length stalls in
       Printf.sprintf " %9d %10d %8.3fx %9d %9.0fu %9.0fu%s"
-        (sum t (fun c -> c.repl_updates + c.repl_invals))
-        (sum t (fun c -> c.repl_bytes))
+        (Svm.Runtime.sum t (fun c -> c.repl_updates + c.repl_invals))
+        (Svm.Runtime.sum t (fun c -> c.repl_bytes))
         (t.r_elapsed /. elapsed base.twin)
-        (List.fold_left (fun acc k -> acc + sum k (fun c -> c.failovers)) 0 killed)
+        (List.fold_left (fun acc k -> acc + Svm.Runtime.sum k (fun c -> c.failovers)) 0 killed)
         (if n = 0 then 0. else List.fold_left ( +. ) 0. stalls /. float_of_int n)
         (p99 stalls)
         (if matches r then "" else "  DIGEST MISMATCH"))
@@ -296,7 +292,8 @@ let partition_soak =
   let group_name g = String.concat "," (List.map string_of_int g) in
   let impossible r =
     let x = the_faulted r in
-    let suspected = sum (report x) (fun c -> c.suspicions) and deposed = (facts x).deposes in
+    let suspected = Svm.Runtime.sum (report x) (fun c -> c.suspicions) in
+    let deposed = (facts x).deposes in
     let cut = match Machine.Chaos.partitions x.cfg.chaos with (g, _, _) :: _ -> g | [] -> [] in
     (* Over the whole table, since whether a given cell deposes depends on
        timing: an oracle never suspects, and an even split never deposes. *)
@@ -338,10 +335,10 @@ let partition_soak =
       let x = the_faulted r in
       let k = report x in
       Printf.sprintf " %8d %7d %7d %7d %7d  %s"
-        (sum k (fun c -> c.suspicions))
-        (sum k (fun c -> c.refutations))
+        (Svm.Runtime.sum k (fun c -> c.suspicions))
+        (Svm.Runtime.sum k (fun c -> c.refutations))
         (facts x).deposes (facts x).rejoins
-        (sum k (fun c -> c.fenced_fetches))
+        (Svm.Runtime.sum k (fun c -> c.fenced_fetches))
         (digest_col r))
     ~verdict:(fun rows ->
       let impossible = List.filter_map impossible rows in

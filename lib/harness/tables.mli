@@ -1,6 +1,7 @@
 (** Text renderings of the paper's tables and figures (the per-experiment
     index in DESIGN.md maps each to its paper artifact). All print to the
-    given formatter from a shared run {!Matrix.t}. *)
+    given formatter from a shared run {!Matrix.t}; each first evaluates the
+    cells it reads with {!Matrix.prefetch}, on the matrix's pool. *)
 
 (** Table 1: benchmarks, problem sizes, sequential execution times. *)
 val table1 : Format.formatter -> Matrix.t -> unit
@@ -31,28 +32,3 @@ val figure4 : Format.formatter -> Matrix.t -> node_counts:int list -> epoch:int 
 
 (** §4.8: SOR with a zero interior, the most LRC-favourable workload. *)
 val sor_zero : Format.formatter -> Matrix.t -> node_counts:int list -> unit
-
-(** {1 Cell enumerators}
-
-    For each artifact, the (app, protocol, node count) cells its renderer
-    will {!Matrix.get}, in first-use order — feed these to
-    {!Matrix.prefetch} to evaluate a table's grid on a domain pool before
-    rendering it. Duplicates are fine (prefetch dedupes). *)
-
-type cell = Apps.Registry.t * Svm.Config.protocol * int
-
-val table1_cells : Matrix.t -> cell list
-
-val table2_cells : Matrix.t -> node_counts:int list -> cell list
-
-val table4_cells : Matrix.t -> node_counts:int list -> cell list
-
-val table5_cells : Matrix.t -> node_counts:int list -> cell list
-
-val table6_cells : Matrix.t -> node_counts:int list -> cell list
-
-val figure3_cells : Matrix.t -> node_counts:int list -> cell list
-
-val figure4_cells : Matrix.t -> node_counts:int list -> cell list
-
-val sor_zero_cells : Matrix.t -> node_counts:int list -> cell list

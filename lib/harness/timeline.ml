@@ -75,11 +75,7 @@ let failover_block ppf ~victim ~kill_at ok failover =
             "  recovery stall: %d waiters, p50 <= %.0f us, p99 <= %.0f us, max %.0f us@."
             s.Obs.Metrics.hs_count p50 p99 s.Obs.Metrics.hs_max
       | _ -> Format.fprintf ppf "  recovery stall: no waiters@."));
-  let failovers =
-    Array.fold_left
-      (fun acc n -> acc + n.Svm.Runtime.nr_counters.Svm.Stats.failovers)
-      0 failover.Svm.Runtime.r_nodes
-  in
+  let failovers = Svm.Runtime.sum failover (fun c -> c.Svm.Stats.failovers) in
   Format.fprintf ppf "  failovers: %d pages promoted; elapsed %.0f us (%.2fx fault-free)@."
     failovers failover.Svm.Runtime.r_elapsed
     (failover.Svm.Runtime.r_elapsed /. ok.Svm.Runtime.r_elapsed)

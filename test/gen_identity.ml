@@ -18,9 +18,6 @@
    produce: one line per {!Report_cases} argv with the MD5 of the file
    [svm_run ARGV --json FILE] writes, [meta] included. *)
 
-let protocols =
-  List.filter_map Svm.Config.protocol_of_string Svm.Config.protocol_strings
-
 let md5 s = Digest.to_hex (Digest.string s)
 
 (* The CLI report file is [to_string r] plus a trailing newline
@@ -49,7 +46,7 @@ let () =
         (List.filter_map
            (fun name -> Apps.Registry.find name Apps.Registry.Test)
            Apps.Registry.names))
-    protocols;
+    Svm.Config.extended_protocols;
   List.iter
     (fun args ->
       Printf.fprintf oc "svm_run %s json %s\n" (String.concat " " args)

@@ -13,6 +13,50 @@ let test_matrix_caches () =
   check Alcotest.bool "same report object" true (r1 == r2);
   check Alcotest.int "one simulation" 1 !calls
 
+(* Cells trace into their own sinks, which merge into the shared one in
+   request order: a miss stores exactly what its run stores when it traces
+   directly, a hit adds nothing, and a prefetched grid stores what its
+   cells would, traced in order into one sink, drops included. *)
+let test_matrix_traces_like_runs () =
+  let sor = Apps.Registry.sor Apps.Registry.Test and lu = Apps.Registry.lu Apps.Registry.Test in
+  let capacity = 1_000 in
+  let sink = Obs.Trace.create_sink ~capacity () in
+  let m =
+    Harness.Matrix.create ~verify:false ~sink ~pool:(Harness.Pool.create ~jobs:2)
+      ~scale:Apps.Registry.Test ()
+  in
+  let calls = ref 0 in
+  Harness.Matrix.on_progress m (fun _ -> incr calls);
+  let direct = Obs.Trace.create_sink ~capacity () in
+  let run ((app : Apps.Registry.t), proto, np) =
+    ignore
+      (Svm.Runtime.run ~sink:direct (Svm.Config.make ~nprocs:np proto)
+         (app.Apps.Registry.body ~verify:false))
+  in
+  let same what =
+    check Alcotest.bool (what ^ ": same events, same order") true
+      (Obs.Trace.events sink = Obs.Trace.events direct);
+    check Alcotest.int (what ^ ": same drop count") (Obs.Trace.dropped direct)
+      (Obs.Trace.dropped sink);
+    check
+      Alcotest.(list (pair string int))
+      (what ^ ": same drops by kind") (Obs.Trace.dropped_by_kind direct)
+      (Obs.Trace.dropped_by_kind sink)
+  in
+  ignore (Harness.Matrix.get m sor Svm.Config.Hlrc 4);
+  run (sor, Svm.Config.Hlrc, 4);
+  same "a miss";
+  let stored = Obs.Trace.length sink in
+  ignore (Harness.Matrix.get m sor Svm.Config.Hlrc 4);
+  check Alcotest.int "a hit stores nothing" stored (Obs.Trace.length sink);
+  check Alcotest.int "a hit announces nothing" 1 !calls;
+  let grid = [ (lu, Svm.Config.Lrc, 2); (sor, Svm.Config.Lrc, 4) ] in
+  Harness.Matrix.prefetch m grid;
+  List.iter run grid;
+  check Alcotest.bool "the grid overflows the sink" true (Obs.Trace.dropped direct > 0);
+  same "a grid";
+  check Alcotest.int "each cell announced once" 3 !calls
+
 let test_speedup_definition () =
   let m = Harness.Matrix.create ~verify:false ~scale:Apps.Registry.Test () in
   let app = Apps.Registry.sor Apps.Registry.Test in
@@ -43,6 +87,8 @@ let test_tables_render () =
   let t2 = render (fun ppf -> Harness.Tables.table2 ppf m ~node_counts) in
   check Alcotest.bool "table2 lists protocols" true
     (List.for_all (fun p -> contains t2 p) [ "LRC"; "OLRC"; "HLRC"; "OHLRC" ]);
+  check Alcotest.bool "table2 titles the node counts given" true
+    (contains t2 "=== Table 2: speedups on 2 and 4 nodes ===");
   let t3 = render (fun ppf -> Harness.Tables.table3 ppf) in
   check Alcotest.bool "table3 shows the 1172us miss" true (contains t3 "1172");
   let t4 = render (fun ppf -> Harness.Tables.table4 ppf m ~node_counts) in
@@ -93,27 +139,43 @@ let test_cells_canonical_order () =
     [ Svm.Config.Lrc; Svm.Config.Olrc; Svm.Config.Hlrc; Svm.Config.Ohlrc ]
     protos
 
-(* The tentpole's hard requirement: a prefetched parallel sweep must be
-   byte-identical to the sequential one — rendered table, JSON dump and
-   trace-sink contents alike. *)
+(* Every artifact that reads the matrix prints, dumps and traces the same
+   bytes at any pool width, also when the shared sink overflows: each
+   renderer evaluates its grid on the pool, and the per-cell sinks merge in
+   the grid's order. *)
 let test_parallel_determinism () =
   let node_counts = [ 2 ] in
   let sweep jobs =
-    let sink = Obs.Trace.create_sink ~capacity:10_000 () in
-    let m = Harness.Matrix.create ~verify:false ~sink ~scale:Apps.Registry.Test () in
-    let pool = Harness.Pool.create ~jobs in
-    if Harness.Pool.jobs pool > 1 then
-      Harness.Matrix.prefetch m pool (Harness.Tables.table2_cells m ~node_counts);
-    let table = render (fun ppf -> Harness.Tables.table2 ppf m ~node_counts) in
+    let sink = Obs.Trace.create_sink ~capacity:5_000 () in
+    let m =
+      Harness.Matrix.create ~verify:false ~sink ~pool:(Harness.Pool.create ~jobs)
+        ~scale:Apps.Registry.Test ()
+    in
+    let text =
+      render (fun ppf ->
+          Harness.Tables.table1 ppf m;
+          Harness.Tables.table2 ppf m ~node_counts;
+          Harness.Tables.table4 ppf m ~node_counts;
+          Harness.Tables.table5 ppf m ~node_counts;
+          Harness.Tables.table6 ppf m ~node_counts;
+          Harness.Tables.figure3 ppf m ~node_counts;
+          Harness.Tables.figure4 ppf m ~node_counts ~epoch:2;
+          Harness.Tables.sor_zero ppf m ~node_counts;
+          Harness.Ablations.aurc_comparison ppf m ~node_counts)
+    in
     let json = Obs.Json.to_string_pretty (Harness.Matrix.to_json m) in
-    (table, json, Obs.Trace.events sink, Obs.Trace.dropped sink)
+    (text, json, sink)
   in
-  let t1, j1, e1, d1 = sweep 1 in
-  let t4, j4, e4, d4 = sweep 4 in
-  check Alcotest.string "rendered table identical" t1 t4;
-  check Alcotest.string "json dump identical" j1 j4;
-  check Alcotest.bool "trace events identical" true (e1 = e4);
-  check Alcotest.int "trace drop count identical" d1 d4
+  let t1, j1, s1 = sweep 1 in
+  let t3, j3, s3 = sweep 3 in
+  check Alcotest.string "rendered text identical" t1 t3;
+  check Alcotest.string "json dump identical" j1 j3;
+  check Alcotest.bool "trace events identical" true (Obs.Trace.events s1 = Obs.Trace.events s3);
+  check Alcotest.bool "the sink overflowed" true (Obs.Trace.dropped s1 > 0);
+  check Alcotest.int "trace drop count identical" (Obs.Trace.dropped s1) (Obs.Trace.dropped s3);
+  check
+    Alcotest.(list (pair string int))
+    "drops by kind identical" (Obs.Trace.dropped_by_kind s1) (Obs.Trace.dropped_by_kind s3)
 
 (* A failing soak cell prints the svm_run line that replays it: every knob
    the runner sets, floats exact, one flag group per scheduled fault. *)
@@ -159,6 +221,7 @@ let test_soak_replay_line () =
 let suite =
   [
     ("matrix caches runs", `Quick, test_matrix_caches);
+    ("matrix traces like direct runs", `Quick, test_matrix_traces_like_runs);
     ("soak replay line", `Quick, test_soak_replay_line);
     ("cells canonical order", `Quick, test_cells_canonical_order);
     ("parallel determinism", `Slow, test_parallel_determinism);
