@@ -5,11 +5,9 @@ exception Verification_failed of string
 (** Raise {!Verification_failed} with a formatted message. *)
 val failf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-(** Relative-error comparison (reductions may be reassociated across
-    protocols and node counts). *)
-val close : ?tol:float -> float -> float -> bool
-
-(** Assert two values are {!close}, naming the array and index otherwise. *)
+(** Assert two values agree within a relative error (reductions may be
+    reassociated across protocols and node counts), naming the array and
+    index otherwise. *)
 val check_close : what:string -> ?tol:float -> index:int -> float -> float -> unit
 
 (** Deterministic pseudo-random double in [0, 1), identical for a simulated

@@ -28,6 +28,7 @@ let proc_grid nprocs =
   let pr = largest (int_of_float (sqrt (float_of_int nprocs))) in
   (pr, nprocs / pr)
 
+(* Owner of block (bi, bj) on the 2-D scatter grid. *)
 let owner ~nprocs bi bj =
   let pr, pc = proc_grid nprocs in
   ((bi mod pr) * pc) + (bj mod pc)

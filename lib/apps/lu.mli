@@ -21,9 +21,6 @@ val default : params
 
 val name : string
 
-(** Owner of block (bi, bj) on the 2-D scatter grid. *)
-val owner : nprocs:int -> int -> int -> int
-
 (** Deterministic diagonally-dominant initial matrix, block-major. *)
 val init_matrix : params -> float array
 

@@ -19,13 +19,6 @@ val name : string
 
 type sphere = { cx : float; cy : float; cz : float; r : float; albedo : float }
 
-(** Deterministic scene. *)
-val make_scene : params -> sphere array
-
-(** Shade one pixel: a pure function of (scene, pixel), so every processor
-    computes the identical value. *)
-val render_pixel : params -> sphere array -> int -> int -> float
-
 (** Sequential reference image, row-major. *)
 val reference : params -> float array
 

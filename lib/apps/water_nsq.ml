@@ -80,6 +80,7 @@ let reference_step p pos vel =
     vel.(i) <- vel.(i) +. (dt *. force.(i))
   done
 
+(* Sequential reference: final (positions, velocities). *)
 let reference p =
   let n = p.molecules in
   let pos = Array.init (3 * n) (fun idx -> init_pos p (idx / 3) (idx mod 3)) in

@@ -16,20 +16,8 @@ val default : params
 
 val name : string
 
-(** Deterministic initial position/velocity components (molecule, axis). *)
-val init_pos : params -> int -> int -> float
-
-val init_vel : params -> int -> int -> float
-
-(** Pair force between two positions; [None] beyond the cutoff. *)
-val pair_force :
-  params -> float -> float -> float -> float -> float -> float -> (float * float * float) option
-
 (** Half-shell neighbour count of molecule [i] (every unordered pair is
     enumerated exactly once). *)
 val half_shell : int -> int -> int
-
-(** Sequential reference: final (positions, velocities). *)
-val reference : params -> float array * float array
 
 val body : ?verify:bool -> params -> Svm.Api.ctx -> unit

@@ -43,6 +43,7 @@ let cell_of_pos p x y z =
   let cz = clampi (int_of_float (z *. float_of_int g)) in
   (((cz * g) + cy) * g) + cx
 
+(* Deterministic initial state of molecule [i]: (x, y, z, vx, vy, vz). *)
 let init_molecule p i =
   let f k = App_util.det_float ~seed:(p.seed + k) i in
   let x = f 0 and y = f 1 and z = f 2 in
@@ -146,6 +147,7 @@ let reference_step p st =
       st.rcells.(c) <- st.rcells.(c) @ [ i ])
     !moved
 
+(* Sequential reference: final (positions, velocities) by molecule id. *)
 let reference p =
   let st = reference_init p in
   for _ = 1 to p.steps do

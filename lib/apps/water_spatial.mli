@@ -22,12 +22,4 @@ val cell_of_pos : params -> float -> float -> float -> int
 (** The (up to 27) cells adjacent to [cell], itself included. *)
 val neighbours : params -> int -> int list
 
-(** Deterministic initial state of molecule [i]:
-    (x, y, z, vx, vy, vz). *)
-val init_molecule : params -> int -> float * float * float * float * float * float
-
-(** Sequential reference: final (positions, velocities) indexed by
-    molecule id. *)
-val reference : params -> float array * float array
-
 val body : ?verify:bool -> params -> Svm.Api.ctx -> unit

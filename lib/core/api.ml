@@ -99,7 +99,7 @@ let start_timing ctx =
   let node = ctx.node in
   node.System.start_clock <- node.System.mach.Machine.Node.ck.Machine.Node.clock;
   node.System.start_breakdown <- Stats.breakdown_copy node.System.stats.Stats.b;
-  node.System.start_counters <- Stats.counters_copy node.System.stats.Stats.c;
+  node.System.stats.Stats.c <- Stats.counters_zero ();
   Mem.Accounting.reset_peak node.System.stats.Stats.proto_mem
 
 let now ctx = ctx.node.System.mach.Machine.Node.ck.Machine.Node.clock

@@ -105,6 +105,8 @@ let hb_timeout_effective t =
 
 let metrics_enabled t = t.metrics_interval > 0.
 
+(* 200 us auto-sizes the suspicion timeout to 700 us on a jitter-free
+   network. *)
 let default_hb_interval = 200.
 
 let power_of_two n = n > 0 && n land (n - 1) = 0

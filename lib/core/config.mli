@@ -151,7 +151,7 @@ type t = {
           detector-free outputs byte-identical. *)
   hb_interval : float;
       (** Heartbeat emission period in simulated microseconds
-          ([--hb-interval], default {!default_hb_interval}); only meaningful
+          ([--hb-interval], default 200 us); only meaningful
           with [detector = Heartbeat]. *)
   hb_timeout : float;
       (** Suspicion timeout in simulated microseconds ([--hb-timeout]).
@@ -176,10 +176,6 @@ val hb_timeout_effective : t -> float
 
 (** Whether the metrics flight recorder is on ([metrics_interval] > 0). *)
 val metrics_enabled : t -> bool
-
-(** The heartbeat period {!make} and [svm_run] default to: 200 us, which
-    auto-sizes the suspicion timeout to 700 us on a jitter-free network. *)
-val default_hb_interval : float
 
 (** Raises [Invalid_argument] with a descriptive message when a knob is out
     of range: [nprocs] or [gc_threshold_bytes] non-positive, [page_words]

@@ -37,11 +37,6 @@ val install_copy : System.t -> Mem.Page_table.entry -> Mem.Words.t -> unit
 val fetch_from_home :
   System.t -> System.node_state -> int -> extras:int list -> on_valid:(unit -> unit) -> unit
 
-(** Bring [page] to a readable state on the node, whatever the protocol
-    requires; [on_valid] runs (at the node's advanced clock) once the local
-    copy is coherent. Assumes the node's process is suspended. *)
-val make_valid : System.t -> System.node_state -> int -> on_valid:(unit -> unit) -> unit
-
 (** Make a readable page writable: create the twin (homeless/home-based),
     bind the automatic-update mirror (AURC), mark it dirty. *)
 val make_writable : System.t -> System.node_state -> int -> unit

@@ -8,15 +8,6 @@
     through the barrier manager before discarding diffs and interval
     records, so no validation can miss a diff. *)
 
-(** [later a b]: deterministic total order refining causality (via
-    {!System.causal_key}); used to elect keepers identically on every
-    node. *)
-val later : Proto.Interval.t -> Proto.Interval.t -> bool
-
-(** page -> keeper interval, computed from the node's (post-barrier,
-    globally identical) interval records. *)
-val last_writers : System.node_state -> (int, Proto.Interval.t) Hashtbl.t
-
 (** Per-node entry point, run between the barrier release and the process's
     resumption; [on_done] fires after the global discard phase. *)
 val run : System.t -> System.node_state -> on_done:(unit -> unit) -> unit

@@ -8,6 +8,7 @@
 
 open System
 
+(* Simulated cost of creating one diff (full-page scan). *)
 let diff_create_cost (c : Machine.Costs.t) ~page_words =
   c.Machine.Costs.diff_create_base
   +. (float_of_int page_words *. c.Machine.Costs.diff_create_per_word)

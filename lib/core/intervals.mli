@@ -15,9 +15,6 @@
     - eager RC: diffs are pushed to every copyset member and the next
       handoff waits for their acknowledgements. *)
 
-(** Simulated cost of creating one diff (full-page scan). *)
-val diff_create_cost : Machine.Costs.t -> page_words:int -> float
-
 (** AURC: words the network interface combines into one automatic-update
     message (the SHRIMP combining buffer): 32. *)
 val au_combine_words : int

@@ -280,7 +280,7 @@ let collect sys =
           nr_id = n.System.id;
           nr_elapsed = n.System.mach.Machine.Node.ck.Machine.Node.clock -. n.System.start_clock;
           nr_breakdown = Stats.breakdown_sub n.System.stats.Stats.b n.System.start_breakdown;
-          nr_counters = Stats.counters_sub n.System.stats.Stats.c n.System.start_counters;
+          nr_counters = n.System.stats.Stats.c;
           nr_mem_peak = Mem.Accounting.peak n.System.stats.Stats.proto_mem;
           nr_mem_end = Mem.Accounting.current n.System.stats.Stats.proto_mem;
           nr_epochs = Stats.epoch_deltas n.System.stats;

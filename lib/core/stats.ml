@@ -62,68 +62,6 @@ type counters = {
   mutable fenced_fetches : int;
 }
 
-let counters_copy c =
-  {
-    read_misses = c.read_misses;
-    write_faults = c.write_faults;
-    diffs_created = c.diffs_created;
-    diffs_applied = c.diffs_applied;
-    lock_acquires = c.lock_acquires;
-    remote_acquires = c.remote_acquires;
-    barriers = c.barriers;
-    messages = c.messages;
-    update_bytes = c.update_bytes;
-    protocol_bytes = c.protocol_bytes;
-    page_fetches = c.page_fetches;
-    gc_runs = c.gc_runs;
-    home_migrations = c.home_migrations;
-    msg_drops = c.msg_drops;
-    msg_retransmits = c.msg_retransmits;
-    msg_acks = c.msg_acks;
-    msg_dup_dropped = c.msg_dup_dropped;
-    batch_prefetches = c.batch_prefetches;
-    repl_updates = c.repl_updates;
-    repl_invals = c.repl_invals;
-    repl_bytes = c.repl_bytes;
-    failovers = c.failovers;
-    msg_peer_dead = c.msg_peer_dead;
-    msg_gave_up = c.msg_gave_up;
-    suspicions = c.suspicions;
-    refutations = c.refutations;
-    fenced_fetches = c.fenced_fetches;
-  }
-
-let counters_sub a b =
-  {
-    read_misses = a.read_misses - b.read_misses;
-    write_faults = a.write_faults - b.write_faults;
-    diffs_created = a.diffs_created - b.diffs_created;
-    diffs_applied = a.diffs_applied - b.diffs_applied;
-    lock_acquires = a.lock_acquires - b.lock_acquires;
-    remote_acquires = a.remote_acquires - b.remote_acquires;
-    barriers = a.barriers - b.barriers;
-    messages = a.messages - b.messages;
-    update_bytes = a.update_bytes - b.update_bytes;
-    protocol_bytes = a.protocol_bytes - b.protocol_bytes;
-    page_fetches = a.page_fetches - b.page_fetches;
-    gc_runs = a.gc_runs - b.gc_runs;
-    home_migrations = a.home_migrations - b.home_migrations;
-    msg_drops = a.msg_drops - b.msg_drops;
-    msg_retransmits = a.msg_retransmits - b.msg_retransmits;
-    msg_acks = a.msg_acks - b.msg_acks;
-    msg_dup_dropped = a.msg_dup_dropped - b.msg_dup_dropped;
-    batch_prefetches = a.batch_prefetches - b.batch_prefetches;
-    repl_updates = a.repl_updates - b.repl_updates;
-    repl_invals = a.repl_invals - b.repl_invals;
-    repl_bytes = a.repl_bytes - b.repl_bytes;
-    failovers = a.failovers - b.failovers;
-    msg_peer_dead = a.msg_peer_dead - b.msg_peer_dead;
-    msg_gave_up = a.msg_gave_up - b.msg_gave_up;
-    suspicions = a.suspicions - b.suspicions;
-    refutations = a.refutations - b.refutations;
-    fenced_fetches = a.fenced_fetches - b.fenced_fetches;
-  }
-
 let counters_zero () =
   {
     read_misses = 0;
@@ -157,7 +95,7 @@ let counters_zero () =
 
 type t = {
   b : breakdown;
-  c : counters;
+  mutable c : counters;
   proto_mem : Mem.Accounting.t;
   mutable epochs : breakdown list;
 }

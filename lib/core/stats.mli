@@ -71,15 +71,12 @@ type counters = {
 
 val counters_zero : unit -> counters
 
-val counters_copy : counters -> counters
-
-(** [counters_sub a b] = a - b, componentwise (for timing-window deltas). *)
-val counters_sub : counters -> counters -> counters
-
 (** Full per-node statistics. *)
 type t = {
   b : breakdown;
-  c : counters;
+  mutable c : counters;
+      (** What the node did since the timing window opened: replaced by a
+          zero record at {!Api.start_timing}. *)
   proto_mem : Mem.Accounting.t;  (** Live protocol-data bytes. *)
   mutable epochs : breakdown list;
       (** Snapshot of [b] at each barrier arrival, newest first; consecutive

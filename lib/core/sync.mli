@@ -11,9 +11,6 @@
     triggers garbage collection (homeless lazy protocols) and adaptive home
     migration (when enabled). *)
 
-(** Manager node of a lock. *)
-val manager_of : System.t -> int -> int
-
 (** Acquire [lock] for the node, suspending its process (continuation [k])
     until the grant arrives; free when the node still holds the token. *)
 val acquire :

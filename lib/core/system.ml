@@ -118,7 +118,6 @@ type node_state = {
   mutable finished : bool;
   mutable start_clock : float;  (* timing window start (Api.start_timing) *)
   mutable start_breakdown : Stats.breakdown;
-  mutable start_counters : Stats.counters;
 }
 
 type barrier_state = {
@@ -425,7 +424,6 @@ let create (cfg : Config.t) =
       finished = false;
       start_clock = 0.;
       start_breakdown = Stats.breakdown_zero ();
-      start_counters = Stats.counters_zero ();
     }
   in
   let t =
@@ -1015,7 +1013,10 @@ let send t ~src ~dst ~at ~bytes ~update handler =
       Sim.Engine.schedule t.engine ~at:arrival (fun () ->
           if not (Array.unsafe_get t.alive dst) then begin
             (* Receiver crash-stopped while the message was on the wire:
-               charge the loss to the sender and drop it on the floor. *)
+               charge the loss to the sender and drop it on the floor. The
+               sender's counters are read now: the timing window may have
+               replaced them since the send. *)
+            let c = counters src in
             c.Stats.msg_peer_dead <- c.Stats.msg_peer_dead + 1;
             if observing t then
               event_at t ~node:src.id ~time:arrival

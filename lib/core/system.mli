@@ -109,7 +109,6 @@ type node_state = {
   mutable finished : bool;
   mutable start_clock : float;
   mutable start_breakdown : Stats.breakdown;
-  mutable start_counters : Stats.counters;
 }
 
 type barrier_state = {

@@ -22,21 +22,10 @@ val default_thetas : float list
 
 val default_write_ratios : float list
 
-(** [sweep ()] evaluates every (protocol, theta, write ratio) cell and
-    returns the rows in protocol-major enumeration order. [params] overrides
+(** [report ppf ()] evaluates every (protocol, theta, write ratio) cell and
+    renders the rows in protocol-major enumeration order. [params] overrides
     the scale-default kvstore parameters (theta and write ratio are then
     patched per cell). Results are byte-identical for any [pool] width. *)
-val sweep :
-  ?pool:Pool.t ->
-  ?scale:Apps.Registry.scale ->
-  ?nprocs:int ->
-  ?thetas:float list ->
-  ?write_ratios:float list ->
-  ?params:Apps.Kvstore.params ->
-  unit ->
-  row list
-
-(** [report ppf ()] runs {!sweep} and renders the table. *)
 val report :
   Format.formatter ->
   ?pool:Pool.t ->

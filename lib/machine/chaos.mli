@@ -54,9 +54,6 @@ val none : params
 (** The schedule's kills, as [(node, at)] sorted by time. *)
 val kills : params -> (int * float) list
 
-(** The schedule's pauses, as [(node, from, until)] sorted by start. *)
-val pauses : params -> (int * float * float) list
-
 (** The schedule's partitions, as [(group, from, until)] sorted by start. *)
 val partitions : params -> (int list * float * float) list
 

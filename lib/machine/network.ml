@@ -1,13 +1,9 @@
-type t = { costs : Costs.t; nprocs : int; width : int }
+type t = { costs : Costs.t; width : int }
 
 let create ~costs ~nprocs =
   if nprocs <= 0 then invalid_arg "Network.create: nprocs must be positive";
   let width = int_of_float (ceil (sqrt (float_of_int nprocs))) in
-  { costs; nprocs; width }
-
-let nprocs t = t.nprocs
-
-let costs t = t.costs
+  { costs; width }
 
 let hops t ~src ~dst =
   let x1 = src mod t.width and y1 = src / t.width in

@@ -10,10 +10,6 @@ type t
 
 val create : costs:Costs.t -> nprocs:int -> t
 
-val nprocs : t -> int
-
-val costs : t -> Costs.t
-
 (** Manhattan distance between two nodes on the mesh. *)
 val hops : t -> src:int -> dst:int -> int
 

@@ -182,6 +182,3 @@ let apply t data =
 let is_empty t = Array.length t.values = 0
 
 let iter f t = walk t.first t.mask (fun k offset -> f offset (Array.unsafe_get t.values k))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>diff(page %d: %d words)@]" t.page (Array.length t.values)

@@ -46,5 +46,3 @@ val size_bytes : t -> int
 
 (** [iter f t] calls [f offset value] for each entry in offset order. *)
 val iter : (int -> float -> unit) -> t -> unit
-
-val pp : Format.formatter -> t -> unit

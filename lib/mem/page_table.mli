@@ -34,8 +34,6 @@ type t
 
 val create : Layout.t -> t
 
-val layout : t -> Layout.t
-
 (** Highest allocated page id + 1. *)
 val npages : t -> int
 

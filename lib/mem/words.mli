@@ -36,8 +36,6 @@ external unsafe_get : t -> int -> float = "%caml_ba_unsafe_ref_1"
 
 external unsafe_set : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
-val fill : t -> float -> unit
-
 (** [blit ~src ~dst] copies [src] into [dst]; lengths must match. *)
 val blit : src:t -> dst:t -> unit
 

@@ -17,9 +17,8 @@
    lock/barrier wait: the walk skips them (the outer span owns the time)
    and they are aggregated separately instead.
 
-   Chaos caveat: message pairing is FIFO per channel, which matches the
-   fault-free network exactly; under fault injection retransmitted copies
-   can shift the pairing by one, so path blame on chaos runs is an
+   Both pairings come from Trace.iter_linked, whose FIFO message pairing
+   can shift by one under fault injection: path blame on chaos runs is an
    approximation. *)
 
 type resource_blame = {
@@ -76,10 +75,8 @@ type digest = {
 }
 
 let digest sink =
-  let open_spans : (int, Trace.event) Hashtbl.t = Hashtbl.create 64 in
   let spans : span list ref array ref = ref [||] in
   let recvs : recv list ref array ref = ref [||] in
-  let msg_q : (int * int, float Queue.t) Hashtbl.t = Hashtbl.create 64 in
   let home : (int, float * int) Hashtbl.t = Hashtbl.create 16 in
   let arrivals : (int, (int * float) list ref) Hashtbl.t = Hashtbl.create 16 in
   let last_time = ref 0. and last_node = ref 0 in
@@ -93,56 +90,37 @@ let digest sink =
     spans := grow node !spans;
     recvs := grow node !recvs
   in
-  let fifo key =
-    match Hashtbl.find_opt msg_q key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.replace msg_q key q;
-        q
-  in
-  Trace.iter sink (fun ev ->
+  Trace.iter_linked sink (fun ev opener ->
       let node = ev.Trace.node in
       ensure node;
       if ev.Trace.time > !last_time then begin
         last_time := ev.Trace.time;
         last_node := node
       end;
-      match ev.Trace.kind with
-      | Trace.Wait_begin { span; _ } -> Hashtbl.replace open_spans span ev
-      | Trace.Wait_end { span; bucket; resource } -> (
-          match Hashtbl.find_opt open_spans span with
-          | None -> ()
-          | Some b ->
-              Hashtbl.remove open_spans span;
-              let sp =
-                {
-                  sp_node = b.Trace.node;
-                  sp_b = b.Trace.time;
-                  sp_e = ev.Trace.time;
-                  sp_bucket = bucket;
-                  sp_res = resource;
-                }
-              in
-              if bucket = Trace.Wb_home then begin
-                let w, c =
-                  match Hashtbl.find_opt home resource with Some x -> x | None -> (0., 0)
-                in
-                Hashtbl.replace home resource (w +. (sp.sp_e -. sp.sp_b), c + 1)
-              end
-              else begin
-                ensure sp.sp_node;
-                let cell = !spans.(sp.sp_node) in
-                cell := sp :: !cell
-              end)
-      | Trace.Msg_send { dst; _ } -> Queue.push ev.Trace.time (fifo (node, dst))
-      | Trace.Msg_recv { src; _ } -> (
-          match Queue.take_opt (fifo (src, node)) with
-          | Some send_t ->
-              let cell = !recvs.(node) in
-              cell := { rv_t = ev.Trace.time; rv_src = src; rv_send_t = send_t } :: !cell
-          | None -> ())
-      | Trace.Barrier_arrive { epoch; _ } -> (
+      match (ev.Trace.kind, opener) with
+      | Trace.Wait_end { bucket; resource; _ }, Some b ->
+          let sp =
+            {
+              sp_node = b.Trace.node;
+              sp_b = b.Trace.time;
+              sp_e = ev.Trace.time;
+              sp_bucket = bucket;
+              sp_res = resource;
+            }
+          in
+          if bucket = Trace.Wb_home then begin
+            let w, c = match Hashtbl.find_opt home resource with Some x -> x | None -> (0., 0) in
+            Hashtbl.replace home resource (w +. (sp.sp_e -. sp.sp_b), c + 1)
+          end
+          else begin
+            ensure sp.sp_node;
+            let cell = !spans.(sp.sp_node) in
+            cell := sp :: !cell
+          end
+      | Trace.Msg_recv { src; _ }, Some send ->
+          let cell = !recvs.(node) in
+          cell := { rv_t = ev.Trace.time; rv_src = src; rv_send_t = send.Trace.time } :: !cell
+      | Trace.Barrier_arrive { epoch; _ }, _ -> (
           match Hashtbl.find_opt arrivals epoch with
           | Some l -> l := (node, ev.Trace.time) :: !l
           | None -> Hashtbl.replace arrivals epoch (ref [ (node, ev.Trace.time) ]))
@@ -203,16 +181,16 @@ let find_recv (dg : digest) node (sp : span) =
       if rv.rv_t >= sp.sp_b then Some rv else None
   end
 
-let top_of_table ~top tbl =
+(* The five resources with the most on-path wait. *)
+let top_of_table tbl =
   Hashtbl.fold (fun id (w, c) acc -> { rb_id = id; rb_wait = w; rb_count = c } :: acc) tbl []
   |> List.sort (fun a b ->
          match compare b.rb_wait a.rb_wait with 0 -> compare a.rb_id b.rb_id | c -> c)
-  |> List.filteri (fun i _ -> i < top)
+  |> List.filteri (fun i _ -> i < 5)
 
-let analyze ?(top = 5) ?finish ?end_node sink =
+let analyze sink =
   let dg = digest sink in
-  let finish = match finish with Some f -> f | None -> dg.dg_last_time in
-  let end_node = match end_node with Some n -> n | None -> dg.dg_last_node in
+  let finish = dg.dg_last_time and end_node = dg.dg_last_node in
   let local = ref 0. in
   let data = ref 0. and lock = ref 0. and barrier = ref 0. and gc = ref 0. in
   let hops = ref 0 and segments = ref 0 in
@@ -287,9 +265,9 @@ let analyze ?(top = 5) ?finish ?end_node sink =
     cp_gc = !gc;
     cp_hops = !hops;
     cp_segments = !segments;
-    cp_top_pages = top_of_table ~top pages;
-    cp_top_locks = top_of_table ~top locks;
-    cp_home_pages = top_of_table ~top dg.dg_home;
+    cp_top_pages = top_of_table pages;
+    cp_top_locks = top_of_table locks;
+    cp_home_pages = top_of_table dg.dg_home;
     cp_epochs = epochs;
   }
 

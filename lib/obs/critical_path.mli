@@ -1,11 +1,11 @@
 (** Critical-path profiler: exact blame attribution over a causal trace.
 
     Requires a sink recorded with {!Config.trace_spans} on (the [--profile]
-    flag): the {!Trace.Wait_begin}/[Wait_end] spans and the FIFO-paired
-    {!Trace.Msg_send}/[Msg_recv] stream are the dependency DAG this module
-    walks.
+    flag): the {!Trace.Wait_begin}/[Wait_end] spans and the
+    {!Trace.Msg_send}/[Msg_recv] pairs that {!Trace.iter_linked} reads are
+    the dependency DAG this module walks.
 
-    {!analyze} starts at the finishing node at the finish time and walks
+    {!analyze} starts at the last stored event's node and time and walks
     the chain of dependencies backwards: time since the node's last wait
     ended is local execution; a wait completed by a message attributes the
     segment back to the matched send time to the wait's Figure-3 bucket and
@@ -52,12 +52,10 @@ type t = {
   cp_epochs : epoch_slack list;
 }
 
-(** [analyze ?top ?finish ?end_node sink] walks the dependency DAG
-    recorded in [sink]. [finish] (default: the last event's timestamp) and
-    [end_node] (default: the node of that event) anchor the walk — pass
-    the report's elapsed time and finishing node when available. [top]
-    bounds the per-resource tables (default 5). *)
-val analyze : ?top:int -> ?finish:float -> ?end_node:int -> Trace.sink -> t
+(** [analyze sink] walks the dependency DAG recorded in [sink], from the
+    last stored event's node and timestamp. The per-resource tables hold
+    the top 5. *)
+val analyze : Trace.sink -> t
 
 (** The report's ["critical_path"] section. *)
 val schema : t Schema.t

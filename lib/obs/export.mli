@@ -1,4 +1,4 @@
-(** Serializing a trace sink to files / strings.
+(** Serializing a trace sink to files, written while the sink is read.
 
     Two formats:
 
@@ -15,7 +15,8 @@
       causality becomes flow arrows (["ph":"s"/"f"]) — message send to
       receive, remote lock acquire to the grant that satisfied it, diff
       request to the writer's reply; and counter tracks (["ph":"C"])
-      chart per-node cumulative sent bytes and sampled protocol memory. *)
+      chart per-node cumulative sent bytes and sampled protocol memory.
+      The pairs come from {!Trace.iter_linked}. *)
 
 type format = Jsonl | Chrome
 
@@ -24,26 +25,26 @@ val format_of_string : string -> format option
 
 val format_name : format -> string
 
-(** JSONL document (lines terminated by ['\n']). *)
-val jsonl : Trace.sink -> string
+(** [jsonl w sink] writes the JSONL document (lines terminated by ['\n'])
+    through [w], one record per call, as it reads the sink. *)
+val jsonl : (string -> unit) -> Trace.sink -> unit
 
-(** Chrome [trace_event] JSON document. [name] labels the process track
-    (e.g. ["lu/hlrc/8"]). *)
-val chrome : ?name:string -> Trace.sink -> string
+(** [chrome w ?name sink] writes the Chrome [trace_event] JSON document
+    through [w], one record per call. [name] labels the process track (e.g.
+    ["lu/hlrc/8"]). *)
+val chrome : (string -> unit) -> ?name:string -> Trace.sink -> unit
 
-(** [write ~what file contents] writes [contents] to [file] in binary mode,
-    so output is byte-identical across platforms. The channel is closed
-    even when the write fails; an I/O failure raises
+(** [write_json ~what file doc] writes [doc]'s pretty serialization and a
+    newline to [file]. Every output file of both CLIs is written in binary
+    mode, so output is byte-identical across platforms, and the channel is
+    closed even when the write fails; an I/O failure raises
     [Failure "cannot write <what> file: <reason>"] instead of leaking
-    [Sys_error]. Every output file of both CLIs goes through it. *)
-val write : what:string -> string -> string -> unit
-
-(** {!write} of a JSON document: its pretty serialization and a newline. *)
+    [Sys_error]. *)
 val write_json : what:string -> string -> Json.t -> unit
 
-(** Write the sink to [file] in [format] ({!write}, as a trace file). *)
+(** Stream the sink to [file] in [format], as a trace file. *)
 val write_file : format -> ?name:string -> string -> Trace.sink -> unit
 
 (** Write {!Metrics.to_csv}, the long-format CSV of a registry's time
-    series, to [file] ({!write}, as a metrics file). *)
+    series, to [file], as a metrics file. *)
 val write_metrics_csv : string -> Metrics.t -> unit

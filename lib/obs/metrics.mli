@@ -108,11 +108,6 @@ type histogram_stats = {
 
 val histogram_stats : histogram -> histogram_stats
 
-(** Nearest-rank quantile over the log2 buckets: the inclusive upper edge
-    of the bucket holding rank [ceil (p * count)] (clamped to [1, count]);
-    [None] on an empty histogram. *)
-val quantile_upper : histogram -> float -> float option
-
 (** Non-empty [(upper_edge, count)] buckets, ascending. *)
 val histogram_buckets : histogram -> (float * int) list
 

@@ -56,138 +56,99 @@ type kind =
 
 type event = { time : float; node : int; kind : kind }
 
-let kind_name = function
-  | Page_fetch _ -> "page_fetch"
-  | Page_fetch_pending _ -> "page_fetch_pending"
-  | Batch_fetch _ -> "batch_fetch"
-  | Full_page_fetch _ -> "full_page_fetch"
-  | Diff_request _ -> "diff_request"
-  | Diff_create _ -> "diff_create"
-  | Diff_apply _ -> "diff_apply"
-  | Diff_flush _ -> "diff_flush"
-  | Au_stamp _ -> "au_stamp"
-  | Eager_update _ -> "eager_update"
-  | Write_notice _ -> "write_notice"
-  | Interval_end _ -> "interval_end"
-  | Lock_acquire _ -> "lock_acquire"
-  | Lock_grant _ -> "lock_grant"
-  | Lock_queued _ -> "lock_queued"
-  | Home_wait _ -> "home_wait"
-  | Barrier_arrive _ -> "barrier_arrive"
-  | Barrier_release _ -> "barrier_release"
-  | Home_migration _ -> "home_migration"
-  | Gc_start _ -> "gc_start"
-  | Gc_done -> "gc_done"
-  | Msg_send _ -> "msg_send"
-  | Msg_recv _ -> "msg_recv"
-  | Msg_drop _ -> "msg_drop"
-  | Msg_retransmit _ -> "msg_retransmit"
-  | Msg_ack _ -> "msg_ack"
-  | Msg_duplicate_dropped _ -> "msg_duplicate_dropped"
-  | Watchdog_stall _ -> "watchdog_stall"
-  | Wait_begin _ -> "wait_begin"
-  | Wait_end _ -> "wait_end"
-  | Mem_sample _ -> "mem_sample"
-  | Diff_reply _ -> "diff_reply"
-  | Node_kill _ -> "node_kill"
-  | Msg_peer_dead _ -> "msg_peer_dead"
-  | Failover _ -> "failover"
-  | Repl_update _ -> "repl_update"
-  | Repl_inval _ -> "repl_inval"
-  | Suspect _ -> "suspect"
-  | Refute _ -> "refute"
-  | Depose _ -> "depose"
-  | Rejoin _ -> "rejoin"
-  | Fenced_fetch _ -> "fenced_fetch"
+(* One JSON field per int, in the order given. *)
+let ints fields = List.map (fun (k, v) -> (k, Json.Int v)) fields
 
-let kind_fields = function
-  | Page_fetch { page; home } -> [ ("page", Json.Int page); ("home", Json.Int home) ]
-  | Page_fetch_pending { page } -> [ ("page", Json.Int page) ]
+(* The fields a wait span's two ends share. *)
+let wait_fields span bucket resource =
+  [
+    ("span", Json.Int span);
+    ("bucket", Json.String (bucket_name bucket));
+    ("resource", Json.Int resource);
+  ]
+
+let describe = function
+  | Page_fetch { page; home } -> ("page_fetch", ints [ ("page", page); ("home", home) ])
+  | Page_fetch_pending { page } -> ("page_fetch_pending", ints [ ("page", page) ])
   | Batch_fetch { page; home; pages } ->
-      [ ("page", Json.Int page); ("home", Json.Int home); ("pages", Json.Int pages) ]
-  | Full_page_fetch { page; source } -> [ ("page", Json.Int page); ("source", Json.Int source) ]
+      ("batch_fetch", ints [ ("page", page); ("home", home); ("pages", pages) ])
+  | Full_page_fetch { page; source } ->
+      ("full_page_fetch", ints [ ("page", page); ("source", source) ])
   | Diff_request { page; writer; intervals } ->
-      [ ("page", Json.Int page); ("writer", Json.Int writer); ("intervals", Json.Int intervals) ]
+      ("diff_request", ints [ ("page", page); ("writer", writer); ("intervals", intervals) ])
   | Diff_create { page; words; bytes } ->
-      [ ("page", Json.Int page); ("words", Json.Int words); ("bytes", Json.Int bytes) ]
+      ("diff_create", ints [ ("page", page); ("words", words); ("bytes", bytes) ])
   | Diff_apply { page; words; bytes } ->
-      [ ("page", Json.Int page); ("words", Json.Int words); ("bytes", Json.Int bytes) ]
+      ("diff_apply", ints [ ("page", page); ("words", words); ("bytes", bytes) ])
   | Diff_flush { page; writer; index; bytes } ->
-      [
-        ("page", Json.Int page);
-        ("writer", Json.Int writer);
-        ("index", Json.Int index);
-        ("bytes", Json.Int bytes);
-      ]
+      ( "diff_flush",
+        ints [ ("page", page); ("writer", writer); ("index", index); ("bytes", bytes) ] )
   | Au_stamp { page; writer; index } ->
-      [ ("page", Json.Int page); ("writer", Json.Int writer); ("index", Json.Int index) ]
+      ("au_stamp", ints [ ("page", page); ("writer", writer); ("index", index) ])
   | Eager_update { page; writer; bytes } ->
-      [ ("page", Json.Int page); ("writer", Json.Int writer); ("bytes", Json.Int bytes) ]
+      ("eager_update", ints [ ("page", page); ("writer", writer); ("bytes", bytes) ])
   | Write_notice { writer; index; pages } ->
-      [ ("writer", Json.Int writer); ("index", Json.Int index); ("pages", Json.Int pages) ]
+      ("write_notice", ints [ ("writer", writer); ("index", index); ("pages", pages) ])
   | Interval_end { index; pages } ->
-      [ ("index", Json.Int index); ("pages", Json.List (List.map (fun p -> Json.Int p) pages)) ]
-  | Lock_acquire { lock; remote } -> [ ("lock", Json.Int lock); ("remote", Json.Bool remote) ]
+      ( "interval_end",
+        [ ("index", Json.Int index); ("pages", Json.List (List.map (fun p -> Json.Int p) pages)) ]
+      )
+  | Lock_acquire { lock; remote } ->
+      ("lock_acquire", [ ("lock", Json.Int lock); ("remote", Json.Bool remote) ])
   | Lock_grant { lock; dst; intervals } ->
-      [ ("lock", Json.Int lock); ("dst", Json.Int dst); ("intervals", Json.Int intervals) ]
+      ("lock_grant", ints [ ("lock", lock); ("dst", dst); ("intervals", intervals) ])
   | Lock_queued { lock; requester } ->
-      [ ("lock", Json.Int lock); ("requester", Json.Int requester) ]
-  | Home_wait { page } -> [ ("page", Json.Int page) ]
+      ("lock_queued", ints [ ("lock", lock); ("requester", requester) ])
+  | Home_wait { page } -> ("home_wait", ints [ ("page", page) ])
   | Barrier_arrive { epoch; intervals } ->
-      [ ("epoch", Json.Int epoch); ("intervals", Json.Int intervals) ]
-  | Barrier_release { epoch; gc } -> [ ("epoch", Json.Int epoch); ("gc", Json.Bool gc) ]
-  | Home_migration { page; dst } -> [ ("page", Json.Int page); ("dst", Json.Int dst) ]
-  | Gc_start { mem_bytes } -> [ ("mem_bytes", Json.Int mem_bytes) ]
-  | Gc_done -> []
+      ("barrier_arrive", ints [ ("epoch", epoch); ("intervals", intervals) ])
+  | Barrier_release { epoch; gc } ->
+      ("barrier_release", [ ("epoch", Json.Int epoch); ("gc", Json.Bool gc) ])
+  | Home_migration { page; dst } -> ("home_migration", ints [ ("page", page); ("dst", dst) ])
+  | Gc_start { mem_bytes } -> ("gc_start", ints [ ("mem_bytes", mem_bytes) ])
+  | Gc_done -> ("gc_done", [])
   | Msg_send { dst; bytes; update } ->
-      [ ("dst", Json.Int dst); ("bytes", Json.Int bytes); ("update", Json.Int update) ]
+      ("msg_send", ints [ ("dst", dst); ("bytes", bytes); ("update", update) ])
   | Msg_recv { src; bytes; update } ->
-      [ ("src", Json.Int src); ("bytes", Json.Int bytes); ("update", Json.Int update) ]
+      ("msg_recv", ints [ ("src", src); ("bytes", bytes); ("update", update) ])
   | Msg_drop { dst; seq; bytes; ack } ->
-      [
-        ("dst", Json.Int dst);
-        ("seq", Json.Int seq);
-        ("bytes", Json.Int bytes);
-        ("ack", Json.Bool ack);
-      ]
+      ( "msg_drop",
+        ints [ ("dst", dst); ("seq", seq); ("bytes", bytes) ] @ [ ("ack", Json.Bool ack) ] )
   | Msg_retransmit { dst; seq; retries } ->
-      [ ("dst", Json.Int dst); ("seq", Json.Int seq); ("retries", Json.Int retries) ]
-  | Msg_ack { dst; upto } -> [ ("dst", Json.Int dst); ("upto", Json.Int upto) ]
-  | Msg_duplicate_dropped { src; seq } -> [ ("src", Json.Int src); ("seq", Json.Int seq) ]
+      ("msg_retransmit", ints [ ("dst", dst); ("seq", seq); ("retries", retries) ])
+  | Msg_ack { dst; upto } -> ("msg_ack", ints [ ("dst", dst); ("upto", upto) ])
+  | Msg_duplicate_dropped { src; seq } ->
+      ("msg_duplicate_dropped", ints [ ("src", src); ("seq", seq) ])
   | Watchdog_stall { blocked; inflight } ->
-      [ ("blocked", Json.Int blocked); ("inflight", Json.Int inflight) ]
-  | Wait_begin { span; bucket; resource } | Wait_end { span; bucket; resource } ->
-      [
-        ("span", Json.Int span);
-        ("bucket", Json.String (bucket_name bucket));
-        ("resource", Json.Int resource);
-      ]
-  | Mem_sample { bytes } -> [ ("bytes", Json.Int bytes) ]
+      ("watchdog_stall", ints [ ("blocked", blocked); ("inflight", inflight) ])
+  | Wait_begin { span; bucket; resource } -> ("wait_begin", wait_fields span bucket resource)
+  | Wait_end { span; bucket; resource } -> ("wait_end", wait_fields span bucket resource)
+  | Mem_sample { bytes } -> ("mem_sample", ints [ ("bytes", bytes) ])
   | Diff_reply { page; dst; bytes } ->
-      [ ("page", Json.Int page); ("dst", Json.Int dst); ("bytes", Json.Int bytes) ]
-  | Node_kill { node } -> [ ("node", Json.Int node) ]
+      ("diff_reply", ints [ ("page", page); ("dst", dst); ("bytes", bytes) ])
+  | Node_kill { node } -> ("node_kill", ints [ ("node", node) ])
   | Msg_peer_dead { peer; seq; bytes } ->
-      [ ("peer", Json.Int peer); ("seq", Json.Int seq); ("bytes", Json.Int bytes) ]
+      ("msg_peer_dead", ints [ ("peer", peer); ("seq", seq); ("bytes", bytes) ])
   | Failover { page; from_; to_ } ->
-      [ ("page", Json.Int page); ("from", Json.Int from_); ("to", Json.Int to_) ]
+      ("failover", ints [ ("page", page); ("from", from_); ("to", to_) ])
   | Repl_update { page; dst; bytes } ->
-      [ ("page", Json.Int page); ("dst", Json.Int dst); ("bytes", Json.Int bytes) ]
-  | Repl_inval { page; dst } -> [ ("page", Json.Int page); ("dst", Json.Int dst) ]
-  | Suspect { peer } -> [ ("peer", Json.Int peer) ]
-  | Refute { peer } -> [ ("peer", Json.Int peer) ]
+      ("repl_update", ints [ ("page", page); ("dst", dst); ("bytes", bytes) ])
+  | Repl_inval { page; dst } -> ("repl_inval", ints [ ("page", page); ("dst", dst) ])
+  | Suspect { peer } -> ("suspect", ints [ ("peer", peer) ])
+  | Refute { peer } -> ("refute", ints [ ("peer", peer) ])
   (* "victim", not "node": the envelope already has a "node" field (the
      emitting node — a deposing voter / the rejoiner itself). *)
-  | Depose { node } -> [ ("victim", Json.Int node) ]
-  | Rejoin { node } -> [ ("victim", Json.Int node) ]
+  | Depose { node } -> ("depose", ints [ ("victim", node) ])
+  | Rejoin { node } -> ("rejoin", ints [ ("victim", node) ])
   | Fenced_fetch { page; requester } ->
-      [ ("page", Json.Int page); ("requester", Json.Int requester) ]
+      ("fenced_fetch", ints [ ("page", page); ("requester", requester) ])
+
+let kind_name k = fst (describe k)
 
 let to_json ev =
+  let name, fields = describe ev.kind in
   Json.Obj
-    (("ts", Json.Float ev.time)
-    :: ("node", Json.Int ev.node)
-    :: ("ev", Json.String (kind_name ev.kind))
-    :: kind_fields ev.kind)
+    (("ts", Json.Float ev.time) :: ("node", Json.Int ev.node) :: ("ev", Json.String name) :: fields)
 
 (* Exact reproductions of the strings the pre-typed tracer emitted at each
    site; [svm_run -t] prints them from a sink tap, so this mapping must stay
@@ -348,6 +309,45 @@ let iter s f =
   for i = 0 to s.len - 1 do
     f s.buf.(i)
   done
+
+(* The one reading of a trace's causal links, shared by the Chrome exporter
+   and the critical-path walk. A span closes by its id; every other pair is
+   FIFO per key, as the simulated network and each request/reply chain are.
+   Under fault injection a retransmitted copy can shift a FIFO pairing by
+   one, so links on chaos runs are an approximation. *)
+let iter_linked s f =
+  let fifo tbl key =
+    match Hashtbl.find_opt tbl key with
+    | Some q -> q
+    | None ->
+        let q = Queue.create () in
+        Hashtbl.replace tbl key q;
+        q
+  in
+  let spans = Hashtbl.create 64 and msgs = Hashtbl.create 64 in
+  let locks = Hashtbl.create 16 and diffs = Hashtbl.create 16 in
+  (* [ev] opens a pair; it closes none. *)
+  let enqueue q ev =
+    Queue.push ev q;
+    None
+  in
+  iter s (fun ev ->
+      f ev
+        (match ev.kind with
+        | Wait_begin { span; _ } ->
+            Hashtbl.replace spans span ev;
+            None
+        | Wait_end { span; _ } ->
+            let b = Hashtbl.find_opt spans span in
+            Hashtbl.remove spans span;
+            b
+        | Msg_send { dst; _ } -> enqueue (fifo msgs (ev.node, dst)) ev
+        | Msg_recv { src; _ } -> Queue.take_opt (fifo msgs (src, ev.node))
+        | Lock_acquire { lock; remote = true } -> enqueue (fifo locks (lock, ev.node)) ev
+        | Lock_grant { lock; dst; _ } -> Queue.take_opt (fifo locks (lock, dst))
+        | Diff_request { page; writer; _ } -> enqueue (fifo diffs (page, writer, ev.node)) ev
+        | Diff_reply { page; dst; _ } -> Queue.take_opt (fifo diffs (page, ev.node, dst))
+        | _ -> None))
 
 let length s = s.len
 

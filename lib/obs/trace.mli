@@ -119,11 +119,12 @@ type event = {
   kind : kind;
 }
 
-(** Stable snake_case tag of the kind (the ["ev"] field in exports). *)
-val kind_name : kind -> string
+(** The kind's stable snake_case tag (the ["ev"] field in exports) and its
+    structured fields, in a fixed order (deterministic). *)
+val describe : kind -> string * (string * Json.t) list
 
-(** Structured fields of the kind, in a fixed order (deterministic). *)
-val kind_fields : kind -> (string * Json.t) list
+(** [fst (describe k)]. *)
+val kind_name : kind -> string
 
 (** One event as a flat JSON object: [ts], [node], [ev], then the kind's
     fields. *)
@@ -168,6 +169,19 @@ val events : sink -> event list
 
 (** Iterate stored events in emission order without materializing a list. *)
 val iter : sink -> (event -> unit) -> unit
+
+(** [iter_linked sink f] calls [f ev opener] on each stored event in
+    emission order. [opener] is the stored event that opened the pair [ev]
+    closes:
+    - a {!Wait_end}'s {!Wait_begin}, matched by span id;
+    - a {!Msg_recv}'s {!Msg_send}, FIFO per (src, dst);
+    - a {!Lock_grant}'s remote {!Lock_acquire}, FIFO per (lock, requester);
+    - a {!Diff_reply}'s {!Diff_request}, FIFO per (page, writer, requester).
+
+    Every other event gets [None], and so does a closer whose opener was
+    not stored. Under fault injection a retransmitted copy can shift a FIFO
+    pairing by one. *)
+val iter_linked : sink -> (event -> event option -> unit) -> unit
 
 (** Number of stored events. *)
 val length : sink -> int

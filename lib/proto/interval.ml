@@ -13,10 +13,3 @@ let vt_exn t =
 
 let causally_before a b =
   Vclock.leq (vt_exn a) (vt_exn b) && not (Vclock.equal (vt_exn a) (vt_exn b))
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>iv(%d:%d pages=[%a])@]" t.node t.index
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ";")
-       Format.pp_print_int)
-    t.pages

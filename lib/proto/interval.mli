@@ -25,5 +25,3 @@ val size_bytes : t -> int
     vector timestamps; both must carry timestamps.
     @raise Invalid_argument if either lacks a timestamp. *)
 val causally_before : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

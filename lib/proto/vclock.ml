@@ -29,10 +29,3 @@ let is_initial t = Array.for_all (fun x -> x = -1) t
 let equal a b = a = b
 
 let size_bytes t = 4 * Array.length t
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h><%a>@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (Array.to_list t)

@@ -32,5 +32,3 @@ val equal : t -> t -> bool
 
 (** Wire/memory footprint: 4 bytes per entry. *)
 val size_bytes : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -24,6 +24,12 @@ let md5 s = Digest.to_hex (Digest.string s)
    (Obs.Export.write_json); digest the same bytes. *)
 let report_bytes r = Svm.Report_json.to_string r ^ "\n"
 
+(* The JSONL trace file's bytes, gathered from the exporter's pieces. *)
+let jsonl sink =
+  let buf = Buffer.create 65536 in
+  Obs.Export.jsonl (Buffer.add_string buf) sink;
+  Buffer.contents buf
+
 let () =
   let oc = open_out_bin "identity.txt" in
   List.iter
@@ -40,7 +46,7 @@ let () =
                 (String.lowercase_ascii (Svm.Config.protocol_name proto))
                 app.name nprocs
                 (md5 (report_bytes plain))
-                (md5 (Obs.Export.jsonl sink))
+                (md5 (jsonl sink))
                 (md5 (report_bytes observed)))
             [ 4; 8 ])
         (List.filter_map

@@ -101,18 +101,6 @@ let test_analysis_deterministic () =
         (encode ()) (encode ()))
     [ Svm.Config.Lrc; Svm.Config.Hlrc ]
 
-(* Anchoring: an explicit finish/end_node moves the walk's origin, and the
-   partition still telescopes to the supplied finish. *)
-let test_explicit_anchor () =
-  let app = Apps.Registry.lu Apps.Registry.Test in
-  let _, sink = profiled_run app Svm.Config.Hlrc in
-  let finish = 1234.5 in
-  let cp = Obs.Critical_path.analyze ~finish ~end_node:2 sink in
-  let open Obs.Critical_path in
-  check (Alcotest.float 1e-6) "anchored path length" finish cp.cp_finish;
-  check (Alcotest.float 1e-6) "anchored partition telescopes" finish
-    (cp.cp_local +. cp.cp_data +. cp.cp_lock +. cp.cp_barrier +. cp.cp_gc)
-
 (* Rendering smoke: the blame table and JSON section exist and carry the
    headline number. *)
 let test_render_and_json () =
@@ -141,7 +129,6 @@ let suite =
   [
     ("per-cell invariants (every protocol x app)", `Quick, test_per_cell_invariants);
     ("analysis is deterministic", `Quick, test_analysis_deterministic);
-    ("explicit anchor", `Quick, test_explicit_anchor);
     ("render and json sections", `Quick, test_render_and_json);
     ("empty sink", `Quick, test_empty_sink);
   ]

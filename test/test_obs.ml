@@ -90,12 +90,63 @@ let test_trace_covers_protocol_activity () =
     [ "page_fetch"; "diff_create"; "diff_flush"; "barrier_arrive"; "barrier_release";
       "interval_end"; "msg_send"; "msg_recv" ]
 
+(* The causal links on a hand-written sink: FIFO per channel, local lock
+   acquires open nothing, diff replies pair by (page, writer, requester),
+   and a closer whose opener was not stored gets [None]. The first pair's
+   send comes from a small per-cell sink that dropped the second send. *)
+let test_iter_linked () =
+  let ev time node kind = { Obs.Trace.time; node; kind } in
+  let send dst = Obs.Trace.Msg_send { dst; bytes = 8; update = 0 } in
+  let recv src = Obs.Trace.Msg_recv { src; bytes = 8; update = 0 } in
+  let small = Obs.Trace.create_sink ~capacity:1 () in
+  List.iter (Obs.Trace.emit small) [ ev 1. 2 (send 0); ev 2. 2 (send 0) ];
+  let sink = Obs.Trace.create_sink () in
+  Obs.Trace.absorb sink small;
+  List.iter (Obs.Trace.emit sink)
+    [
+      ev 3. 0 (send 1);
+      ev 4. 0 (send 1);
+      ev 5. 1 (recv 0);
+      ev 6. 1 (recv 0);
+      ev 7. 0 (recv 2);
+      ev 8. 0 (recv 2);
+      ev 9. 1 (Obs.Trace.Lock_acquire { lock = 3; remote = false });
+      ev 10. 0 (Obs.Trace.Lock_grant { lock = 3; dst = 1; intervals = 0 });
+      ev 11. 2 (Obs.Trace.Lock_acquire { lock = 3; remote = true });
+      ev 12. 0 (Obs.Trace.Lock_grant { lock = 3; dst = 2; intervals = 1 });
+      ev 13. 1 (Obs.Trace.Diff_request { page = 5; writer = 2; intervals = 1 });
+      ev 14. 3 (Obs.Trace.Diff_request { page = 5; writer = 0; intervals = 1 });
+      ev 15. 0 (Obs.Trace.Diff_reply { page = 5; dst = 3; bytes = 16 });
+      ev 16. 2 (Obs.Trace.Diff_reply { page = 5; dst = 1; bytes = 16 });
+      ev 17. 1 (Obs.Trace.Wait_end { span = 9; bucket = Obs.Trace.Wb_data; resource = 5 });
+      ev 18. 1 (Obs.Trace.Wait_begin { span = 4; bucket = Obs.Trace.Wb_lock; resource = 3 });
+      ev 19. 1 (Obs.Trace.Wait_end { span = 4; bucket = Obs.Trace.Wb_lock; resource = 3 });
+    ];
+  let links = ref [] in
+  Obs.Trace.iter_linked sink (fun ev opener ->
+      links := (ev.Obs.Trace.time, Option.map (fun o -> o.Obs.Trace.time) opener) :: !links);
+  check
+    Alcotest.(list (pair (float 0.) (option (float 0.))))
+    "each closer's opener"
+    [
+      (1., None); (3., None); (4., None); (5., Some 3.); (6., Some 4.); (7., Some 1.);
+      (8., None); (9., None); (10., None); (11., None); (12., Some 11.); (13., None);
+      (14., None); (15., Some 14.); (16., Some 13.); (17., None); (18., None); (19., Some 18.);
+    ]
+    (List.rev !links)
+
 (* ------------------------------------------------------------------ *)
 (* Exporters *)
 
+(* The whole document an exporter writes, gathered from its pieces. *)
+let export f sink =
+  let buf = Buffer.create 4096 in
+  f (Buffer.add_string buf) sink;
+  Buffer.contents buf
+
 let test_jsonl_roundtrip () =
   let _, sink = traced_run () in
-  let lines = String.split_on_char '\n' (String.trim (Obs.Export.jsonl sink)) in
+  let lines = String.split_on_char '\n' (String.trim (export Obs.Export.jsonl sink)) in
   check Alcotest.int "one line per event" (Obs.Trace.length sink) (List.length lines);
   List.iter2
     (fun line ev ->
@@ -112,7 +163,7 @@ let test_jsonl_roundtrip () =
 
 let chrome_events sink =
   let doc =
-    match Obs.Json.of_string (Obs.Export.chrome ~name:"lu/hlrc" sink) with
+    match Obs.Json.of_string (export (fun w -> Obs.Export.chrome w ~name:"lu/hlrc") sink) with
     | Ok j -> j
     | Error e -> Alcotest.fail e
   in
@@ -192,7 +243,7 @@ let contains hay needle =
    output is unchanged from before the profiler existed. *)
 let test_default_trace_has_no_causal_kinds () =
   let _, sink = traced_run () in
-  let doc = Obs.Export.jsonl sink in
+  let doc = export Obs.Export.jsonl sink in
   List.iter
     (fun k ->
       check Alcotest.bool (k ^ " absent without trace_spans") false
@@ -207,14 +258,43 @@ let test_export_overflow_records () =
   ignore (Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:false));
   check Alcotest.bool "sink overflowed" true (Obs.Trace.dropped sink > 0);
   let tail =
-    match List.rev (String.split_on_char '\n' (String.trim (Obs.Export.jsonl sink))) with
+    match List.rev (String.split_on_char '\n' (String.trim (export Obs.Export.jsonl sink))) with
     | last :: _ -> last
     | [] -> Alcotest.fail "empty jsonl"
   in
   check Alcotest.bool "jsonl ends with the dropped record" true
     (contains tail "\"ev\":\"dropped\"");
   check Alcotest.bool "chrome reports droppedEvents" true
-    (contains (Obs.Export.chrome sink) "\"droppedEvents\":")
+    (contains (export (fun w s -> Obs.Export.chrome w s) sink) "\"droppedEvents\":")
+
+(* The exporter hands its writer one record at a time: on an overflowing
+   run, the pieces join into the event lines and the dropped record, and
+   none comes near the size of the document. *)
+let test_jsonl_streams () =
+  let app = Apps.Registry.lu Apps.Registry.Test in
+  let sink = Obs.Trace.create_sink ~capacity:1_000 () in
+  let cfg = Svm.Config.make ~nprocs:8 ~trace_spans:true Svm.Config.Hlrc in
+  ignore (Svm.Runtime.run ~sink cfg (app.Apps.Registry.body ~verify:false));
+  check Alcotest.bool "sink overflowed" true (Obs.Trace.dropped sink > 0);
+  let pieces = ref [] in
+  Obs.Export.jsonl (fun p -> pieces := p :: !pieces) sink;
+  let doc = String.concat "" (List.rev !pieces) in
+  let events = Buffer.create 4096 in
+  Obs.Trace.iter sink (fun ev ->
+      Buffer.add_string events (Obs.Json.to_string (Obs.Trace.to_json ev) ^ "\n"));
+  let prefix = Buffer.contents events in
+  let n = String.length prefix in
+  check Alcotest.string "events first, in order" prefix (String.sub doc 0 n);
+  (match Obs.Json.of_string (String.sub doc n (String.length doc - n)) with
+  | Ok j ->
+      check Alcotest.bool "then the dropped record" true
+        (Obs.Json.member "ev" j = Some (Obs.Json.String "dropped")
+        && Option.bind (Obs.Json.member "count" j) Obs.Json.to_int
+           = Some (Obs.Trace.dropped sink))
+  | Error e -> Alcotest.failf "last line is not one JSON record: %s" e);
+  let largest = List.fold_left (fun m p -> max m (String.length p)) 0 !pieces in
+  check Alcotest.bool "the document is over 64 KB" true (String.length doc > 65536);
+  check Alcotest.bool "every piece is under 64 KB" true (largest < 65536)
 
 (* Every output file goes through one writer: writing into a missing
    directory is one line naming the file's kind, never a [Sys_error]. *)
@@ -446,11 +526,13 @@ let suite =
     ("sink is bounded", `Quick, test_sink_bounded);
     ("trace is deterministic across same-seed runs", `Quick, test_trace_deterministic);
     ("trace covers the protocol activity", `Quick, test_trace_covers_protocol_activity);
+    ("iter_linked pairs each closer with its opener", `Quick, test_iter_linked);
     ("jsonl export round-trips", `Quick, test_jsonl_roundtrip);
     ("chrome export is well-formed", `Quick, test_chrome_wellformed);
     ("chrome causal layer (spans and counters)", `Quick, test_chrome_causal_layer);
     ("default trace has no causal kinds", `Quick, test_default_trace_has_no_causal_kinds);
     ("exporters record sink overflow", `Quick, test_export_overflow_records);
+    ("jsonl streams one record per piece", `Quick, test_jsonl_streams);
     ("write_file reports errors cleanly", `Quick, test_write_file_reports_errors);
     ("report sections are opt-in and validate", `Quick, test_report_optional_sections);
     ("legacy adapter matches the typed stream", `Quick, test_legacy_adapter_matches_typed_stream);

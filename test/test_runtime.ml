@@ -125,9 +125,15 @@ let test_timing_window () =
         (* untimed prologue *)
         Svm.Api.barrier ctx;
         Svm.Api.start_timing ctx;
-        Svm.Api.compute ctx 1000.)
+        Svm.Api.compute ctx 1000.;
+        Svm.Api.barrier ctx)
   in
-  check Alcotest.bool "prologue excluded" true (r.Svm.Runtime.r_elapsed < 2000.)
+  check Alcotest.bool "prologue excluded" true (r.Svm.Runtime.r_elapsed < 2000.);
+  Array.iter
+    (fun n ->
+      check Alcotest.int "counters cover the window only" 1
+        n.Svm.Runtime.nr_counters.Svm.Stats.barriers)
+    r.Svm.Runtime.r_nodes
 
 let test_home_policies () =
   List.iter

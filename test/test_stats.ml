@@ -15,16 +15,6 @@ let test_breakdown_arithmetic () =
   check (Alcotest.float 0.) "sub compute" 89. d.Svm.Stats.compute;
   check (Alcotest.float 0.) "sub lock" 0. d.Svm.Stats.lock
 
-let test_counters_arithmetic () =
-  let a = Svm.Stats.counters_zero () in
-  a.Svm.Stats.messages <- 7;
-  a.Svm.Stats.diffs_created <- 3;
-  let b = Svm.Stats.counters_copy a in
-  a.Svm.Stats.messages <- 10;
-  let d = Svm.Stats.counters_sub a b in
-  check Alcotest.int "delta messages" 3 d.Svm.Stats.messages;
-  check Alcotest.int "delta diffs" 0 d.Svm.Stats.diffs_created
-
 let test_epoch_deltas () =
   let s = Svm.Stats.create () in
   s.Svm.Stats.b.Svm.Stats.compute <- 5.;
@@ -64,61 +54,6 @@ let test_breakdown_sub_componentwise () =
       ("gc", d.Svm.Stats.gc);
     ];
   check (Alcotest.float 0.) "total of the difference" 42. (Svm.Stats.breakdown_total d)
-
-let test_counters_sub_componentwise () =
-  let fill v =
-    let c = Svm.Stats.counters_zero () in
-    c.Svm.Stats.read_misses <- v;
-    c.Svm.Stats.write_faults <- v + 1;
-    c.Svm.Stats.diffs_created <- v + 2;
-    c.Svm.Stats.diffs_applied <- v + 3;
-    c.Svm.Stats.lock_acquires <- v + 4;
-    c.Svm.Stats.remote_acquires <- v + 5;
-    c.Svm.Stats.barriers <- v + 6;
-    c.Svm.Stats.messages <- v + 7;
-    c.Svm.Stats.update_bytes <- v + 8;
-    c.Svm.Stats.protocol_bytes <- v + 9;
-    c.Svm.Stats.page_fetches <- v + 10;
-    c.Svm.Stats.gc_runs <- v + 11;
-    c.Svm.Stats.home_migrations <- v + 12;
-    c.Svm.Stats.msg_drops <- v + 13;
-    c.Svm.Stats.msg_retransmits <- v + 14;
-    c.Svm.Stats.msg_acks <- v + 15;
-    c.Svm.Stats.msg_dup_dropped <- v + 16;
-    c.Svm.Stats.repl_updates <- v + 17;
-    c.Svm.Stats.repl_invals <- v + 18;
-    c.Svm.Stats.repl_bytes <- v + 19;
-    c.Svm.Stats.failovers <- v + 20;
-    c.Svm.Stats.msg_peer_dead <- v + 21;
-    c
-  in
-  let d = Svm.Stats.counters_sub (fill 20) (fill 5) in
-  List.iter
-    (fun (name, got) -> check Alcotest.int name 15 got)
-    [
-      ("read_misses", d.Svm.Stats.read_misses);
-      ("write_faults", d.Svm.Stats.write_faults);
-      ("diffs_created", d.Svm.Stats.diffs_created);
-      ("diffs_applied", d.Svm.Stats.diffs_applied);
-      ("lock_acquires", d.Svm.Stats.lock_acquires);
-      ("remote_acquires", d.Svm.Stats.remote_acquires);
-      ("barriers", d.Svm.Stats.barriers);
-      ("messages", d.Svm.Stats.messages);
-      ("update_bytes", d.Svm.Stats.update_bytes);
-      ("protocol_bytes", d.Svm.Stats.protocol_bytes);
-      ("page_fetches", d.Svm.Stats.page_fetches);
-      ("gc_runs", d.Svm.Stats.gc_runs);
-      ("home_migrations", d.Svm.Stats.home_migrations);
-      ("msg_drops", d.Svm.Stats.msg_drops);
-      ("msg_retransmits", d.Svm.Stats.msg_retransmits);
-      ("msg_acks", d.Svm.Stats.msg_acks);
-      ("msg_dup_dropped", d.Svm.Stats.msg_dup_dropped);
-      ("repl_updates", d.Svm.Stats.repl_updates);
-      ("repl_invals", d.Svm.Stats.repl_invals);
-      ("repl_bytes", d.Svm.Stats.repl_bytes);
-      ("failovers", d.Svm.Stats.failovers);
-      ("msg_peer_dead", d.Svm.Stats.msg_peer_dead);
-    ]
 
 (* Epoch deltas: chronological, the first epoch measured from zero, none
    before the first mark, and the deltas sum back to the final totals. *)
@@ -264,10 +199,8 @@ let test_mean_compute_balanced () =
 let suite =
   [
     ("breakdown arithmetic", `Quick, test_breakdown_arithmetic);
-    ("counters arithmetic", `Quick, test_counters_arithmetic);
     ("epoch deltas", `Quick, test_epoch_deltas);
     ("breakdown_sub is componentwise", `Quick, test_breakdown_sub_componentwise);
-    ("counters_sub is componentwise", `Quick, test_counters_sub_componentwise);
     ("epoch delta invariants", `Quick, test_epoch_deltas_invariants);
     ("traffic bookkeeping", `Quick, test_traffic_bookkeeping);
     ("single node has no traffic", `Quick, test_single_node_no_traffic);

@@ -22,6 +22,19 @@ let test_channels_are_fifo () =
       check Alcotest.bool "no overtaking" true (t2 > t1)
   | other -> Alcotest.failf "unexpected order (%d events)" (List.length other)
 
+(* A message lost because its receiver died on the wire is charged to the
+   sender's counter record as it is when the message lands, since the
+   timing window (Api.start_timing) may have replaced it since the send. *)
+let test_loss_counted_at_arrival () =
+  let sys = mk () in
+  let src = sys.Svm.System.nodes.(0) in
+  Svm.System.send sys ~src ~dst:1 ~at:0. ~bytes:64 ~update:0 (fun _ -> ());
+  src.Svm.System.stats.Svm.Stats.c <- Svm.Stats.counters_zero ();
+  Svm.System.kill_node sys ~node:1 ~time:0.;
+  ignore (Sim.Engine.run sys.Svm.System.engine);
+  check Alcotest.int "the loss is in the current record" 1
+    src.Svm.System.stats.Svm.Stats.c.Svm.Stats.msg_peer_dead
+
 let test_distinct_channels_can_overtake () =
   (* ...but messages to different destinations are independent. *)
   let sys = mk () in
@@ -160,6 +173,7 @@ let prop_malloc_disjoint =
 let suite =
   [
     ("channels are FIFO", `Quick, test_channels_are_fifo);
+    ("a loss is counted when it lands", `Quick, test_loss_counted_at_arrival);
     ("distinct channels overtake", `Quick, test_distinct_channels_can_overtake);
     ("loopback is free", `Quick, test_loopback_free_and_uncounted);
     ("traffic split", `Quick, test_traffic_split);
