@@ -62,6 +62,16 @@ let micro () =
   let one_word_diff = Mem.Diff.create ~page:0 ~twin ~current:one_word in
   let dense_diff = Mem.Diff.create ~page:0 ~twin ~current:dense in
   let target = Mem.Words.copy twin in
+  (* A context on a node that holds page 0 read-write: every access below
+     takes [Svm.Api]'s hit path, one charge and one page-table lookup. *)
+  let hit =
+    let sys = Svm.System.create (Svm.Config.make ~page_words ~nprocs:1 Svm.Config.Hlrc) in
+    let node = sys.Svm.System.nodes.(0) in
+    let e = Mem.Page_table.ensure node.Svm.System.pt 0 in
+    ignore (Mem.Page_table.attach_copy node.Svm.System.pt e);
+    e.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+    Svm.Api.make_ctx sys node
+  in
   let vt_a = Proto.Vclock.create ~nprocs:64 in
   let vt_b = Proto.Vclock.create ~nprocs:64 in
   for i = 0 to 63 do
@@ -89,6 +99,9 @@ let micro () =
       Test.make ~name:"vclock-merge"
         (Staged.stage (fun () -> Proto.Vclock.merge_into vt_a vt_b));
       Test.make ~name:"vclock-leq" (Staged.stage (fun () -> ignore (Proto.Vclock.leq vt_a vt_b)));
+      Test.make ~name:"api-read-hit"
+        (Staged.stage (fun () -> ignore (Sys.opaque_identity (Svm.Api.read hit 500))));
+      Test.make ~name:"api-write-hit" (Staged.stage (fun () -> Svm.Api.write hit 500 0.5));
       Test.make ~name:"event-queue-push-pop"
         (Staged.stage (fun () ->
              let e = Sim.Engine.create ~capacity:64 () in

@@ -48,8 +48,12 @@ val root : ctx -> string -> int
 (** Pages spanned by / page of an address, for building home maps. *)
 val page_words : ctx -> int
 
+(** [read ctx addr] is the word at [addr]. On a page the node cannot read,
+    the process first suspends while the protocol serves the fault. *)
 val read : ctx -> int -> float
 
+(** [write ctx addr v] stores [v] at [addr], after a write fault if the
+    node cannot write the page. *)
 val write : ctx -> int -> float -> unit
 
 (** Integer convenience wrappers ([float] words store integers exactly up to

@@ -879,18 +879,13 @@ let diff_apply_cost (c : Machine.Costs.t) diff =
    multiplier ([1.0], hence bit-exact identity, on fault-free runs). The
    communication co-processor is not slowed: it is dedicated hardware. *)
 
-(* The three charge functions bump the clock directly rather than through
-   [Machine.Node.advance]: a cross-module call would box [dt], and
-   [charge_compute] runs once per simulated memory access. All stores here
-   are to all-float records, so a charge allocates nothing. *)
-let charge_compute node dt =
-  let dt = dt *. node.slowdown in
-  let ck = node.mach.Machine.Node.ck in
-  ck.Machine.Node.clock <- ck.Machine.Node.clock +. dt;
-  let b = node.stats.Stats.b in
-  b.Stats.compute <- b.Stats.compute +. dt
+(* The two charge functions bump the clock directly rather than through
+   [Machine.Node.advance]: a cross-module call would box [dt]. All stores
+   here are to all-float records, so a charge allocates nothing. The
+   application's own work, its loads and stores included, is charged in
+   [Api].
 
-(* Protocol/GC work can also run while the node's process is blocked (e.g.
+   Protocol/GC work can also run while the node's process is blocked (e.g.
    write-notice handling on a lock grant, interrupt service); crediting it to
    [wait_services] keeps the wait buckets from double-counting it. *)
 let charge_protocol node dt =
@@ -908,16 +903,6 @@ let charge_gc node dt =
   ck.Machine.Node.clock <- ck.Machine.Node.clock +. dt;
   node.stats.Stats.b.Stats.gc <- node.stats.Stats.b.Stats.gc +. dt;
   if node.blocked <> None then node.wait_services <- node.wait_services +. dt
-
-(* Open-loop idle: wall-clock waiting for the next scheduled arrival, not
-   processor work, so the straggler multiplier does not apply — a slow CPU
-   doesn't make the wait for the wall clock longer. Billed to the compute
-   bucket (the node is "thinking", not blocked on the protocol). *)
-let charge_idle node dt =
-  let ck = node.mach.Machine.Node.ck in
-  ck.Machine.Node.clock <- ck.Machine.Node.clock +. dt;
-  let b = node.stats.Stats.b in
-  b.Stats.compute <- b.Stats.compute +. dt
 
 (* ------------------------------------------------------------------ *)
 (* Serving-workload operation log                                     *)

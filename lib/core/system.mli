@@ -423,15 +423,9 @@ val diff_apply_cost : Machine.Costs.t -> Mem.Diff.t -> float
 
 (** {1 Time charging} *)
 
-val charge_compute : node_state -> float -> unit
-
 val charge_protocol : node_state -> float -> unit
 
 val charge_gc : node_state -> float -> unit
-
-(** Open-loop idle until the next scheduled arrival: wall-clock waiting,
-    so the chaos straggler multiplier does {e not} apply. *)
-val charge_idle : node_state -> float -> unit
 
 (** Record one completed serving operation ([latency] is completion minus
     scheduled arrival, in microseconds); feeds {!serving_log} and, when

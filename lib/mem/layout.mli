@@ -3,7 +3,13 @@
     The shared virtual address space is a flat array of 8-byte words split
     into fixed-size pages. Addresses are word indices. *)
 
-type t
+(** Private so that [Svm.Api] reads [shift] and [mask] as fields on its
+    access fast path. *)
+type t = private {
+  page_words : int;
+  shift : int;  (** log2 [page_words]: [addr lsr shift] is the page. *)
+  mask : int;  (** [page_words - 1]: [addr land mask] is the offset. *)
+}
 
 (** [create ~page_words] builds a layout with [page_words] words per page.
     [page_words] must be a positive power of two. *)

@@ -16,8 +16,6 @@ type t = { layout : Layout.t; mutable entries : entry option array; mutable npag
 
 let create layout = { layout; entries = [||]; npages = 0 }
 
-let npages t = t.npages
-
 let grow t page =
   let capacity = Array.length t.entries in
   if page >= capacity then begin

@@ -30,12 +30,18 @@ type entry = {
           dense. An entry without a twin is saturated. *)
 }
 
-type t
+(** Private so that [Svm.Api]'s access fast path can read [npages] and
+    [entries] as fields: under the dev profile's [-opaque], a call here
+    would be a real call per simulated load and store. *)
+type t = private {
+  layout : Layout.t;
+  mutable entries : entry option array;
+      (** Indexed by page: at least [npages] slots, [None] for a page
+          never touched. *)
+  mutable npages : int;  (** Highest touched page + 1. *)
+}
 
 val create : Layout.t -> t
-
-(** Highest allocated page id + 1. *)
-val npages : t -> int
 
 (** [ensure t page] returns the entry for [page], creating an uncached,
     inaccessible one if needed. *)

@@ -369,7 +369,7 @@ let test_page_table_ensure () =
   check Alcotest.int "page id" 5 e.Mem.Page_table.page;
   check Alcotest.bool "uncached" true (e.Mem.Page_table.data = None);
   check Alcotest.bool "same entry" true (e == Mem.Page_table.ensure pt 5);
-  check Alcotest.int "npages" 6 (Mem.Page_table.npages pt)
+  check Alcotest.int "npages" 6 pt.Mem.Page_table.npages
 
 let test_page_table_entry_missing () =
   let l = Mem.Layout.create ~page_words:64 in
