@@ -345,28 +345,86 @@ let test_legacy_adapter_matches_typed_stream () =
   check Alcotest.int "absorb stores every event" (Obs.Trace.length sink) (Obs.Trace.length dst);
   check Alcotest.int "absorb bypasses the tap" 0 !tapped_dst
 
+(* Every kind's [-t] line, exact, or [None] for the kinds the legacy
+   tracer never printed: svm_run -t and examples/protocol_trace.ml print
+   these bytes. *)
 let test_legacy_render_exact_strings () =
+  let open Obs.Trace in
   let cases =
     [
-      (Obs.Trace.Page_fetch { page = 3; home = 1 }, Some "page fault: fetch page 3 from home 1");
-      (Obs.Trace.Gc_done, Some "gc: discarded diffs and interval records");
-      ( Obs.Trace.Lock_grant { lock = 2; dst = 5; intervals = 4 },
+      (Page_fetch { page = 3; home = 1 }, Some "page fault: fetch page 3 from home 1");
+      (Page_fetch_pending { page = 4 }, Some "fetch of page 4 pending (flush behind)");
+      ( Batch_fetch { page = 8; home = 2; pages = 3 },
+        Some "batched fetch: 3 pages from 8 at home 2" );
+      (Full_page_fetch { page = 5; source = 6 }, Some "full-page fetch: page 5 from node 6");
+      ( Diff_request { page = 7; writer = 1; intervals = 2 },
+        Some "diff request: page 7 from writer 1 (2 intervals)" );
+      (Diff_create { page = 0; words = 8; bytes = 100 }, None);
+      (Diff_apply { page = 0; words = 8; bytes = 100 }, None);
+      ( Diff_flush { page = 9; writer = 3; index = 4; bytes = 64 },
+        Some "applied flush diff for page 9 from node 3 (interval 4)" );
+      ( Au_stamp { page = 9; writer = 3; index = 5 },
+        Some "AU flush stamp for page 9 from node 3 (interval 5)" );
+      ( Eager_update { page = 2; writer = 1; bytes = 32 },
+        Some "applied eager update for page 2 from node 1" );
+      (Write_notice { writer = 1; index = 2; pages = 3 }, None);
+      (Interval_end { index = 6; pages = [ 1; 2; 10 ] }, Some "interval 6 ends: pages [1;2;10]");
+      (Interval_end { index = 7; pages = [] }, Some "interval 7 ends: pages []");
+      (Lock_acquire { lock = 5; remote = true }, Some "remote acquire of lock 5");
+      (Lock_acquire { lock = 5; remote = false }, None);
+      ( Lock_grant { lock = 2; dst = 5; intervals = 4 },
         Some "grant lock 2 to node 5 (4 interval records)" );
-      (Obs.Trace.Barrier_release { epoch = 7; gc = true }, Some "barrier 7 completes (gc)");
-      (Obs.Trace.Barrier_release { epoch = 7; gc = false }, Some "barrier 7 completes");
-      (Obs.Trace.Msg_send { dst = 1; bytes = 64; update = 0 }, None);
-      (Obs.Trace.Diff_create { page = 0; words = 8; bytes = 100 }, None);
+      (Lock_queued { lock = 2; requester = 3 }, Some "lock 2 busy; node 3 queued");
+      (Home_wait { page = 11 }, Some "home-wait: page 11 flush behind");
+      ( Barrier_arrive { epoch = 3; intervals = 2 },
+        Some "enters barrier (2 own interval records)" );
+      (Barrier_release { epoch = 7; gc = true }, Some "barrier 7 completes (gc)");
+      (Barrier_release { epoch = 7; gc = false }, Some "barrier 7 completes");
+      (Home_migration { page = 12; dst = 3 }, Some "migrating home of page 12 to node 3");
+      (Gc_start { mem_bytes = 4096 }, Some "gc: start (protocol memory 4096 bytes)");
+      (Gc_done, Some "gc: discarded diffs and interval records");
+      (Msg_send { dst = 1; bytes = 64; update = 0 }, None);
+      (Msg_recv { src = 1; bytes = 64; update = 0 }, None);
+      ( Msg_drop { dst = 2; seq = 9; bytes = 48; ack = false },
+        Some "chaos: network dropped message to node 2 (seq 9, 48 bytes)" );
+      ( Msg_drop { dst = 2; seq = 9; bytes = 16; ack = true },
+        Some "chaos: network dropped ack to node 2 (seq 9, 16 bytes)" );
+      ( Msg_retransmit { dst = 1; seq = 4; retries = 2 },
+        Some "transport: retransmit seq 4 to node 1 (attempt 2)" );
+      (Msg_ack { dst = 3; upto = 17 }, Some "transport: ack up to seq 17 to node 3");
+      ( Msg_duplicate_dropped { src = 2; seq = 8 },
+        Some "transport: dropped duplicate seq 8 from node 2" );
+      ( Watchdog_stall { blocked = 3; inflight = 1 },
+        Some "watchdog: no progress (3 blocked nodes, 1 in-flight packets)" );
+      (Wait_begin { span = 1; bucket = Wb_lock; resource = 2 }, None);
+      (Wait_end { span = 1; bucket = Wb_lock; resource = 2 }, None);
+      (Mem_sample { bytes = 1024 }, None);
+      (Diff_reply { page = 7; dst = 2; bytes = 40 }, None);
+      (Node_kill { node = 3 }, Some "chaos: node 3 killed (links silenced)");
+      ( Msg_peer_dead { peer = 3; seq = -1; bytes = 24 },
+        Some "transport: peer 3 dead, abandoned seq -1 (24 bytes)" );
+      ( Failover { page = 6; from_ = 3; to_ = 0 },
+        Some "failover: page 6 re-homed from dead node 3 to node 0" );
+      ( Repl_update { page = 6; dst = 1; bytes = 80 },
+        Some "replication: update for page 6 to backup 1 (80 bytes)" );
+      (Repl_inval { page = 6; dst = 1 }, Some "replication: invalidate page 6 at backup 1");
+      (Suspect { peer = 2 }, Some "detector: suspecting node 2 (silent past timeout)");
+      (Refute { peer = 2 }, Some "detector: heard node 2 again, suspicion retracted");
+      (Depose { node = 2 }, Some "detector: quorum deposed node 2");
+      (Rejoin { node = 2 }, Some "detector: node 2 rejoined as fresh replica");
+      ( Fenced_fetch { page = 6; requester = 1 },
+        Some "fence: refused stale-authority serve of page 6 to node 1" );
     ]
   in
+  check Alcotest.int "one row at least for every kind" 42
+    (List.length (List.sort_uniq compare (List.map (fun (k, _) -> kind_name k) cases)));
   List.iter
-    (fun (kind, expected) ->
-      check Alcotest.bool (Obs.Trace.kind_name kind) true
-        (Obs.Trace.render kind = expected))
+    (fun (kind, expected) -> check Alcotest.(option string) (kind_name kind) expected (render kind))
     cases;
   check
     Alcotest.(option string)
     "legacy line prefixes the node" (Some "[node 2] gc: discarded diffs and interval records")
-    (Obs.Trace.legacy_line { Obs.Trace.time = 1.; node = 2; kind = Obs.Trace.Gc_done })
+    (legacy_line { time = 1.; node = 2; kind = Gc_done })
 
 (* ------------------------------------------------------------------ *)
 (* Report JSON schema *)
