@@ -58,14 +58,15 @@ let run (o : Harness.Cli.run) ~trace ~breakdown =
       (sum (fun c -> c.Svm.Stats.msg_dup_dropped));
     Format.printf "mem digest  : %016Lx@." r.Svm.Runtime.r_mem_digest
   end;
-  (match Machine.Chaos.first_kill cfg.chaos with
-  | None -> ()
-  | Some (victim, at) ->
+  (match Machine.Chaos.kills cfg.chaos with
+  | [] -> ()
+  | kills ->
       let stalls = r.Svm.Runtime.r_failover_stalls in
-      Format.printf
-        "failover    : node %d killed at %.0f us; %d page(s) failed over, %d message(s) to \
-         dead peers@."
-        victim at
+      Format.printf "failover    : %s; %d page(s) failed over, %d message(s) to dead peers@."
+        (String.concat ", "
+           (List.map
+              (fun (victim, at) -> Printf.sprintf "node %d killed at %.0f us" victim at)
+              kills))
         (sum (fun c -> c.Svm.Stats.failovers))
         (sum (fun c -> c.Svm.Stats.msg_peer_dead));
       if stalls <> [] then

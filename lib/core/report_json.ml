@@ -47,10 +47,14 @@ let costs : Machine.Costs.t t =
       field "coproc_dispatch" num (fun c -> c.coproc_dispatch);
     ]
 
-(* The fault schedule renders under the single-fault keys
-   ([kill_node]/[pause_node]...) for its earliest kill and pause — archived
-   reports and their consumers predate the schedule — plus a [partitions]
-   list for the faults those keys cannot express. *)
+(* Each scheduled fault in its one spelling ({!Machine.Chaos.to_string}),
+   which the validator parses back. *)
+let fault =
+  refine str (function
+    | Obs.Json.String s ->
+        Result.fold ~ok:(Fun.const None) ~error:Option.some (Machine.Chaos.of_string s)
+    | _ -> None)
+
 let chaos_config : Machine.Chaos.params t =
   Machine.Chaos.
     [
@@ -59,31 +63,11 @@ let chaos_config : Machine.Chaos.params t =
       field "jitter" num (fun ch -> ch.jitter);
       field "straggler" num (fun ch -> ch.straggler);
       field "fault_seed" int (fun ch -> ch.fault_seed);
-      some
-        (fun ch -> Option.map (fun kill -> (kill, ch.detect_delay)) (first_kill ch))
-        [
-          field "kill_node" int (fun ((node, _), _) -> node);
-          field "kill_at" num (fun ((_, at), _) -> at);
-          field "detect_delay" num snd;
-        ];
-      some first_pause
-        [
-          field "pause_node" int (fun (node, _, _) -> node);
-          field "pause_at" num (fun (_, at, _) -> at);
-          field "resume_at" num (fun (_, _, until) -> until);
-        ];
       given
-        (fun ch -> partitions ch <> [])
+        (fun ch -> ch.faults <> [])
         [
-          field "partitions"
-            (list
-               (obj
-                  [
-                    field "group" (list int) (fun (group, _, _) -> group);
-                    field "from_us" num (fun (_, from_, _) -> from_);
-                    field "until_us" num (fun (_, _, until) -> until);
-                  ]))
-            partitions;
+          field "faults" (list fault) (fun ch -> List.map to_string ch.faults);
+          field "detect_delay" num (fun ch -> ch.detect_delay);
         ];
     ]
 

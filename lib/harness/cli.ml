@@ -227,35 +227,31 @@ type run = {
   metrics_out : string option;
 }
 
+(* Each fault flag takes its kind's argument of {!Machine.Chaos.to_string}'s
+   spelling and may repeat. The schedule lists the kills, then the pauses,
+   then the partitions, each in the order given; no run depends on the
+   order across kinds. *)
 let schedule =
-  let at name what =
-    opt Arg.float 0. [ name ] "US" ("Simulated time (microseconds) at which " ^ what)
+  let faults kind docv doc =
+    let parse s = Result.map_error (fun e -> `Msg e) (Machine.Chaos.of_string (kind ^ " " ^ s)) in
+    let print ppf f = Format.pp_print_string ppf (Machine.Chaos.to_string f) in
+    Arg.(value & opt_all (conv (parse, print)) [] & info [ kind ] ~docv ~doc:(doc ^ " Repeatable."))
   in
-  let+ kill =
-    opt Arg.(some int) None [ "kill-node" ] "NODE"
-      "Chaos: crash-stop node $(docv) at --kill-at (links fall silent; with --replicas > 1 its \
-       homed pages fail over to the next live replica). Node 0 (the lock/barrier manager) \
-       cannot be killed."
-  and+ kill_at = at "kill-at" "--kill-node fires."
-  and+ pause =
-    opt Arg.(some int) None [ "pause" ] "NODE"
-      "Chaos (gray failure): pause node $(docv) between --pause-at and --resume-at — it stops \
-       executing but is not declared dead."
-  and+ pause_at = at "pause-at" "--pause fires."
-  and+ resume_at = at "resume-at" "the paused node resumes."
-  and+ partition =
-    opt Arg.(some (list int)) None [ "partition" ] "NODES"
-      "Chaos: network partition — the comma-separated node group $(docv) is cut off from every \
-       other node between --partition-at and --heal-at (links within a side are untouched; \
-       healing is by retransmission). The classic source of false suspicions for the \
-       heartbeat detector."
-  and+ partition_at = at "partition-at" "--partition severs its links."
-  and+ heal_at = at "heal-at" "--partition heals." in
-  let only o f = Option.fold ~none:[] ~some:(fun x -> [ f x ]) o in
-  only kill (fun node -> Machine.Chaos.Kill { node; at = kill_at })
-  @ only pause (fun node -> Machine.Chaos.Pause { node; from_ = pause_at; until = resume_at })
-  @ only partition (fun group ->
-        Machine.Chaos.Partition { group; from_ = partition_at; until = heal_at })
+  let+ kills =
+    faults "kill" "NODE@US"
+      "Chaos: crash-stop NODE at simulated time US (microseconds): its links fall silent, and with \
+       --replicas > 1 its homed pages fail over to the next live replica. Node 0 (the \
+       lock/barrier manager) cannot be killed."
+  and+ pauses =
+    faults "pause" "NODE@FROM:UNTIL"
+      "Chaos (gray failure): NODE stops executing between FROM and UNTIL but is not declared dead."
+  and+ partitions =
+    faults "partition" "NODES@FROM:UNTIL"
+      "Chaos: network partition: the comma-separated node group NODES is cut off from every other \
+       node between FROM and UNTIL (links within a side are untouched; healing is by \
+       retransmission). The classic source of false suspicions for the heartbeat detector."
+  in
+  kills @ pauses @ partitions
 
 let svm_run =
   validated

@@ -104,14 +104,6 @@ let run_cell (app : Apps.Registry.t) scenarios =
 
 let replay_line ~scale ~app (c : Svm.Config.t) =
   let f = Printf.sprintf "%.17g" and i = string_of_int and ch = c.chaos in
-  let fault = function
-    | Machine.Chaos.Kill { node; at } -> [ ("kill-node", i node); ("kill-at", f at) ]
-    | Pause { node; from_; until } ->
-        [ ("pause", i node); ("pause-at", f from_); ("resume-at", f until) ]
-    | Partition { group; from_; until } ->
-        [ ("partition", String.concat "," (List.map i group)); ("partition-at", f from_);
-          ("heal-at", f until) ]
-  in
   let flags =
     [ ("app", String.lowercase_ascii app);
       ("protocol", String.lowercase_ascii (Svm.Config.protocol_name c.protocol));
@@ -123,10 +115,11 @@ let replay_line ~scale ~app (c : Svm.Config.t) =
       ("drop-rate", f ch.drop_rate); ("dup-rate", f ch.dup_rate); ("jitter", f ch.jitter);
       ("straggler", f ch.straggler); ("fault-seed", i ch.fault_seed);
       ("detect-delay", f ch.detect_delay) ]
-    @ List.concat_map fault ch.faults
   in
   let args = List.concat_map (fun (k, v) -> [ "--" ^ k; v ]) flags in
-  String.concat " " ("dune exec bin/svm_run.exe --" :: args)
+  String.concat " "
+    (("dune exec bin/svm_run.exe --" :: args)
+    @ List.map (fun fault -> "--" ^ Machine.Chaos.to_string fault) ch.faults)
 
 (* ------------------------------------------------------------------ *)
 (* Fault placement                                                    *)
@@ -174,6 +167,12 @@ let elapsed x = match x.result with Ok (r, _) -> r.r_elapsed | Error _ -> nan
 let matches (r : row) = List.for_all (fun x -> Int64.equal (digest x) (digest r.twin)) r.faulted
 
 let the_faulted r = match r.faulted with [ x ] -> x | _ -> invalid_arg "Soak: one faulted run"
+
+(* When the one fault of a node-fault run strikes. *)
+let fault_time x =
+  match x.cfg.chaos.faults with
+  | [ Kill { at; _ } ] | [ Pause { from_ = at; _ } ] | [ Partition { from_ = at; _ } ] -> at
+  | _ -> nan
 
 let digest_col r =
   Printf.sprintf "%016Lx %s" (digest (the_faulted r))
@@ -243,7 +242,7 @@ let kill_soak =
       let x = the_faulted r in
       let k = report x in
       Printf.sprintf " %10.0f %9d %8.0fu  %s"
-        (match Machine.Chaos.first_kill x.cfg.chaos with Some (_, at) -> at | None -> nan)
+        (fault_time x)
         (Svm.Runtime.sum k (fun c -> c.failovers))
         (p99 k.r_failover_stalls) (digest_col r))
 
@@ -294,7 +293,7 @@ let partition_soak =
     let x = the_faulted r in
     let suspected = Svm.Runtime.sum (report x) (fun c -> c.suspicions) in
     let deposed = (facts x).deposes in
-    let cut = match Machine.Chaos.partitions x.cfg.chaos with (g, _, _) :: _ -> g | [] -> [] in
+    let cut = match x.cfg.chaos.faults with [ Partition { group; _ } ] -> group | _ -> [] in
     (* Over the whole table, since whether a given cell deposes depends on
        timing: an oracle never suspects, and an even split never deposes. *)
     if
@@ -376,9 +375,7 @@ let suspicion_soak =
     (fun _ r ->
       let x = the_faulted r in
       let f = facts x in
-      let paused_at =
-        match Machine.Chaos.first_pause x.cfg.chaos with Some (_, at, _) -> at | None -> nan
-      in
+      let paused_at = fault_time x in
       Printf.sprintf " %8b %8b %7b %10.0f  %s" (Float.is_finite f.first_depose)
         (Float.is_finite f.first_rejoin) f.active_after
         (if Float.is_finite f.first_suspect then f.first_suspect -. paused_at else nan)
@@ -395,9 +392,8 @@ let detector proto =
   let pause_us = 2000. in
   let deposed_at r i = (facts (List.nth r.faulted i)).first_depose in
   let detect_us r =
-    match Machine.Chaos.first_kill (List.hd r.faulted).cfg.chaos with
-    | Some (_, at) when Float.is_finite (deposed_at r 0) -> deposed_at r 0 -. at
-    | _ -> infinity
+    let deposed = deposed_at r 0 in
+    if Float.is_finite deposed then deposed -. fault_time (List.hd r.faulted) else infinity
   in
   let false_depose r = Float.is_finite (deposed_at r 1) in
   (* Latency must not decrease with the timeout, and once a timeout is too

@@ -40,6 +40,7 @@ val report :
 (** [replay_line ~scale ~app cfg] is the [svm_run] command line that
     replays a run of registry application [app] under [cfg]. It spells out
     every knob the runner sets, floats as [%.17g], so it does not depend on
-    the CLI's defaults. [svm_run] takes one fault of each kind; so do the
-    soak schedules. *)
+    the CLI's defaults, and each scheduled fault as one [--kill],
+    [--pause] or [--partition] flag in {!Machine.Chaos.to_string}'s
+    spelling, in schedule order. *)
 val replay_line : scale:Apps.Registry.scale -> app:string -> Svm.Config.t -> string

@@ -34,28 +34,37 @@ let none =
     detect_delay = 500.;
   }
 
-(* Schedule accessors: the old single-fault [kill]/[pause] options became a
-   schedule, but some consumers (report rendering, the soak tables) still
-   want "the kill" or "the pause" — first by time, as before. *)
 let kills p =
   List.filter_map (function Kill { node; at } -> Some (node, at) | _ -> None) p.faults
   |> List.sort (fun (_, a) (_, b) -> compare a b)
 
-let pauses p =
-  List.filter_map
-    (function Pause { node; from_; until } -> Some (node, from_, until) | _ -> None)
-    p.faults
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
+(* The one spelling of a fault: svm_run's flags read it, the report lists
+   it, and replay lines print it. [%.17g] prints a time that parses back
+   to the same float. *)
+let to_string = function
+  | Kill { node; at } -> Printf.sprintf "kill %d@%.17g" node at
+  | Pause { node; from_; until } -> Printf.sprintf "pause %d@%.17g:%.17g" node from_ until
+  | Partition { group; from_; until } ->
+      Printf.sprintf "partition %s@%.17g:%.17g"
+        (String.concat "," (List.map string_of_int group))
+        from_ until
 
-let partitions p =
-  List.filter_map
-    (function Partition { group; from_; until } -> Some (group, from_, until) | _ -> None)
-    p.faults
-  |> List.sort (fun (_, a, _) (_, b, _) -> compare a b)
-
-let first_kill p = match kills p with [] -> None | k :: _ -> Some k
-
-let first_pause p = match pauses p with [] -> None | w :: _ -> Some w
+let of_string s =
+  let scan fmt k =
+    try Some (Scanf.sscanf s fmt k) with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+  in
+  let group g = List.map int_of_string (String.split_on_char ',' g) in
+  [
+    scan "kill %d@%f%!" (fun node at -> Kill { node; at });
+    scan "pause %d@%f:%f%!" (fun node from_ until -> Pause { node; from_; until });
+    scan "partition %[0-9,]@%f:%f%!" (fun g from_ until ->
+        Partition { group = group g; from_; until });
+  ]
+  |> List.find_map Fun.id
+  |> Option.to_result
+       ~none:
+         (Printf.sprintf "malformed fault %S (kill N@T, pause N@T1:T2 or partition A,B@T1:T2)"
+            s)
 
 (* Kills are deliberately *not* part of [enabled]: a kill silences links and
    triggers failover but must not install the reliable transport (whose
@@ -195,20 +204,23 @@ let create p ~nprocs =
     end
   in
   let parts =
-    partitions p
-    |> List.map (fun (group, from_, until) ->
-           let side = Array.make nprocs false in
-           List.iter
-             (fun n ->
-               if n >= nprocs then
-                 invalid_arg
-                   (Printf.sprintf "Chaos.create: partition node %d out of range (%d nodes)"
-                      n nprocs);
-               side.(n) <- true)
-             group;
-           if Array.for_all Fun.id side then
-             invalid_arg "Chaos.create: partition group must leave the other side non-empty";
-           (side, from_, until))
+    List.filter_map
+      (function
+        | Partition { group; from_; until } ->
+            let side = Array.make nprocs false in
+            List.iter
+              (fun n ->
+                if n >= nprocs then
+                  invalid_arg
+                    (Printf.sprintf "Chaos.create: partition node %d out of range (%d nodes)" n
+                       nprocs);
+                side.(n) <- true)
+              group;
+            if Array.for_all Fun.id side then
+              invalid_arg "Chaos.create: partition group must leave the other side non-empty";
+            Some (side, from_, until)
+        | Kill _ | Pause _ -> None)
+      p.faults
     |> Array.of_list
   in
   { p; nprocs; links = Hashtbl.create 64; backoff = Hashtbl.create 64; slowdowns; parts }

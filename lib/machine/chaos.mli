@@ -54,14 +54,15 @@ val none : params
 (** The schedule's kills, as [(node, at)] sorted by time. *)
 val kills : params -> (int * float) list
 
-(** The schedule's partitions, as [(group, from, until)] sorted by start. *)
-val partitions : params -> (int list * float * float) list
+(** [to_string f] is the one spelling of a fault, which [svm_run]'s
+    [--kill], [--pause] and [--partition] flags read, the report lists and
+    replay lines print: ["kill N@T"], ["pause N@T1:T2"] or
+    ["partition A,B@T1:T2"], times in microseconds as [%.17g]. *)
+val to_string : fault -> string
 
-(** Earliest kill / pause of the schedule, if any (single-fault consumers:
-    report rendering, the soak tables). *)
-val first_kill : params -> (int * float) option
-
-val first_pause : params -> (int * float * float) option
+(** [of_string s] parses {!to_string}'s spelling. It checks the shape
+    only; {!validate} checks the values. *)
+val of_string : string -> (fault, string) result
 
 (** [enabled p] is [true] iff [p] needs the chaos-aware transport path.
     Deliberately excludes kills: a crash-stop only drops deliveries and

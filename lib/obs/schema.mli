@@ -39,6 +39,10 @@ val enum : string list -> string ty
 
 val list : 'a ty -> 'a list ty
 
+(** [refine ty bad] narrows [ty]: [bad] says what is wrong with a
+    well-typed value, or [None]. *)
+val refine : 'a ty -> (Json.t -> string option) -> 'a ty
+
 (** An object keyed by data rather than by the description. *)
 val map : 'a ty -> (string * 'a) list ty
 

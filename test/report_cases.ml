@@ -1,6 +1,7 @@
 (* svm_run argvs whose reports, taken together, carry every conditional
    field and block of the report JSON: the fault-batch, replication,
-   chaos, kill, pause, partition and detector groups, the serving totals,
+   chaos, kill, pause, partition and detector groups (one schedule with
+   two pauses and two partitions), the serving totals,
    stall percentiles both present and absent, empty and non-empty
    histograms, the timeline, trace (with and without dropped_by_kind) and
    critical-path sections, and meta. The last two move homes at barriers
@@ -17,15 +18,18 @@ let argvs =
       "--app sor --protocol ohlrc --nodes 4 --replicas 2 --repl-scheme backup";
       "--app lu --protocol hlrc --nodes 4 --drop-rate 0.05 --dup-rate 0.02 --jitter 5 \
        --straggler 1.5 --fault-seed 3";
-      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme backup --kill-node 3 \
-       --kill-at 1000 --no-verify";
-      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme inval --kill-node 3 \
-       --kill-at 100000000 --no-verify";
-      "--app sor --protocol hlrc --nodes 4 --pause 2 --pause-at 1000 --resume-at 5000";
-      "--app kvstore --protocol hlrc --nodes 4 --replicas 2 --partition 2,3 --partition-at 1000 \
-       --heal-at 5000 --detector heartbeat";
+      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme backup --kill 3@1000 \
+       --no-verify";
+      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme inval --kill 3@100000000 \
+       --no-verify";
+      "--app sor --protocol hlrc --nodes 4 --pause 2@1000:5000";
+      "--app kvstore --protocol hlrc --nodes 4 --replicas 2 --partition 2,3@1000:5000 --detector \
+       heartbeat";
       "--app kvstore --protocol ohlrc --nodes 4 --replicas 2 --repl-scheme inval --detector \
-       heartbeat --pause 3 --pause-at 2000 --resume-at 60000";
+       heartbeat --pause 3@2000:60000";
+      "--app kvstore --protocol hlrc --nodes 8 --replicas 2 --detector heartbeat --pause \
+       5@300000:310000 --pause 4@900000:905000 --partition 6,7@600000:650000 --partition \
+       3@1100000:1130000";
       "--app kvstore --protocol hlrc --nodes 4";
       "--app sor --protocol hlrc --nodes 4 --metrics";
       "--app kvstore --protocol lrc --nodes 4 --metrics-interval 500 --drop-rate 0.01";
@@ -33,8 +37,8 @@ let argvs =
       "--app lu --protocol hlrc --nodes 4 --profile --trace-cap 100";
       "--app lu --protocol hlrc --nodes 4 --trace-out /dev/null --trace-cap 50";
       "--app kvstore --protocol hlrc --nodes 4 --replicas 2 --repl-scheme inval --metrics";
-      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme backup --kill-node 3 \
-       --kill-at 1000 --no-verify --metrics";
+      "--app sor --protocol hlrc --nodes 4 --replicas 2 --repl-scheme backup --kill 3@1000 \
+       --no-verify --metrics";
       "--app lu --protocol hlrc --nodes 8 --migrate";
       "--app lu --protocol aurc --nodes 4 --migrate";
     ]

@@ -96,8 +96,18 @@ let test_bad_values_rejected () =
       [ "--app"; "lu"; "--kv-ops"; "5" ];
       [ "--app"; "kvstore"; "--kv-keys"; "100000"; "--kv-buckets"; "4" ];
       [ "--drop-rate"; "2" ];
-      [ "--kill-node"; "0" ];
-      [ "--nodes"; "4"; "--partition"; "0,1,2,3" ];
+      [ "--kill"; "3" ];
+      [ "--kill"; "3@" ];
+      [ "--kill"; "0@0" ];
+      [ "--kill"; "3@-1" ];
+      [ "--kill"; "9@100" ];
+      [ "--pause"; "2@5" ];
+      [ "--pause"; "2@5:1" ];
+      [ "--pause"; "2@5:nan" ];
+      [ "--nodes"; "4"; "--partition"; "0,1,2,3@0:10" ];
+      [ "--partition"; "1,1@0:10" ];
+      [ "--partition"; "@0:10" ];
+      [ "--kill-node"; "3" ];
       [ "--replicas"; "9" ];
       [ "--fault-batch"; "0" ];
       [ "--scale"; "huge" ];

@@ -178,7 +178,7 @@ let test_parallel_determinism () =
     "drops by kind identical" (Obs.Trace.dropped_by_kind s1) (Obs.Trace.dropped_by_kind s3)
 
 (* A failing soak cell prints the svm_run line that replays it: every knob
-   the runner sets, floats exact, one flag group per scheduled fault. *)
+   the runner sets, floats exact, one flag per scheduled fault. *)
 let test_soak_replay_line () =
   let chaos =
     {
@@ -187,8 +187,11 @@ let test_soak_replay_line () =
       faults =
         [
           Machine.Chaos.Kill { node = 2; at = 0.1 };
+          Machine.Chaos.Kill { node = 3; at = 900000.5 };
           Machine.Chaos.Pause { node = 3; from_ = 531017.15633475094; until = 534017.25 };
+          Machine.Chaos.Pause { node = 1; from_ = 10.; until = 20. };
           Machine.Chaos.Partition { group = [ 3; 1 ]; from_ = 1000.; until = 4000.5 };
+          Machine.Chaos.Partition { group = [ 2 ]; from_ = 5000.; until = 6000. };
         ];
     }
   in
@@ -201,9 +204,9 @@ let test_soak_replay_line () =
     "dune exec bin/svm_run.exe -- --app water-nsquared --protocol ohlrc --nodes 4 --scale test \
      --seed 42 --replicas 2 --repl-scheme backup --detector heartbeat --hb-interval 200 \
      --hb-timeout 800 --drop-rate 0 --dup-rate 0 --jitter 5 --straggler 1 --fault-seed 0 \
-     --detect-delay 500 --kill-node 2 --kill-at 0.10000000000000001 --pause 3 --pause-at \
-     531017.15633475094 --resume-at 534017.25 --partition 3,1 --partition-at 1000 --heal-at \
-     4000.5"
+     --detect-delay 500 --kill 2@0.10000000000000001 --kill 3@900000.5 --pause \
+     3@531017.15633475094:534017.25 --pause 1@10:20 --partition 3,1@1000:4000.5 --partition \
+     2@5000:6000"
     line;
   (* The line replays: svm_run's parser rebuilds exactly this config, so no
      knob is omitted and every flag is spelled as the CLI spells it. *)

@@ -526,13 +526,13 @@ let retype = function
 
 (* The blocks a report may omit whole, by path (list indices dropped);
    each is one key. Every other optional field belongs to a group of two
-   or more (kill_node, kill_at, detect_delay; the per-node chaos counters;
-   ...), which must appear whole or not at all. *)
+   or more (faults and detect_delay; the per-node chaos counters; ...),
+   which must appear whole or not at all. *)
 let optional_blocks =
   List.map (( ^ ) "report.")
     [
       "meta"; "timeline"; "trace"; "critical_path"; "config.fault_batch"; "config.replication";
-      "config.chaos"; "config.chaos.partitions"; "config.detector";
+      "config.chaos"; "config.detector";
       "nodes[].counters.batch_prefetches"; "totals.serving"; "totals.replication";
       "totals.availability"; "totals.chaos";
     ]
