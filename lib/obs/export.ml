@@ -116,7 +116,7 @@ let chrome w ?(name = "svm") sink =
          ])
   in
   let instant (ev : Trace.event) =
-    let kind, fields = Trace.describe ev.Trace.kind in
+    let kind, _, fields = Trace.describe ev.Trace.kind in
     emit
       (Json.Obj
          [
@@ -127,7 +127,7 @@ let chrome w ?(name = "svm") sink =
            ("pid", Json.Int 0);
            ("tid", Json.Int ev.Trace.node);
            ("ts", Json.Float ev.Trace.time);
-           ("args", Json.Obj fields);
+           ("args", Json.Obj (fields ()));
          ])
   in
   Trace.iter_linked sink (fun ev opener ->

@@ -60,181 +60,175 @@ type event = { time : float; node : int; kind : kind }
 let ints fields = List.map (fun (k, v) -> (k, Json.Int v)) fields
 
 (* The fields a wait span's two ends share. *)
-let wait_fields span bucket resource =
+let wait_fields span bucket resource () =
   [
     ("span", Json.Int span);
     ("bucket", Json.String (bucket_name bucket));
     ("resource", Json.Int resource);
   ]
 
+(* A kind that prints a -t line, and one that does not. *)
+let line name template fields = (name, Some template, fields)
+
+let quiet name fields = (name, None, fields)
+
+(* The one description of each kind: its tag, the template of its -t line,
+   and its fields, built only when asked for (a dropped event needs only
+   the tag). The templates reproduce the pre-typed tracer's strings
+   verbatim; kinds that postdate it (chaos, transport, replication,
+   detector) have lines of their own, and the causal-layer kinds none. *)
 let describe = function
-  | Page_fetch { page; home } -> ("page_fetch", ints [ ("page", page); ("home", home) ])
-  | Page_fetch_pending { page } -> ("page_fetch_pending", ints [ ("page", page) ])
+  | Page_fetch { page; home } ->
+      line "page_fetch" "page fault: fetch page {page} from home {home}" (fun () ->
+          ints [ ("page", page); ("home", home) ])
+  | Page_fetch_pending { page } ->
+      line "page_fetch_pending" "fetch of page {page} pending (flush behind)" (fun () ->
+          ints [ ("page", page) ])
   | Batch_fetch { page; home; pages } ->
-      ("batch_fetch", ints [ ("page", page); ("home", home); ("pages", pages) ])
+      line "batch_fetch" "batched fetch: {pages} pages from {page} at home {home}" (fun () ->
+          ints [ ("page", page); ("home", home); ("pages", pages) ])
   | Full_page_fetch { page; source } ->
-      ("full_page_fetch", ints [ ("page", page); ("source", source) ])
+      line "full_page_fetch" "full-page fetch: page {page} from node {source}" (fun () ->
+          ints [ ("page", page); ("source", source) ])
   | Diff_request { page; writer; intervals } ->
-      ("diff_request", ints [ ("page", page); ("writer", writer); ("intervals", intervals) ])
+      line "diff_request" "diff request: page {page} from writer {writer} ({intervals} intervals)"
+        (fun () -> ints [ ("page", page); ("writer", writer); ("intervals", intervals) ])
   | Diff_create { page; words; bytes } ->
-      ("diff_create", ints [ ("page", page); ("words", words); ("bytes", bytes) ])
+      quiet "diff_create" (fun () -> ints [ ("page", page); ("words", words); ("bytes", bytes) ])
   | Diff_apply { page; words; bytes } ->
-      ("diff_apply", ints [ ("page", page); ("words", words); ("bytes", bytes) ])
+      quiet "diff_apply" (fun () -> ints [ ("page", page); ("words", words); ("bytes", bytes) ])
   | Diff_flush { page; writer; index; bytes } ->
-      ( "diff_flush",
-        ints [ ("page", page); ("writer", writer); ("index", index); ("bytes", bytes) ] )
+      line "diff_flush" "applied flush diff for page {page} from node {writer} (interval {index})"
+        (fun () -> ints [ ("page", page); ("writer", writer); ("index", index); ("bytes", bytes) ])
   | Au_stamp { page; writer; index } ->
-      ("au_stamp", ints [ ("page", page); ("writer", writer); ("index", index) ])
+      line "au_stamp" "AU flush stamp for page {page} from node {writer} (interval {index})"
+        (fun () -> ints [ ("page", page); ("writer", writer); ("index", index) ])
   | Eager_update { page; writer; bytes } ->
-      ("eager_update", ints [ ("page", page); ("writer", writer); ("bytes", bytes) ])
+      line "eager_update" "applied eager update for page {page} from node {writer}" (fun () ->
+          ints [ ("page", page); ("writer", writer); ("bytes", bytes) ])
   | Write_notice { writer; index; pages } ->
-      ("write_notice", ints [ ("writer", writer); ("index", index); ("pages", pages) ])
+      quiet "write_notice" (fun () ->
+          ints [ ("writer", writer); ("index", index); ("pages", pages) ])
   | Interval_end { index; pages } ->
-      ( "interval_end",
-        [ ("index", Json.Int index); ("pages", Json.List (List.map (fun p -> Json.Int p) pages)) ]
-      )
+      line "interval_end" "interval {index} ends: pages [{pages}]" (fun () ->
+          [ ("index", Json.Int index); ("pages", Json.List (List.map (fun p -> Json.Int p) pages))
+          ])
   | Lock_acquire { lock; remote } ->
-      ("lock_acquire", [ ("lock", Json.Int lock); ("remote", Json.Bool remote) ])
+      ( "lock_acquire",
+        (if remote then Some "remote acquire of lock {lock}" else None),
+        fun () -> [ ("lock", Json.Int lock); ("remote", Json.Bool remote) ] )
   | Lock_grant { lock; dst; intervals } ->
-      ("lock_grant", ints [ ("lock", lock); ("dst", dst); ("intervals", intervals) ])
+      line "lock_grant" "grant lock {lock} to node {dst} ({intervals} interval records)" (fun () ->
+          ints [ ("lock", lock); ("dst", dst); ("intervals", intervals) ])
   | Lock_queued { lock; requester } ->
-      ("lock_queued", ints [ ("lock", lock); ("requester", requester) ])
-  | Home_wait { page } -> ("home_wait", ints [ ("page", page) ])
+      line "lock_queued" "lock {lock} busy; node {requester} queued" (fun () ->
+          ints [ ("lock", lock); ("requester", requester) ])
+  | Home_wait { page } ->
+      line "home_wait" "home-wait: page {page} flush behind" (fun () -> ints [ ("page", page) ])
   | Barrier_arrive { epoch; intervals } ->
-      ("barrier_arrive", ints [ ("epoch", epoch); ("intervals", intervals) ])
+      line "barrier_arrive" "enters barrier ({intervals} own interval records)" (fun () ->
+          ints [ ("epoch", epoch); ("intervals", intervals) ])
   | Barrier_release { epoch; gc } ->
-      ("barrier_release", [ ("epoch", Json.Int epoch); ("gc", Json.Bool gc) ])
-  | Home_migration { page; dst } -> ("home_migration", ints [ ("page", page); ("dst", dst) ])
-  | Gc_start { mem_bytes } -> ("gc_start", ints [ ("mem_bytes", mem_bytes) ])
-  | Gc_done -> ("gc_done", [])
+      line "barrier_release"
+        (if gc then "barrier {epoch} completes (gc)" else "barrier {epoch} completes")
+        (fun () -> [ ("epoch", Json.Int epoch); ("gc", Json.Bool gc) ])
+  | Home_migration { page; dst } ->
+      line "home_migration" "migrating home of page {page} to node {dst}" (fun () ->
+          ints [ ("page", page); ("dst", dst) ])
+  | Gc_start { mem_bytes } ->
+      line "gc_start" "gc: start (protocol memory {mem_bytes} bytes)" (fun () ->
+          ints [ ("mem_bytes", mem_bytes) ])
+  | Gc_done -> line "gc_done" "gc: discarded diffs and interval records" (fun () -> [])
   | Msg_send { dst; bytes; update } ->
-      ("msg_send", ints [ ("dst", dst); ("bytes", bytes); ("update", update) ])
+      quiet "msg_send" (fun () -> ints [ ("dst", dst); ("bytes", bytes); ("update", update) ])
   | Msg_recv { src; bytes; update } ->
-      ("msg_recv", ints [ ("src", src); ("bytes", bytes); ("update", update) ])
+      quiet "msg_recv" (fun () -> ints [ ("src", src); ("bytes", bytes); ("update", update) ])
   | Msg_drop { dst; seq; bytes; ack } ->
-      ( "msg_drop",
-        ints [ ("dst", dst); ("seq", seq); ("bytes", bytes) ] @ [ ("ack", Json.Bool ack) ] )
+      line "msg_drop"
+        (if ack then "chaos: network dropped ack to node {dst} (seq {seq}, {bytes} bytes)"
+         else "chaos: network dropped message to node {dst} (seq {seq}, {bytes} bytes)")
+        (fun () ->
+          ints [ ("dst", dst); ("seq", seq); ("bytes", bytes) ] @ [ ("ack", Json.Bool ack) ])
   | Msg_retransmit { dst; seq; retries } ->
-      ("msg_retransmit", ints [ ("dst", dst); ("seq", seq); ("retries", retries) ])
-  | Msg_ack { dst; upto } -> ("msg_ack", ints [ ("dst", dst); ("upto", upto) ])
+      line "msg_retransmit" "transport: retransmit seq {seq} to node {dst} (attempt {retries})"
+        (fun () -> ints [ ("dst", dst); ("seq", seq); ("retries", retries) ])
+  | Msg_ack { dst; upto } ->
+      line "msg_ack" "transport: ack up to seq {upto} to node {dst}" (fun () ->
+          ints [ ("dst", dst); ("upto", upto) ])
   | Msg_duplicate_dropped { src; seq } ->
-      ("msg_duplicate_dropped", ints [ ("src", src); ("seq", seq) ])
+      line "msg_duplicate_dropped" "transport: dropped duplicate seq {seq} from node {src}"
+        (fun () -> ints [ ("src", src); ("seq", seq) ])
   | Watchdog_stall { blocked; inflight } ->
-      ("watchdog_stall", ints [ ("blocked", blocked); ("inflight", inflight) ])
-  | Wait_begin { span; bucket; resource } -> ("wait_begin", wait_fields span bucket resource)
-  | Wait_end { span; bucket; resource } -> ("wait_end", wait_fields span bucket resource)
-  | Mem_sample { bytes } -> ("mem_sample", ints [ ("bytes", bytes) ])
+      line "watchdog_stall"
+        "watchdog: no progress ({blocked} blocked nodes, {inflight} in-flight packets)" (fun () ->
+          ints [ ("blocked", blocked); ("inflight", inflight) ])
+  | Wait_begin { span; bucket; resource } -> quiet "wait_begin" (wait_fields span bucket resource)
+  | Wait_end { span; bucket; resource } -> quiet "wait_end" (wait_fields span bucket resource)
+  | Mem_sample { bytes } -> quiet "mem_sample" (fun () -> ints [ ("bytes", bytes) ])
   | Diff_reply { page; dst; bytes } ->
-      ("diff_reply", ints [ ("page", page); ("dst", dst); ("bytes", bytes) ])
-  | Node_kill { node } -> ("node_kill", ints [ ("node", node) ])
+      quiet "diff_reply" (fun () -> ints [ ("page", page); ("dst", dst); ("bytes", bytes) ])
+  | Node_kill { node } ->
+      line "node_kill" "chaos: node {node} killed (links silenced)" (fun () ->
+          ints [ ("node", node) ])
   | Msg_peer_dead { peer; seq; bytes } ->
-      ("msg_peer_dead", ints [ ("peer", peer); ("seq", seq); ("bytes", bytes) ])
+      line "msg_peer_dead" "transport: peer {peer} dead, abandoned seq {seq} ({bytes} bytes)"
+        (fun () -> ints [ ("peer", peer); ("seq", seq); ("bytes", bytes) ])
   | Failover { page; from_; to_ } ->
-      ("failover", ints [ ("page", page); ("from", from_); ("to", to_) ])
+      line "failover" "failover: page {page} re-homed from dead node {from} to node {to}"
+        (fun () -> ints [ ("page", page); ("from", from_); ("to", to_) ])
   | Repl_update { page; dst; bytes } ->
-      ("repl_update", ints [ ("page", page); ("dst", dst); ("bytes", bytes) ])
-  | Repl_inval { page; dst } -> ("repl_inval", ints [ ("page", page); ("dst", dst) ])
-  | Suspect { peer } -> ("suspect", ints [ ("peer", peer) ])
-  | Refute { peer } -> ("refute", ints [ ("peer", peer) ])
+      line "repl_update" "replication: update for page {page} to backup {dst} ({bytes} bytes)"
+        (fun () -> ints [ ("page", page); ("dst", dst); ("bytes", bytes) ])
+  | Repl_inval { page; dst } ->
+      line "repl_inval" "replication: invalidate page {page} at backup {dst}" (fun () ->
+          ints [ ("page", page); ("dst", dst) ])
+  | Suspect { peer } ->
+      line "suspect" "detector: suspecting node {peer} (silent past timeout)" (fun () ->
+          ints [ ("peer", peer) ])
+  | Refute { peer } ->
+      line "refute" "detector: heard node {peer} again, suspicion retracted" (fun () ->
+          ints [ ("peer", peer) ])
   (* "victim", not "node": the envelope already has a "node" field (the
      emitting node — a deposing voter / the rejoiner itself). *)
-  | Depose { node } -> ("depose", ints [ ("victim", node) ])
-  | Rejoin { node } -> ("rejoin", ints [ ("victim", node) ])
+  | Depose { node } ->
+      line "depose" "detector: quorum deposed node {victim}" (fun () -> ints [ ("victim", node) ])
+  | Rejoin { node } ->
+      line "rejoin" "detector: node {victim} rejoined as fresh replica" (fun () ->
+          ints [ ("victim", node) ])
   | Fenced_fetch { page; requester } ->
-      ("fenced_fetch", ints [ ("page", page); ("requester", requester) ])
+      line "fenced_fetch" "fence: refused stale-authority serve of page {page} to node {requester}"
+        (fun () -> ints [ ("page", page); ("requester", requester) ])
 
-let kind_name k = fst (describe k)
+let kind_name k =
+  let name, _, _ = describe k in
+  name
 
 let to_json ev =
-  let name, fields = describe ev.kind in
+  let name, _, fields = describe ev.kind in
   Json.Obj
-    (("ts", Json.Float ev.time) :: ("node", Json.Int ev.node) :: ("ev", Json.String name) :: fields)
+    (("ts", Json.Float ev.time) :: ("node", Json.Int ev.node) :: ("ev", Json.String name)
+   :: fields ())
 
-(* Exact reproductions of the strings the pre-typed tracer emitted at each
-   site; [svm_run -t] prints them from a sink tap, so this mapping must stay
-   verbatim. *)
-let render = function
-  | Page_fetch { page; home } ->
-      Some (Printf.sprintf "page fault: fetch page %d from home %d" page home)
-  | Page_fetch_pending { page } ->
-      Some (Printf.sprintf "fetch of page %d pending (flush behind)" page)
-  | Batch_fetch { page; home; pages } ->
-      Some (Printf.sprintf "batched fetch: %d pages from %d at home %d" pages page home)
-  | Full_page_fetch { page; source } ->
-      Some (Printf.sprintf "full-page fetch: page %d from node %d" page source)
-  | Diff_request { page; writer; intervals } ->
-      Some (Printf.sprintf "diff request: page %d from writer %d (%d intervals)" page writer intervals)
-  | Diff_flush { page; writer; index; _ } ->
-      Some
-        (Printf.sprintf "applied flush diff for page %d from node %d (interval %d)" page writer
-           index)
-  | Au_stamp { page; writer; index } ->
-      Some
-        (Printf.sprintf "AU flush stamp for page %d from node %d (interval %d)" page writer index)
-  | Eager_update { page; writer; _ } ->
-      Some (Printf.sprintf "applied eager update for page %d from node %d" page writer)
-  | Interval_end { index; pages } ->
-      Some
-        (Printf.sprintf "interval %d ends: pages [%s]" index
-           (String.concat ";" (List.map string_of_int pages)))
-  | Lock_acquire { lock; remote } ->
-      if remote then Some (Printf.sprintf "remote acquire of lock %d" lock) else None
-  | Lock_grant { lock; dst; intervals } ->
-      Some (Printf.sprintf "grant lock %d to node %d (%d interval records)" lock dst intervals)
-  | Lock_queued { lock; requester } ->
-      Some (Printf.sprintf "lock %d busy; node %d queued" lock requester)
-  | Home_wait { page } -> Some (Printf.sprintf "home-wait: page %d flush behind" page)
-  | Barrier_arrive { intervals; _ } ->
-      Some (Printf.sprintf "enters barrier (%d own interval records)" intervals)
-  | Barrier_release { epoch; gc } ->
-      Some (Printf.sprintf "barrier %d completes%s" epoch (if gc then " (gc)" else ""))
-  | Home_migration { page; dst } ->
-      Some (Printf.sprintf "migrating home of page %d to node %d" page dst)
-  | Gc_start { mem_bytes } ->
-      Some (Printf.sprintf "gc: start (protocol memory %d bytes)" mem_bytes)
-  | Gc_done -> Some "gc: discarded diffs and interval records"
-  (* Chaos/transport kinds postdate the legacy tracer; their lines are new,
-     not reproductions, so they may say whatever reads best. *)
-  | Msg_drop { dst; seq; bytes; ack } ->
-      Some
-        (Printf.sprintf "chaos: network dropped %s to node %d (seq %d, %d bytes)"
-           (if ack then "ack" else "message")
-           dst seq bytes)
-  | Msg_retransmit { dst; seq; retries } ->
-      Some (Printf.sprintf "transport: retransmit seq %d to node %d (attempt %d)" seq dst retries)
-  | Msg_ack { dst; upto } -> Some (Printf.sprintf "transport: ack up to seq %d to node %d" upto dst)
-  | Msg_duplicate_dropped { src; seq } ->
-      Some (Printf.sprintf "transport: dropped duplicate seq %d from node %d" seq src)
-  | Watchdog_stall { blocked; inflight } ->
-      Some
-        (Printf.sprintf "watchdog: no progress (%d blocked nodes, %d in-flight packets)" blocked
-           inflight)
-  (* Replication/failover kinds are chaos-era too: free-form lines. *)
-  | Node_kill { node } -> Some (Printf.sprintf "chaos: node %d killed (links silenced)" node)
-  | Msg_peer_dead { peer; seq; bytes } ->
-      Some (Printf.sprintf "transport: peer %d dead, abandoned seq %d (%d bytes)" peer seq bytes)
-  | Failover { page; from_; to_ } ->
-      Some (Printf.sprintf "failover: page %d re-homed from dead node %d to node %d" page from_ to_)
-  | Repl_update { page; dst; bytes } ->
-      Some (Printf.sprintf "replication: update for page %d to backup %d (%d bytes)" page dst bytes)
-  | Repl_inval { page; dst } ->
-      Some (Printf.sprintf "replication: invalidate page %d at backup %d" page dst)
-  (* Heartbeat-detector kinds (newer still): free-form lines. *)
-  | Suspect { peer } -> Some (Printf.sprintf "detector: suspecting node %d (silent past timeout)" peer)
-  | Refute { peer } -> Some (Printf.sprintf "detector: heard node %d again, suspicion retracted" peer)
-  | Depose { node } -> Some (Printf.sprintf "detector: quorum deposed node %d" node)
-  | Rejoin { node } -> Some (Printf.sprintf "detector: node %d rejoined as fresh replica" node)
-  | Fenced_fetch { page; requester } ->
-      Some
-        (Printf.sprintf "fence: refused stale-authority serve of page %d to node %d" page
-           requester)
-  (* Causal-layer kinds (spans, counter samples, reply correlation) are
-     opt-in and machine-oriented; they have no legacy line either. *)
-  | Diff_create _ | Diff_apply _ | Write_notice _ | Msg_send _ | Msg_recv _ | Wait_begin _
-  | Wait_end _ | Mem_sample _ | Diff_reply _ ->
-      None
+(* A template with each {field} replaced by the field's value; a list of
+   ints prints as a;b;c. *)
+let fill template fields =
+  let rec value = function
+    | Json.Int n -> string_of_int n
+    | Json.List xs -> String.concat ";" (List.map value xs)
+    | j -> Json.to_string j
+  in
+  let hole i part =
+    if i = 0 then part
+    else
+      let close = String.index part '}' in
+      value (List.assoc (String.sub part 0 close) fields)
+      ^ String.sub part (close + 1) (String.length part - close - 1)
+  in
+  String.concat "" (List.mapi hole (String.split_on_char '{' template))
 
-let legacy_line ev = Option.map (Printf.sprintf "[node %d] %s" ev.node) (render ev.kind)
+let legacy_line ev =
+  let _, template, fields = describe ev.kind in
+  Option.map (fun t -> Printf.sprintf "[node %d] %s" ev.node (fill t (fields ()))) template
 
 (* ------------------------------------------------------------------ *)
 (* Bounded sink: a growing array capped at [capacity]; overflow is      *)

@@ -119,24 +119,23 @@ type event = {
   kind : kind;
 }
 
-(** The kind's stable snake_case tag (the ["ev"] field in exports) and its
-    structured fields, in a fixed order (deterministic). *)
-val describe : kind -> string * (string * Json.t) list
+(** [describe k] is the kind's one description: its stable snake_case tag
+    (the ["ev"] field in exports); the template of its [-t] line, whose
+    [{field}] holes {!legacy_line} fills from the fields, or [None] for
+    kinds the legacy tracer never reported; and its structured fields, in a
+    fixed order, built when the function is called. *)
+val describe : kind -> string * string option * (unit -> (string * Json.t) list)
 
-(** [fst (describe k)]. *)
+(** The first component of {!describe}; it builds no fields. *)
 val kind_name : kind -> string
 
 (** One event as a flat JSON object: [ts], [node], [ev], then the kind's
     fields. *)
 val to_json : event -> Json.t
 
-(** The exact line the legacy string tracer printed for this kind (without
-    the ["[node N] "] prefix), or [None] for kinds the legacy tracer never
-    reported. *)
-val render : kind -> string option
-
 (** The legacy tracer's line for the event without its timestamp:
-    ["[node N] "] followed by {!render} of its kind. *)
+    ["[node N] "] followed by the kind's filled template, exactly what the
+    old string tracer printed; [None] for kinds it never reported. *)
 val legacy_line : event -> string option
 
 (** {1 Bounded sink} *)
