@@ -326,7 +326,4 @@ let document : doc t =
 let encode ?meta ?critical_path ?trace report =
   Obs.Schema.encode document { report; meta; critical_path; sink = trace }
 
-let to_string ?meta ?critical_path ?trace r =
-  Obs.Json.to_string_pretty (encode ?meta ?critical_path ?trace r)
-
 let validate j = Obs.Schema.validate document ~path:"report" j

@@ -52,14 +52,6 @@ val encode :
   Runtime.report ->
   Obs.Json.t
 
-(** Pretty serialization of {!encode} (deterministic; see {!Obs.Json}). *)
-val to_string :
-  ?meta:run_meta ->
-  ?critical_path:Obs.Critical_path.t ->
-  ?trace:Obs.Trace.sink ->
-  Runtime.report ->
-  string
-
 (** Check a parsed report against the description above: every field's
     type, every presence rule and invariant, and no unknown key. Returns
     the first violation, named by its path. *)

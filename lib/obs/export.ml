@@ -8,16 +8,12 @@ let format_of_string s =
 
 let format_name = function Jsonl -> "jsonl" | Chrome -> "chrome"
 
-(* Each record goes to the writer as its own piece, so an export holds one
-   record at a time, never the whole file. *)
-let put w j = w (Json.to_string j)
-
 let jsonl w sink =
   Trace.iter sink (fun ev ->
-      put w (Trace.to_json ev);
+      Json.write w (Trace.to_json ev);
       w "\n");
   if Trace.dropped sink > 0 then begin
-    put w
+    Json.write w
       (Json.Obj
          [
            ("ev", Json.String "dropped");
@@ -50,7 +46,7 @@ let chrome w ?(name = "svm") sink =
   Trace.iter sink (fun ev -> Hashtbl.replace nodes ev.Trace.node ());
   let node_ids = List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) nodes []) in
   w "{\"traceEvents\":[";
-  put w
+  Json.write w
     (Json.Obj
        [
          ("name", Json.String "process_name");
@@ -61,7 +57,7 @@ let chrome w ?(name = "svm") sink =
        ]);
   let emit j =
     w ",";
-    put w j
+    Json.write w j
   in
   List.iter
     (fun n ->
@@ -170,20 +166,34 @@ let chrome w ?(name = "svm") sink =
   if Trace.dropped sink > 0 then w (Printf.sprintf ",\"droppedEvents\":%d" (Trace.dropped sink));
   w "}\n"
 
+(* The writer gathers pieces into 64 KB blocks: a channel write takes the
+   channel's lock, and the printers write a few bytes at a time. *)
 let write ~what file f =
   try
     let oc = open_out_bin file in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        f (output_string oc);
+        let block = Buffer.create 65536 in
+        f (fun piece ->
+            Buffer.add_string block piece;
+            if Buffer.length block >= 65536 then begin
+              Buffer.output_buffer oc block;
+              Buffer.clear block
+            end);
+        Buffer.output_buffer oc block;
         close_out oc)
   with Sys_error msg -> failwith (Printf.sprintf "cannot write %s file: %s" what msg)
 
-let write_json ~what file doc = write ~what file (fun w -> w (Json.to_string_pretty doc ^ "\n"))
+(* A pretty document, then a blank line: the bytes report files have always
+   had. *)
+let write_json ~what file doc =
+  write ~what file (fun w ->
+      Json.write ~pretty:true w doc;
+      w "\n")
 
 let write_file fmt ?name file sink =
   write ~what:"trace" file (fun w ->
       match fmt with Jsonl -> jsonl w sink | Chrome -> chrome w ?name sink)
 
-let write_metrics_csv file m = write ~what:"metrics" file (fun w -> w (Metrics.to_csv m))
+let write_metrics_csv file m = write ~what:"metrics" file (fun w -> Metrics.write_csv w m)

@@ -34,8 +34,8 @@ val jsonl : (string -> unit) -> Trace.sink -> unit
     ["lu/hlrc/8"]). *)
 val chrome : (string -> unit) -> ?name:string -> Trace.sink -> unit
 
-(** [write_json ~what file doc] writes [doc]'s pretty serialization and a
-    newline to [file]. Every output file of both CLIs is written in binary
+(** [write_json ~what file doc] streams [doc]'s pretty serialization and a
+    blank line to [file]. Every output file of both CLIs is written in binary
     mode, so output is byte-identical across platforms, and the channel is
     closed even when the write fails; an I/O failure raises
     [Failure "cannot write <what> file: <reason>"] instead of leaking
@@ -45,6 +45,6 @@ val write_json : what:string -> string -> Json.t -> unit
 (** Stream the sink to [file] in [format], as a trace file. *)
 val write_file : format -> ?name:string -> string -> Trace.sink -> unit
 
-(** Write {!Metrics.to_csv}, the long-format CSV of a registry's time
+(** Stream {!Metrics.write_csv}, the long-format CSV of a registry's time
     series, to [file], as a metrics file. *)
 val write_metrics_csv : string -> Metrics.t -> unit

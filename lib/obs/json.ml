@@ -20,86 +20,70 @@ let float_string f =
       let s16 = Printf.sprintf "%.16g" f in
       if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* Whether [s] from [i] on needs no escape. *)
+let rec plain s i =
+  i = String.length s
+  ||
+  let c = String.unsafe_get s i in
+  c <> '"' && c <> '\\' && c >= ' ' && plain s (i + 1)
 
-let rec to_buffer buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_string f)
-  | String s -> escape buf s
-  | List xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          to_buffer buf x)
-        xs;
-      Buffer.add_char buf ']'
-  | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
-          Buffer.add_char buf ':';
-          to_buffer buf v)
-        fields;
-      Buffer.add_char buf '}'
+let escape w s =
+  w "\"";
+  if plain s 0 then w s
+  else
+    String.iter
+      (fun c ->
+        w
+          (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | '\t' -> "\\t"
+          | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+          | c -> String.make 1 c))
+      s;
+  w "\""
+
+(* Pretty printing puts each element on its own line, indented two spaces
+   per level; compact printing puts nothing between the separators. *)
+let write ?(pretty = false) w v =
+  let line n = if pretty then "\n" ^ String.make n ' ' else "" in
+  let elements indent opening closing element xs =
+    let inner = line (indent + 2) in
+    w opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then w ",";
+        if pretty then w inner;
+        element x)
+      xs;
+    if pretty then w (line indent);
+    w closing
+  in
+  let rec value indent = function
+    | Null -> w "null"
+    | Bool b -> w (if b then "true" else "false")
+    | Int i -> w (string_of_int i)
+    | Float f -> w (float_string f)
+    | String s -> escape w s
+    | List [] -> w "[]"
+    | Obj [] -> w "{}"
+    | List xs -> elements indent "[" "]" (value (indent + 2)) xs
+    | Obj fields ->
+        elements indent "{" "}"
+          (fun (k, v) ->
+            escape w k;
+            w (if pretty then ": " else ":");
+            value (indent + 2) v)
+          fields
+  in
+  value 0 v;
+  if pretty then w "\n"
 
 let to_string v =
   let buf = Buffer.create 256 in
-  to_buffer buf v;
-  Buffer.contents buf
-
-let rec pretty buf indent = function
-  | (Null | Bool _ | Int _ | Float _ | String _) as v -> to_buffer buf v
-  | List [] -> Buffer.add_string buf "[]"
-  | List xs ->
-      let pad = String.make (indent + 2) ' ' in
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf pad;
-          pretty buf (indent + 2) x)
-        xs;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make indent ' ');
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj fields ->
-      let pad = String.make (indent + 2) ' ' in
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf pad;
-          escape buf k;
-          Buffer.add_string buf ": ";
-          pretty buf (indent + 2) v)
-        fields;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make indent ' ');
-      Buffer.add_char buf '}'
-
-let to_string_pretty v =
-  let buf = Buffer.create 1024 in
-  pretty buf 0 v;
-  Buffer.add_char buf '\n';
+  write (Buffer.add_string buf) v;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

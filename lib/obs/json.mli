@@ -18,18 +18,18 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-(** Compact (single-line) serialization. *)
+(** [write ?pretty w v] serializes [v] through [w], a piece at a time, so
+    a file is written without first building the whole document as a
+    string. Compact (one line) by default; [~pretty:true] indents two
+    spaces per level, one element per line, and ends with a newline. *)
+val write : ?pretty:bool -> (string -> unit) -> t -> unit
+
+(** The compact serialization, as a string. *)
 val to_string : t -> string
-
-(** Serialize with two-space indentation (for report files and human
-    inspection; same determinism guarantees as {!to_string}). *)
-val to_string_pretty : t -> string
-
-val to_buffer : Buffer.t -> t -> unit
 
 (** Shortest decimal form of [f] that parses back to exactly [f]
     (non-finite floats serialize as [null], as JSON has no lexeme for
-    them). Exposed for the exporters' streaming paths. *)
+    them). Exposed for the metrics CSV. *)
 val float_string : float -> string
 
 (** Parse a complete JSON document (trailing whitespace allowed).

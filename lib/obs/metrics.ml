@@ -318,29 +318,22 @@ let schema =
 
 let to_json = Schema.encode schema
 
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "time_us,node,series,value\n";
+let write_csv w t =
+  w "time_us,node,series,value\n";
   let all = series t in
   for b = 0 to t.m_buckets - 1 do
+    let time = Json.float_string (float_of_int b *. t.m_interval) in
     List.iter
       (fun (name, _, rows) ->
         let per_node = Array.length rows > 1 in
         Array.iteri
           (fun i row ->
             let node = if per_node then i else -1 in
-            Buffer.add_string buf (Json.float_string (float_of_int b *. t.m_interval));
-            Buffer.add_char buf ',';
-            Buffer.add_string buf (string_of_int node);
-            Buffer.add_char buf ',';
-            Buffer.add_string buf name;
-            Buffer.add_char buf ',';
-            Buffer.add_string buf (Json.float_string row.(b));
-            Buffer.add_char buf '\n')
+            w (String.concat "," [ time; string_of_int node; name; Json.float_string row.(b) ]);
+            w "\n")
           rows)
       all
-  done;
-  Buffer.contents buf
+  done
 
 (* Eight block elements, one-eighth steps: U+2581 .. U+2588. *)
 let spark_levels =

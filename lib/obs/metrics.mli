@@ -21,7 +21,7 @@
 
     Everything is plain deterministic arithmetic on simulated time: two
     same-seed runs produce byte-identical serializations ([to_json],
-    [to_csv]). The registry allocates on registration and on bucket growth
+    [write_csv]). The registry allocates on registration and on bucket growth
     only; the per-event [add]/[observe] path is allocation-free. *)
 
 type t
@@ -136,11 +136,12 @@ val schema : t Schema.t
 (** [Schema.encode schema]. *)
 val to_json : t -> Json.t
 
-(** Long-format CSV of the time series (histograms and heatmaps live in
-    [to_json]): header [time_us,node,series,value], then one row per
-    bucket x row x series in bucket-major order. Run-scope rows use node
-    [-1]. Values print via {!Json.float_string}. *)
-val to_csv : t -> string
+(** [write_csv w m] writes the long-format CSV of the time series
+    (histograms and heatmaps live in [to_json]) through [w], a row at a
+    time: header [time_us,node,series,value], then one row per bucket x
+    row x series in bucket-major order. Run-scope rows use node [-1].
+    Values print via {!Json.float_string}. *)
+val write_csv : (string -> unit) -> t -> unit
 
 (** Unicode sparkline of [values] (block elements U+2581-2588, scaled to
     the maximum; empty string for the empty array). [width] (default 64)

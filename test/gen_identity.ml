@@ -20,9 +20,9 @@
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-(* The CLI report file is [to_string r] plus a trailing newline
+(* The CLI report file is the pretty document plus a blank line
    (Obs.Export.write_json); digest the same bytes. *)
-let report_bytes r = Svm.Report_json.to_string r ^ "\n"
+let report_bytes doc = Report_cases.pretty doc ^ "\n"
 
 (* The JSONL trace file's bytes, gathered from the exporter's pieces. *)
 let jsonl sink =
@@ -45,9 +45,9 @@ let () =
               Printf.fprintf oc "%s %s p%d report %s trace %s observed-report %s\n"
                 (String.lowercase_ascii (Svm.Config.protocol_name proto))
                 app.name nprocs
-                (md5 (report_bytes plain))
+                (md5 (report_bytes (Svm.Report_json.encode plain)))
                 (md5 (jsonl sink))
-                (md5 (report_bytes observed)))
+                (md5 (report_bytes (Svm.Report_json.encode observed))))
             [ 4; 8 ])
         (List.filter_map
            (fun name -> Apps.Registry.find name Apps.Registry.Test)
@@ -56,6 +56,6 @@ let () =
   List.iter
     (fun args ->
       Printf.fprintf oc "svm_run %s json %s\n" (String.concat " " args)
-        (md5 (Obs.Json.to_string_pretty (Report_cases.report args) ^ "\n")))
+        (md5 (report_bytes (Report_cases.report args))))
     Report_cases.argvs;
   close_out oc

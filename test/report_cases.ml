@@ -63,6 +63,13 @@ let parse args =
   | Ok o -> o
   | Error e -> failwith (String.concat " " args ^ ": " ^ e)
 
+(* [doc]'s pretty serialization: the bytes [svm_run --json FILE] writes,
+   less the final blank line. *)
+let pretty doc =
+  let buf = Buffer.create 4096 in
+  Obs.Json.write ~pretty:true (Buffer.add_string buf) doc;
+  Buffer.contents buf
+
 (* The document [svm_run ARGS --json FILE] writes. *)
 let report args =
   let o = parse args in

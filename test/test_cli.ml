@@ -12,7 +12,7 @@ let parse = Report_cases.parse
    the configuration replaced by [echo]. *)
 let report ~echo (o : Harness.Cli.run) =
   let out = Harness.Cli.execute o in
-  Obs.Json.to_string_pretty
+  Obs.Json.to_string
     (Harness.Cli.report_json o
        { out with report = { out.report with Svm.Runtime.r_config = echo } })
 
@@ -58,7 +58,7 @@ let test_lu_reports_pinned () =
       let argv = [ "--app"; "lu"; "--protocol"; name; "--nodes"; "4"; "--scale"; "test" ] in
       let o = parse (argv @ [ "--seed"; "42" ]) in
       let doc = Harness.Cli.report_json o (Harness.Cli.execute o) in
-      let parsed = Obs.Json.of_string (Obs.Json.to_string_pretty doc) in
+      let parsed = Obs.Json.of_string (Report_cases.pretty doc) in
       (match Result.bind parsed Svm.Report_json.validate with
       | Ok () -> ()
       | Error e -> Alcotest.failf "%s: %s" name e);
@@ -69,8 +69,9 @@ let test_lu_reports_pinned () =
       in
       let proto = Option.get (Svm.Config.protocol_of_string name) in
       let library = Svm.Runtime.run (Svm.Config.make ~nprocs:4 proto) (app.body ~verify:true) in
-      check Alcotest.string name (Svm.Report_json.to_string library)
-        (Obs.Json.to_string_pretty without_meta))
+      check Alcotest.string name
+        (Obs.Json.to_string (Svm.Report_json.encode library))
+        (Obs.Json.to_string without_meta))
     Svm.Config.protocol_strings
 
 let test_defaults_from_library () =

@@ -163,7 +163,7 @@ let test_parallel_determinism () =
           Harness.Tables.sor_zero ppf m ~node_counts;
           Harness.Ablations.aurc_comparison ppf m ~node_counts)
     in
-    let json = Obs.Json.to_string_pretty (Harness.Matrix.to_json m) in
+    let json = Obs.Json.to_string (Harness.Matrix.to_json m) in
     (text, json, sink)
   in
   let t1, j1, s1 = sweep 1 in

@@ -112,8 +112,12 @@ let test_same_seed_determinism () =
   check Alcotest.string "timeline JSON is byte-identical across same-seed runs"
     (Obs.Json.to_string (Obs.Metrics.to_json m1))
     (Obs.Json.to_string (Obs.Metrics.to_json m2));
-  check Alcotest.string "timeline CSV is byte-identical across same-seed runs"
-    (Obs.Metrics.to_csv m1) (Obs.Metrics.to_csv m2)
+  let csv m =
+    let buf = Buffer.create 4096 in
+    Obs.Metrics.write_csv (Buffer.add_string buf) m;
+    Buffer.contents buf
+  in
+  check Alcotest.string "timeline CSV is byte-identical across same-seed runs" (csv m1) (csv m2)
 
 let test_non_perturbation () =
   (* The sampler adds engine events but must not move any simulated

@@ -28,7 +28,7 @@ let test_json_roundtrip () =
   in
   let round s = match Obs.Json.of_string s with Ok j -> j | Error e -> Alcotest.fail e in
   check Alcotest.bool "compact round-trips" true (round (Obs.Json.to_string doc) = doc);
-  check Alcotest.bool "pretty round-trips" true (round (Obs.Json.to_string_pretty doc) = doc)
+  check Alcotest.bool "pretty round-trips" true (round (Report_cases.pretty doc) = doc)
 
 let test_json_determinism () =
   let doc = Obs.Json.Obj [ ("x", Obs.Json.Float 0.1); ("y", Obs.Json.Float 3.0) ] in
@@ -78,8 +78,9 @@ let test_trace_deterministic () =
   check Alcotest.bool "same seed, same events" true
     (Obs.Trace.events s1 = Obs.Trace.events s2);
   check Alcotest.bool "some events were captured" true (Obs.Trace.length s1 > 0);
-  check Alcotest.string "byte-identical JSON reports" (Svm.Report_json.to_string r1)
-    (Svm.Report_json.to_string r2)
+  check Alcotest.string "byte-identical JSON reports"
+    (Obs.Json.to_string (Svm.Report_json.encode r1))
+    (Obs.Json.to_string (Svm.Report_json.encode r2))
 
 let test_trace_covers_protocol_activity () =
   let _, s = traced_run () in
@@ -433,7 +434,7 @@ let test_legacy_render_exact_strings () =
 let test_report_validates () =
   let r, _ = traced_run () in
   let j =
-    match Obs.Json.of_string (Svm.Report_json.to_string r) with
+    match Obs.Json.of_string (Report_cases.pretty (Svm.Report_json.encode r)) with
     | Ok j -> j
     | Error e -> Alcotest.fail e
   in
@@ -469,12 +470,12 @@ let test_validate_rejects_malformed () =
    validator accepts them when present. *)
 let test_report_optional_sections () =
   let r, sink = profiled_run () in
-  let plain = Svm.Report_json.to_string r in
+  let plain = Obs.Json.to_string (Svm.Report_json.encode r) in
   check Alcotest.bool "no trace section by default" false (contains plain "\"trace\":");
   check Alcotest.bool "no critical_path section by default" false
     (contains plain "\"critical_path\":");
   let cp = Obs.Critical_path.analyze sink in
-  let full = Svm.Report_json.to_string ~critical_path:cp ~trace:sink r in
+  let full = Obs.Json.to_string (Svm.Report_json.encode ~critical_path:cp ~trace:sink r) in
   check Alcotest.bool "trace section surfaces dropped count" true
     (contains full "\"dropped\":");
   check Alcotest.bool "critical_path section present" true
