@@ -76,7 +76,6 @@ type t = {
   coproc_locks : bool;
   home_migration : bool;
   paranoid : bool;
-  seed : int;
   chaos : Machine.Chaos.params;
   trace_spans : bool;
   fault_batch : int;
@@ -114,7 +113,7 @@ let power_of_two n = n > 0 && n land (n - 1) = 0
 let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     ?(home_policy = Round_robin) ?(gc_threshold_bytes = 2 * 1024 * 1024)
     ?(coproc_locks = false) ?(home_migration = false)
-    ?(paranoid = false) ?(seed = 42) ?(chaos = Machine.Chaos.none)
+    ?(paranoid = false) ?(chaos = Machine.Chaos.none)
     ?(trace_spans = false) ?(fault_batch = 1) ?(replicas = 1)
     ?(repl_scheme = Inval) ?(metrics_interval = 0.) ?(detector = Oracle)
     ?(hb_interval = default_hb_interval) ?(hb_timeout = 0.) ~nprocs protocol =
@@ -188,7 +187,6 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     coproc_locks;
     home_migration;
     paranoid;
-    seed;
     chaos;
     trace_spans;
     fault_batch;

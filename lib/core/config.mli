@@ -110,7 +110,6 @@ type t = {
           copies of every page are bitwise identical (raises
           {!Invariants.Violation} otherwise). No effect on the simulated
           costs. *)
-  seed : int;
   chaos : Machine.Chaos.params;
       (** Network fault injection and CPU stragglers. With
           {!Machine.Chaos.none} (the default) the run is fault-free and
@@ -195,7 +194,6 @@ val make :
   ?coproc_locks:bool ->
   ?home_migration:bool ->
   ?paranoid:bool ->
-  ?seed:int ->
   ?chaos:Machine.Chaos.params ->
   ?trace_spans:bool ->
   ?fault_batch:int ->

@@ -82,7 +82,6 @@ let config : Config.t t =
       field "coproc_locks" bool (fun cfg -> cfg.coproc_locks);
       field "au_combine_words" int (fun _ -> Intervals.au_combine_words);
       field "home_migration" bool (fun cfg -> cfg.home_migration);
-      field "seed" int (fun cfg -> cfg.seed);
       field "costs" (obj costs) (fun cfg -> cfg.costs);
       given batching [ field "fault_batch" int (fun cfg -> cfg.fault_batch) ];
       opt "replication"
@@ -276,7 +275,6 @@ let meta : (run_meta * Config.t) t =
       field "scale" str (fun (m, _) -> m.rm_scale);
       field "protocol" (enum protocol_strings) (fun (_, cfg) -> protocol cfg);
       field "nprocs" (at_least 1) (fun (_, cfg) -> cfg.nprocs);
-      field "seed" int (fun (_, cfg) -> cfg.seed);
       field "fault_seed" int (fun (_, cfg) -> cfg.chaos.Machine.Chaos.fault_seed);
       field "fault_batch" int (fun (_, cfg) -> cfg.fault_batch);
       field "replicas" int (fun (_, cfg) -> cfg.replicas);

@@ -181,7 +181,7 @@ let common =
           drawn uniformly from [1, $(docv)]. 1 disables."
      and+ fault_seed =
        opt Arg.int none.fault_seed [ "fault-seed" ] "SEED"
-         "Seed for the fault-injection plan (independent of the simulation seed)."
+         "Seed for the fault-injection plan."
      and+ fault_batch =
        opt pos_int defaults.fault_batch [ "fault-batch" ] "N"
          "Batched fault handling (home-based protocols): serve up to $(docv) adjacent \
@@ -263,7 +263,6 @@ let svm_run =
        opt protocol_conv defaults.protocol [ "p"; "protocol" ] "PROTO"
          ("Protocol: " ^ String.concat ", " Svm.Config.protocol_strings ^ ".")
      and+ nprocs = opt Arg.int defaults.nprocs [ "n"; "nodes" ] "N" "Number of nodes to simulate."
-     and+ seed = opt Arg.int defaults.seed [ "seed" ] "SEED" "Simulation seed."
      and+ home_migration =
        flag [ "migrate" ] "Enable adaptive home migration (home-based protocols)."
      and+ coproc_locks =
@@ -330,7 +329,7 @@ let svm_run =
        in
        let chaos = { c.chaos with faults; detect_delay } in
        let cfg =
-         Svm.Config.make ~home_migration ~coproc_locks ~nprocs ~seed ~chaos ~trace_spans:profile
+         Svm.Config.make ~home_migration ~coproc_locks ~nprocs ~chaos ~trace_spans:profile
            ~fault_batch:c.fault_batch ~replicas ~repl_scheme ~detector ~hb_interval ~hb_timeout
            ~metrics_interval protocol
        in

@@ -49,7 +49,7 @@ type run = {
 }
 
 (** [svm_run]'s knobs: {!common} plus application, protocol, machine size,
-    seed, fault schedule, failure detector, replication and metrics output.
+    fault schedule, failure detector, replication and metrics output.
     [--kv-*] with an application other than kvstore is an error. *)
 val svm_run : run Cmdliner.Term.t
 

@@ -108,7 +108,7 @@ let replay_line ~scale ~app (c : Svm.Config.t) =
     [ ("app", String.lowercase_ascii app);
       ("protocol", String.lowercase_ascii (Svm.Config.protocol_name c.protocol));
       ("nodes", i c.nprocs);
-      ("scale", Apps.Registry.scale_name scale); ("seed", i c.seed); ("replicas", i c.replicas);
+      ("scale", Apps.Registry.scale_name scale); ("replicas", i c.replicas);
       ("repl-scheme", Svm.Config.repl_scheme_name c.repl_scheme);
       ("detector", Svm.Config.detector_name c.detector);
       ("hb-interval", f c.hb_interval); ("hb-timeout", f c.hb_timeout);

@@ -56,7 +56,7 @@ let test_lu_reports_pinned () =
   List.iter
     (fun name ->
       let argv = [ "--app"; "lu"; "--protocol"; name; "--nodes"; "4"; "--scale"; "test" ] in
-      let o = parse (argv @ [ "--seed"; "42" ]) in
+      let o = parse argv in
       let doc = Harness.Cli.report_json o (Harness.Cli.execute o) in
       let parsed = Obs.Json.of_string (Report_cases.pretty doc) in
       (match Result.bind parsed Svm.Report_json.validate with
@@ -109,6 +109,7 @@ let test_bad_values_rejected () =
       [ "--partition"; "1,1@0:10" ];
       [ "--partition"; "@0:10" ];
       [ "--kill-node"; "3" ];
+      [ "--seed"; "42" ];
       [ "--replicas"; "9" ];
       [ "--fault-batch"; "0" ];
       [ "--scale"; "huge" ];

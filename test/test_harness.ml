@@ -202,7 +202,7 @@ let test_soak_replay_line () =
   let line = Harness.Soak.replay_line ~scale:Apps.Registry.Test ~app:"Water-Nsquared" cfg in
   check Alcotest.string "replay line"
     "dune exec bin/svm_run.exe -- --app water-nsquared --protocol ohlrc --nodes 4 --scale test \
-     --seed 42 --replicas 2 --repl-scheme backup --detector heartbeat --hb-interval 200 \
+     --replicas 2 --repl-scheme backup --detector heartbeat --hb-interval 200 \
      --hb-timeout 800 --drop-rate 0 --dup-rate 0 --jitter 5 --straggler 1 --fault-seed 0 \
      --detect-delay 500 --kill 2@0.10000000000000001 --kill 3@900000.5 --pause \
      3@531017.15633475094:534017.25 --pause 1@10:20 --partition 3,1@1000:4000.5 --partition \
