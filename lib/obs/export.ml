@@ -41,7 +41,7 @@ let jsonl w sink =
      "f" even on truncated sinks.
    - Counter tracks ("ph":"C"): cumulative per-node sent bytes at each
      Msg_send, and per-node protocol memory at each Mem_sample. *)
-let chrome w ?(name = "svm") sink =
+let chrome w sink =
   let nodes = Hashtbl.create 16 in
   Trace.iter sink (fun ev -> Hashtbl.replace nodes ev.Trace.node ());
   let node_ids = List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) nodes []) in
@@ -53,7 +53,7 @@ let chrome w ?(name = "svm") sink =
          ("ph", Json.String "M");
          ("pid", Json.Int 0);
          ("tid", Json.Int 0);
-         ("args", Json.Obj [ ("name", Json.String name) ]);
+         ("args", Json.Obj [ ("name", Json.String "svm") ]);
        ]);
   let emit j =
     w ",";
@@ -192,8 +192,8 @@ let write_json ~what file doc =
       Json.write ~pretty:true w doc;
       w "\n")
 
-let write_file fmt ?name file sink =
+let write_file fmt file sink =
   write ~what:"trace" file (fun w ->
-      match fmt with Jsonl -> jsonl w sink | Chrome -> chrome w ?name sink)
+      match fmt with Jsonl -> jsonl w sink | Chrome -> chrome w sink)
 
 let write_metrics_csv file m = write ~what:"metrics" file (fun w -> Metrics.write_csv w m)

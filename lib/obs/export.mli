@@ -26,13 +26,12 @@ val format_of_string : string -> format option
 val format_name : format -> string
 
 (** [jsonl w sink] writes the JSONL document (lines terminated by ['\n'])
-    through [w], one record per call, as it reads the sink. *)
+    through [w] as it reads the sink. *)
 val jsonl : (string -> unit) -> Trace.sink -> unit
 
-(** [chrome w ?name sink] writes the Chrome [trace_event] JSON document
-    through [w], one record per call. [name] labels the process track (e.g.
-    ["lu/hlrc/8"]). *)
-val chrome : (string -> unit) -> ?name:string -> Trace.sink -> unit
+(** [chrome w sink] writes the Chrome [trace_event] JSON document through
+    [w] as it reads the sink. The process track is named ["svm"]. *)
+val chrome : (string -> unit) -> Trace.sink -> unit
 
 (** [write_json ~what file doc] streams [doc]'s pretty serialization and a
     blank line to [file]. Every output file of both CLIs is written in binary
@@ -43,7 +42,7 @@ val chrome : (string -> unit) -> ?name:string -> Trace.sink -> unit
 val write_json : what:string -> string -> Json.t -> unit
 
 (** Stream the sink to [file] in [format], as a trace file. *)
-val write_file : format -> ?name:string -> string -> Trace.sink -> unit
+val write_file : format -> string -> Trace.sink -> unit
 
 (** Stream {!Metrics.write_csv}, the long-format CSV of a registry's time
     series, to [file], as a metrics file. *)

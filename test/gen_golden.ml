@@ -58,6 +58,6 @@ let sample_metrics () =
 let () =
   let sink = sample_sink () in
   Obs.Export.write_file Obs.Export.Jsonl "golden_trace.jsonl" sink;
-  Obs.Export.write_file Obs.Export.Chrome ~name:"golden" "golden_trace_chrome.json" sink;
+  Obs.Export.write_file Obs.Export.Chrome "golden_trace_chrome.json" sink;
   Obs.Export.write_file Obs.Export.Jsonl "golden_overflow.jsonl" (overflow_sink ());
   Obs.Export.write_metrics_csv "golden_metrics.csv" (sample_metrics ())

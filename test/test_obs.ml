@@ -164,7 +164,7 @@ let test_jsonl_roundtrip () =
 
 let chrome_events sink =
   let doc =
-    match Obs.Json.of_string (export (fun w -> Obs.Export.chrome w ~name:"lu/hlrc") sink) with
+    match Obs.Json.of_string (export Obs.Export.chrome sink) with
     | Ok j -> j
     | Error e -> Alcotest.fail e
   in
@@ -266,7 +266,7 @@ let test_export_overflow_records () =
   check Alcotest.bool "jsonl ends with the dropped record" true
     (contains tail "\"ev\":\"dropped\"");
   check Alcotest.bool "chrome reports droppedEvents" true
-    (contains (export (fun w s -> Obs.Export.chrome w s) sink) "\"droppedEvents\":")
+    (contains (export Obs.Export.chrome sink) "\"droppedEvents\":")
 
 (* The exporter hands its writer one record at a time: on an overflowing
    run, the pieces join into the event lines and the dropped record, and
