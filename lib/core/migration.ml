@@ -13,9 +13,10 @@
    At barrier completion the manager counts, per page, the writers of the
    epoch's intervals; when a page's dominant writer is not its home, the
    directory is updated and the old home ships the master copy and flush
-   timestamps to the new home once every announced diff has landed.
-   Fetches racing the transfer (nodes resume before it completes) wait at
-   the new home exactly like fetches racing a flush. *)
+   timestamps to the new home once every announced diff has landed. The
+   barrier's releases wait until every transfer has landed: a node resumed
+   earlier could flush a diff to the new home before the master it applies
+   to, and the master's install would then erase it. *)
 
 open System
 
@@ -73,8 +74,9 @@ let plan sys epoch_ivs =
     writes []
 
 (* Ship the master copy and flush levels from the old home to the new one.
-   Runs once the old home's flush level covers [required]. *)
-let transfer sys ~page ~old_home ~new_home ~at =
+   Runs once the old home's flush level covers [required]; [landed] runs
+   when the new home has installed the copy. *)
+let transfer sys ~page ~old_home ~new_home ~landed ~at =
   let old_node = sys.nodes.(old_home) in
   let new_node = sys.nodes.(new_home) in
   let hentry = Mem.Page_table.ensure old_node.pt page in
@@ -93,44 +95,54 @@ let transfer sys ~page ~old_home ~new_home ~at =
     (fun arrival ->
       let done_t = serve sys new_node ~arrival ~cost:decision_cost_per_page in
       let entry = Mem.Page_table.ensure new_node.pt page in
-      entry.Mem.Page_table.data <- Some snapshot;
-      Mem.Page_table.drop_twin entry;
+      Faults.install_copy sys entry snapshot;
       entry.Mem.Page_table.mirror <- None;
       entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
       let hp_new = home_page sys new_node page in
       Proto.Vclock.merge_into hp_new.hp_flush flush;
-      serve_pending hp_new ~at:done_t)
+      serve_pending hp_new ~at:done_t;
+      landed done_t)
 
-(* Entry point, called by the barrier manager at completion (before the
-   releases go out, so every node's release application already sees the
-   new directory). *)
-let run sys epoch_ivs =
-  if home_based sys && sys.cfg.Config.home_migration then begin
-    let mgr = sys.nodes.(0) in
-    let moves = plan sys epoch_ivs in
-    List.iter
-      (fun (page, new_home, required) ->
-        charge_protocol mgr decision_cost_per_page;
-        let old_home = home_of sys page in
-        Hashtbl.replace sys.home_tbl page new_home;
-        (* Every node's automatic-update mapping (AURC) now points at a
-           stale master: tear them down; the next write fault re-binds. *)
-        Array.iter
-          (fun (n : node_state) ->
-            if n.id <> new_home then begin
-              let e = Mem.Page_table.ensure n.pt page in
-              e.Mem.Page_table.mirror <- None
-            end)
-          sys.nodes;
-        let old_node = sys.nodes.(old_home) in
-        let hp_old = home_page sys old_node page in
-        let start at = transfer sys ~page ~old_home ~new_home ~at in
-        if Proto.Vclock.leq required hp_old.hp_flush then
-          start mgr.mach.Machine.Node.ck.Machine.Node.clock
-        else
-          (* System-initiated transfer, not a node's fetch; attribute it to
-             the receiving home. Migration excludes replication (Config
-             forbids the combination), so this park is never fenced. *)
-          park_pending hp_old ~needed:required ~requester:new_home start)
-      moves
-  end
+(* Entry point, called by the barrier manager at completion with the
+   barrier's releases as [release]. With no page to move, [release] runs
+   at once; otherwise it runs when the last transfer has landed, with the
+   manager's clock at that landing. *)
+let run sys epoch_ivs release =
+  let moves =
+    if home_based sys && sys.cfg.Config.home_migration then plan sys epoch_ivs else []
+  in
+  let mgr = sys.nodes.(0) in
+  let pending = ref (List.length moves) in
+  let landed at =
+    decr pending;
+    if !pending = 0 then begin
+      Machine.Node.sync_to mgr.mach at;
+      release ()
+    end
+  in
+  if moves = [] then release ();
+  List.iter
+    (fun (page, new_home, required) ->
+      charge_protocol mgr decision_cost_per_page;
+      let old_home = home_of sys page in
+      Hashtbl.replace sys.home_tbl page new_home;
+      (* Every node's automatic-update mapping (AURC) now points at a
+         stale master: tear them down; the next write fault re-binds. *)
+      Array.iter
+        (fun (n : node_state) ->
+          if n.id <> new_home then begin
+            let e = Mem.Page_table.ensure n.pt page in
+            e.Mem.Page_table.mirror <- None
+          end)
+        sys.nodes;
+      let old_node = sys.nodes.(old_home) in
+      let hp_old = home_page sys old_node page in
+      let start at = transfer sys ~page ~old_home ~new_home ~landed ~at in
+      if Proto.Vclock.leq required hp_old.hp_flush then
+        start mgr.mach.Machine.Node.ck.Machine.Node.clock
+      else
+        (* System-initiated transfer, not a node's fetch; attribute it to
+           the receiving home. Migration excludes replication (Config
+           forbids the combination), so this park is never fenced. *)
+        park_pending hp_old ~needed:required ~requester:new_home start)
+    moves

@@ -241,27 +241,29 @@ let complete_barrier sys =
   bar.bar_target <-
     1 + List.length (List.filter (fun (from, _, _) -> from <> 0 && is_alive sys from) arrivals);
   (* Adaptive home migration (extension): re-home drifting pages before the
-     releases go out, so everyone resumes against the new directory. *)
-  Migration.run sys all_ivs;
-  let c = costs sys in
-  if observing sys then event sys mgr (Obs.Trace.Barrier_release { epoch = bar.bar_epoch; gc });
-  (* Releases to the other nodes, each with the records it lacks. *)
-  List.iter
-    (fun (from, vt, _) ->
-      if from <> 0 && is_alive sys from then begin
-        let node = sys.nodes.(from) in
-        let ivs = Intervals.missing_intervals mgr vt in
-        charge_protocol mgr c.Machine.Costs.barrier_service;
-        let bytes = header_bytes + (4 * nprocs sys) + Intervals.intervals_bytes ivs in
-        send sys ~src:mgr ~dst:from ~at:mgr.mach.Machine.Node.ck.Machine.Node.clock ~bytes ~update:0
-          (fun arrival ->
-            Machine.Node.sync_to node.mach arrival;
-            apply_release sys node ~max_vt ~gc (Intervals.apply_remote_intervals sys node ivs))
-      end)
-    arrivals;
-  (* The manager applies its own release locally; its records went in
-     above, and [max_vt] is its own timestamp. *)
-  apply_release sys mgr ~max_vt ~gc mgr_waits
+     releases go out, so everyone resumes against the new directory and
+     the moved masters. *)
+  Migration.run sys all_ivs (fun () ->
+      let c = costs sys in
+      if observing sys then
+        event sys mgr (Obs.Trace.Barrier_release { epoch = bar.bar_epoch; gc });
+      (* Releases to the other nodes, each with the records it lacks. *)
+      List.iter
+        (fun (from, vt, _) ->
+          if from <> 0 && is_alive sys from then begin
+            let node = sys.nodes.(from) in
+            let ivs = Intervals.missing_intervals mgr vt in
+            charge_protocol mgr c.Machine.Costs.barrier_service;
+            let bytes = header_bytes + (4 * nprocs sys) + Intervals.intervals_bytes ivs in
+            send sys ~src:mgr ~dst:from ~at:mgr.mach.Machine.Node.ck.Machine.Node.clock ~bytes
+              ~update:0 (fun arrival ->
+                Machine.Node.sync_to node.mach arrival;
+                apply_release sys node ~max_vt ~gc (Intervals.apply_remote_intervals sys node ivs))
+          end)
+        arrivals;
+      (* The manager applies its own release locally; its records went in
+         above, and [max_vt] is its own timestamp. *)
+      apply_release sys mgr ~max_vt ~gc mgr_waits)
 
 let arrive sys ~from ~vt ~ivs ~mem =
   let bar = sys.barrier in

@@ -87,9 +87,35 @@ let test_accumulation_under_migration () =
         [ 2; 4; 8 ])
     [ Svm.Config.Hlrc; Svm.Config.Ohlrc; Svm.Config.Aurc ]
 
+(* Random DRF programs on 16-word pages, so a page holds parts of several
+   locked regions, with homes moving at barriers. A lock-protected update
+   must survive a migration: the barrier's releases wait for the moved
+   masters, so no flush reaches a new home before its master does. *)
+let test_random_programs_under_migration () =
+  let rand = Random.State.make [| 7 |] in
+  let programs = List.init 601 (fun _ -> QCheck.Gen.generate1 ~rand Test_random.gen_program) in
+  let failures =
+    List.concat_map
+      (fun protocol ->
+        let label = Svm.Config.protocol_name protocol in
+        List.filter_map
+          (fun (p : Test_random.program) ->
+            let cfg =
+              Svm.Config.make ~paranoid:true ~page_words:16 ~home_migration:true
+                ~nprocs:p.nprocs protocol
+            in
+            match Svm.Runtime.run cfg (Test_random.body ~label p) with
+            | _ -> None
+            | exception Failure msg -> Some msg)
+          programs)
+      [ Svm.Config.Hlrc; Svm.Config.Ohlrc; Svm.Config.Aurc ]
+  in
+  check Alcotest.(list string) "no update lost" [] failures
+
 let suite =
   [
     ("migration fires and stays correct", `Quick, test_migration_fires_and_stays_correct);
+    ("random programs keep their updates", `Quick, test_random_programs_under_migration);
     ("migration repairs bad placement", `Quick, test_migration_improves_bad_placement);
     ("off by default", `Quick, test_migration_off_by_default);
     ("ignored by homeless protocols", `Quick, test_migration_ignored_by_homeless);
