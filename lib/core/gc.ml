@@ -111,6 +111,26 @@ let sweep sys node ~k =
   in
   validate !to_validate
 
+(* The discard rendezvous completes once every live node has reported its
+   sweep: a crash-stopped node never will, and the barrier does not wait
+   for one either. The manager then broadcasts the discard from [at]. A
+   report is the completion it registers in [gc_on_done]. *)
+let discard_if_reported sys ~at =
+  let waiting (n : node_state) = is_alive sys n.id && not (Hashtbl.mem sys.gc_on_done n.id) in
+  if Hashtbl.length sys.gc_on_done > 0 && not (Array.exists waiting sys.nodes) then begin
+    let mgr = sys.nodes.(0) in
+    let on_done =
+      Array.map (fun (n : node_state) -> Hashtbl.find_opt sys.gc_on_done n.id) sys.nodes
+    in
+    Hashtbl.reset sys.gc_on_done;
+    Array.iter
+      (fun (n : node_state) ->
+        send sys ~src:mgr ~dst:n.id ~at ~bytes:header_bytes ~update:0 (fun release_at ->
+            Machine.Node.sync_to n.mach release_at;
+            Option.get on_done.(n.id) ()))
+      sys.nodes
+  end
+
 (* Per-node GC entry point, run between the barrier release and the
    process's resumption. [on_done] fires after the global discard phase. *)
 let run sys node ~on_done =
@@ -120,27 +140,13 @@ let run sys node ~on_done =
     event sys node
       (Obs.Trace.Mem_sample { bytes = Mem.Accounting.current node.stats.Stats.proto_mem });
   sweep sys node ~k:(fun () ->
-      (* Rendezvous: nobody discards until everyone has validated. *)
+      (* Rendezvous: nobody discards until every live node has validated. *)
       let mgr = sys.nodes.(0) in
-      Hashtbl.replace sys.gc_on_done node.id (fun () ->
-          discard_all sys node;
-          node.in_gc <- false;
-          on_done ());
-      send sys ~src:node ~dst:0 ~at:node.mach.Machine.Node.ck.Machine.Node.clock ~bytes:header_bytes ~update:0
-        (fun arrival ->
+      send sys ~src:node ~dst:0 ~at:node.mach.Machine.Node.ck.Machine.Node.clock
+        ~bytes:header_bytes ~update:0 (fun arrival ->
           let done_t = serve_compute sys mgr ~arrival ~cost:scan_cost_per_page in
-          sys.gc_nodes_done <- sys.gc_nodes_done + 1;
-          if sys.gc_nodes_done = nprocs sys then begin
-            sys.gc_nodes_done <- 0;
-            Array.iter
-              (fun (n : node_state) ->
-                send sys ~src:mgr ~dst:n.id ~at:done_t ~bytes:header_bytes ~update:0
-                  (fun release_at ->
-                    Machine.Node.sync_to n.mach release_at;
-                    match Hashtbl.find_opt sys.gc_on_done n.id with
-                    | Some f ->
-                        Hashtbl.remove sys.gc_on_done n.id;
-                        f ()
-                    | None -> assert false))
-              sys.nodes
-          end))
+          Hashtbl.replace sys.gc_on_done node.id (fun () ->
+              discard_all sys node;
+              node.in_gc <- false;
+              on_done ());
+          discard_if_reported sys ~at:done_t))

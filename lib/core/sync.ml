@@ -272,10 +272,13 @@ let arrive sys ~from ~vt ~ivs ~mem =
   if mem > sys.cfg.Config.gc_threshold_bytes then bar.bar_mem_high <- true;
   if all_live_arrived sys then complete_barrier sys
 
-(* Failure-detector hook: a node just got declared dead. If the barrier was
-   only waiting on the victim, release it now — otherwise every live node
-   would block forever on an arrival that can no longer happen. *)
-let note_node_death sys = if all_live_arrived sys then complete_barrier sys
+(* Failure-detector hook: a node just got declared dead. If the barrier or
+   the GC's discard rendezvous was only waiting on the victim, complete it
+   now — otherwise every live node would block forever on a message that
+   can no longer come. *)
+let note_node_death sys =
+  if all_live_arrived sys then complete_barrier sys;
+  Gc.discard_if_reported sys ~at:sys.nodes.(0).mach.Machine.Node.ck.Machine.Node.clock
 
 let barrier sys node k =
   Stats.mark_epoch node.stats;

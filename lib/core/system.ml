@@ -218,8 +218,7 @@ type t = {
   migration_prev : (int, int) Hashtbl.t;
       (* home migration: page -> dominant writer of the previous epoch
          (hysteresis: move only on two consecutive agreeing epochs) *)
-  mutable gc_nodes_done : int;  (* GC rendezvous counter (homeless GC) *)
-  gc_on_done : (int, unit -> unit) Hashtbl.t;  (* per-node GC completions *)
+  gc_on_done : (int, unit -> unit) Hashtbl.t;  (* GC reports: per-node completions *)
   mutable sink : Obs.Trace.sink option;  (* typed trace-event sink *)
   mutable next_span : int;  (* wait-span id allocator (causal layer) *)
   alive : bool array;  (* false once the chaos schedule killed the node *)
@@ -454,7 +453,6 @@ let create (cfg : Config.t) =
         bar_target = nprocs;
       };
       migration_prev = Hashtbl.create 64;
-      gc_nodes_done = 0;
       gc_on_done = Hashtbl.create 8;
       sink = None;
       next_span = 0;

@@ -172,8 +172,9 @@ type t = {
   channels : float array;  (** (src * nprocs + dst) -> last arrival. *)
   barrier : barrier_state;
   migration_prev : (int, int) Hashtbl.t;
-  mutable gc_nodes_done : int;
   gc_on_done : (int, unit -> unit) Hashtbl.t;
+      (** The homeless GC's discard rendezvous: the completion of each node
+          whose sweep report reached the manager. *)
   mutable sink : Obs.Trace.sink option;
   mutable next_span : int;  (** Wait-span id allocator (causal layer). *)
   alive : bool array;  (** [false] once the chaos schedule killed the node. *)

@@ -76,9 +76,45 @@ let test_gc_overlapped_variant () =
   let r = Svm.Runtime.run cfg (churn_app ~rounds:6) in
   check Alcotest.bool "OLRC collects too" true (total_gc_runs r > 0)
 
+(* A node killed mid-run never reports its sweep: the discard rendezvous
+   completes on the live nodes' reports, as the barrier does on their
+   arrivals. SOR at bench scale collects at its first barrier, so both
+   kill times fall before a collection. *)
+let test_gc_survives_a_kill () =
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun kill ->
+          let argv =
+            [ "--app"; "sor"; "--protocol"; proto; "--nodes"; "4"; "--replicas"; "2"; "--kill";
+              kill; "--no-verify" ]
+          in
+          let o = Report_cases.parse argv in
+          match Harness.Cli.execute o with
+          | out -> check Alcotest.bool (String.concat " " argv) true (total_gc_runs out.report > 0)
+          | exception Svm.System.Deadlock _ ->
+              Alcotest.failf "%s: deadlock" (String.concat " " argv))
+        [ "3@51000"; "3@1000000" ])
+    [ "lrc"; "olrc" ]
+
+(* When the victim dies after every other live node has reported, only its
+   death can complete the rendezvous. Here node 3 is the last to sweep and
+   dies mid-sweep, with a collection at every barrier. *)
+let test_gc_completes_on_a_death () =
+  let chaos =
+    { Machine.Chaos.none with faults = [ Machine.Chaos.Kill { node = 3; at = 43898. } ] }
+  in
+  let cfg = Svm.Config.make ~nprocs:4 ~replicas:2 ~gc_threshold_bytes:1 ~chaos Svm.Config.Lrc in
+  let app = Apps.Registry.lu Apps.Registry.Test in
+  match Svm.Runtime.run cfg (app.Apps.Registry.body ~verify:false) with
+  | r -> check Alcotest.bool "collected" true (total_gc_runs r > 0)
+  | exception Svm.System.Deadlock _ -> Alcotest.fail "deadlock"
+
 let suite =
   [
     ("gc triggers under pressure", `Quick, test_gc_triggers_under_pressure);
+    ("gc survives a mid-run kill", `Quick, test_gc_survives_a_kill);
+    ("gc completes on a death", `Quick, test_gc_completes_on_a_death);
     ("gc reclaims memory", `Quick, test_gc_reclaims_memory);
     ("gc preserves correctness", `Quick, test_gc_preserves_correctness);
     ("home-based protocols never collect", `Quick, test_gc_not_used_by_home_based);
