@@ -16,10 +16,17 @@ let check_close ~what ?(tol = 1e-9) ~index expected actual =
     failf "%s[%d]: expected %.12g, got %.12g" what index expected actual
 
 (* Deterministic pseudo-random doubles in [0, 1), identical for the
-   simulated app and its sequential reference. *)
+   simulated app and its sequential reference: the first [Sim.Rng.float]
+   draw of a generator seeded at [seed + i * 2654435761], which is one
+   splitmix64 step. It is written out here because the apps draw one value
+   per element of their initial data, and a generator per value costs 13
+   words of allocation each. *)
 let det_float ~seed i =
-  let rng = Sim.Rng.create ~seed:(seed + (i * 2654435761)) in
-  Sim.Rng.float rng 1.0
+  let z = Int64.add (Int64.of_int (seed + (i * 2654435761))) 0x9E3779B97F4A7C15L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+  Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
 
 (* Partition [0, n) into [nparts] contiguous chunks; returns (start, stop)
    of chunk [part], stop exclusive. Remainders spread over the first

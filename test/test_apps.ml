@@ -133,9 +133,22 @@ let test_chunk_partition () =
       check Alcotest.int "covers everything" n !total)
     [ (10, 3); (96, 8); (7, 7); (5, 8) ]
 
+(* det_float is one splitmix64 draw written out: bit for bit the first
+   [Sim.Rng.float] of a generator seeded at [seed + i * 2654435761]. *)
+let test_det_float_is_one_rng_draw () =
+  List.iter
+    (fun seed ->
+      for i = 0 to (1 lsl 20) - 1 do
+        let want = Sim.Rng.float (Sim.Rng.create ~seed:(seed + (i * 2654435761))) 1.0 in
+        if Int64.bits_of_float (Apps.App_util.det_float ~seed i) <> Int64.bits_of_float want then
+          Alcotest.failf "det_float ~seed:%d %d <> %h" seed i want
+      done)
+    [ 0; 11; -7 ]
+
 let suite =
   [
     ("lu factorization is correct", `Quick, test_lu_factorization_correct);
+    ("det_float is one rng draw", `Quick, test_det_float_is_one_rng_draw);
     ("sor boundary fixed", `Quick, test_sor_reference_fixed_boundary);
     ("sor zero interior stays inactive", `Quick, test_sor_zero_interior_inactive);
     ("water half-shell pair coverage", `Quick, test_water_half_shell_covers_pairs);
