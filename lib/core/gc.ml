@@ -78,7 +78,7 @@ let sweep sys node ~k =
       best;
   Mem.Page_table.iter node.pt (fun entry ->
       let page = entry.Mem.Page_table.page in
-      charge_gc node scan_cost_per_page;
+      charge_protocol node scan_cost_per_page;
       let pi = page_info sys node page in
       let keeper =
         match Hashtbl.find_opt best page with
@@ -95,7 +95,7 @@ let sweep sys node ~k =
         if entry.Mem.Page_table.data <> None then begin
           entry.Mem.Page_table.data <- None;
           entry.Mem.Page_table.prot <- Mem.Page_table.No_access;
-          charge_gc node (costs sys).Machine.Costs.page_invalidate
+          charge_protocol node (costs sys).Machine.Costs.page_invalidate
         end;
         Mem.Accounting.sub node.stats.Stats.proto_mem
           (missing_entry_bytes * List.length pi.missing);

@@ -224,7 +224,7 @@ let complete_barrier sys =
   bar.bar_queue <- [];
   bar.bar_arrived <- 0;
   bar.bar_epoch <- bar.bar_epoch + 1;
-  let gc = homeless_lazy sys && sys.cfg.Config.gc_threshold_bytes > 0 && bar.bar_mem_high in
+  let gc = homeless_lazy sys && bar.bar_mem_high in
   bar.bar_mem_high <- false;
   (* Fold everyone's knowledge into the manager: all records first, then the
      arrival timestamps. Merging a timestamp earlier would mark intervals as

@@ -895,13 +895,6 @@ let charge_protocol node dt =
   else b.Stats.protocol <- b.Stats.protocol +. dt;
   if node.blocked <> None then node.wait_services <- node.wait_services +. dt
 
-let charge_gc node dt =
-  let dt = dt *. node.slowdown in
-  let ck = node.mach.Machine.Node.ck in
-  ck.Machine.Node.clock <- ck.Machine.Node.clock +. dt;
-  node.stats.Stats.b.Stats.gc <- node.stats.Stats.b.Stats.gc +. dt;
-  if node.blocked <> None then node.wait_services <- node.wait_services +. dt
-
 (* ------------------------------------------------------------------ *)
 (* Serving-workload operation log                                     *)
 

@@ -332,10 +332,6 @@ val record_gc_start : t -> node_state -> unit
 (** The node ships the page's master away; the new home [dst] counts it. *)
 val record_home_migration : t -> node_state -> page:int -> dst:int -> unit
 
-(** A replica update ([update]) or invalidation of [bytes] to [dst]. *)
-val record_repl :
-  t -> node_state -> time:float -> page:int -> dst:int -> bytes:int -> update:bool -> unit
-
 (** Failover recovery: a pull request or reply carrying [pulled] diffs, or
     the apply of [applied] ([repl_updates], [repl_bytes], [diffs_applied]). *)
 val record_recovery : node_state -> pulled:int -> bytes:int -> applied:int -> unit
@@ -349,31 +345,11 @@ val record_suspicion : t -> by:int -> peer:int -> time:float -> raised:bool -> u
     format. *)
 val spans_on : t -> bool
 
-(** Open a {!Obs.Trace.Wait_begin} span and return its run-unique id, or
-    [-1] when {!spans_on} is false (a [-1] id makes {!span_end} a no-op).
-    Used directly by protocol modules for nested home-wait spans; plain
-    block waits get their spans from {!block}/{!resume}. *)
-val span_begin :
-  t -> node:int -> time:float -> bucket:Obs.Trace.wait_bucket -> resource:int -> int
-
-(** Close the span ([Wait_end]); no-op when [span < 0]. *)
-val span_end :
-  t ->
-  node:int ->
-  time:float ->
-  span:int ->
-  bucket:Obs.Trace.wait_bucket ->
-  resource:int ->
-  unit
-
 (** Per-page metadata of a node, created on first use. *)
 val page_info : t -> node_state -> int -> page_info
 
 (** The page's home node (home-based protocols). *)
 val home_of : t -> int -> int
-
-(** The node that allocated the page. *)
-val allocator_of : t -> int -> int
 
 (** Node guaranteed to hold a full copy, for homeless full-page fetches:
     the last GC's keeper, or the allocator before any collection. *)
@@ -425,8 +401,6 @@ val diff_apply_cost : Machine.Costs.t -> Mem.Diff.t -> float
 (** {1 Time charging} *)
 
 val charge_protocol : node_state -> float -> unit
-
-val charge_gc : node_state -> float -> unit
 
 (** Record one completed serving operation ([latency] is completion minus
     scheduled arrival, in microseconds); feeds {!serving_log} and, when
@@ -557,11 +531,6 @@ val replica_page : t -> node_state -> int -> replica_page
     transport cancels its in-flight packets so no retransmission storm
     follows. Emits {!Obs.Trace.Node_kill}. Idempotent. *)
 val kill_node : t -> node:int -> time:float -> unit
-
-(** Apply a streamed diff into the backup's warm copy (backup scheme or a
-    primary-local push) and advance its applied cut. *)
-val deliver_repl_update :
-  t -> node_state -> arrival:float -> page:int -> writer:int -> index:int -> Mem.Diff.t -> unit
 
 (** Keep the page's backups consistent after the primary applied a diff:
     a full-diff stream when [payload] is set or the scheme is [Backup],

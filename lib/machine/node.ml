@@ -1,7 +1,7 @@
 (* The two timelines live in their own all-float record: OCaml stores
    floats in such a record unboxed, so the clock bumps on the memory-access
-   hot path ([advance] runs once per simulated load/store) allocate
-   nothing. As fields of the mixed record below, every store would box. *)
+   hot path (Svm.Api charges every simulated load/store) allocate nothing.
+   As fields of the mixed record below, every store would box. *)
 type clocks = { mutable clock : float; mutable coproc_busy : float }
 
 type t = {
@@ -13,10 +13,6 @@ type t = {
 
 let create id =
   { id; ck = { clock = 0.; coproc_busy = 0. }; interrupts = 0; coproc_requests = 0 }
-
-let advance t dt =
-  assert (dt >= 0.);
-  t.ck.clock <- t.ck.clock +. dt
 
 let sync_to t time = if time > t.ck.clock then t.ck.clock <- time
 

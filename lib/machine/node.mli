@@ -21,10 +21,6 @@ type t = {
 
 val create : int -> t
 
-(** Advance the compute clock by [dt] (application work or inline protocol
-    work). *)
-val advance : t -> float -> unit
-
 (** Bring the compute clock up to at least [time] (e.g. when a blocked
     process resumes on a message arrival). *)
 val sync_to : t -> float -> unit
