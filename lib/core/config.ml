@@ -152,6 +152,10 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     invalid_arg
       "Config.make: home replication and home migration are mutually exclusive (both \
        rewrite the home directory)";
+  if home_migration && Machine.Chaos.kills chaos <> [] then
+    invalid_arg
+      "Config.make: home migration does not survive a kill (a barrier waits for its page \
+       transfers, and one to or from a dead node never lands)";
   (* Shape/node-0 checks live in [Chaos.validate] (run above); only the
      nprocs-dependent range checks belong here. *)
   List.iter

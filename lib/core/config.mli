@@ -184,8 +184,9 @@ val metrics_enabled : t -> bool
     {!Machine.Chaos.validate}; killing or pausing node 0, the lock/barrier
     manager, is rejected there), a scheduled fault naming a
     node >= [nprocs], a partition group holding every node, [hb_interval]
-    non-positive, [hb_timeout] negative, [replicas] outside [1, nprocs], or
-    [replicas] > 1 combined with AURC/RC or with [home_migration]. *)
+    non-positive, [hb_timeout] negative, [replicas] outside [1, nprocs],
+    [replicas] > 1 combined with AURC/RC or with [home_migration], or
+    [home_migration] combined with a scheduled kill. *)
 val make :
   ?page_words:int ->
   ?costs:Machine.Costs.t ->

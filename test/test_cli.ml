@@ -111,6 +111,7 @@ let test_bad_values_rejected () =
       [ "--kill-node"; "3" ];
       [ "--seed"; "42" ];
       [ "--replicas"; "9" ];
+      [ "--migrate"; "--kill"; "3@80000" ];
       [ "--fault-batch"; "0" ];
       [ "--scale"; "huge" ];
       [ "--trace-cap" ];
