@@ -110,6 +110,17 @@ let default_hb_interval = 200.
 
 let power_of_two n = n > 0 && n land (n - 1) = 0
 
+(* The fault schedule kind-major: the kills, then the pauses, then the
+   partitions, each kind in the order given. That is the order svm_run's
+   flags build, so a replay line parses back to an equal config. *)
+let kind_major faults =
+  let rank = function
+    | Machine.Chaos.Kill _ -> 0
+    | Machine.Chaos.Pause _ -> 1
+    | Machine.Chaos.Partition _ -> 2
+  in
+  List.stable_sort (fun a b -> Int.compare (rank a) (rank b)) faults
+
 let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     ?(home_policy = Round_robin) ?(gc_threshold_bytes = 2 * 1024 * 1024)
     ?(coproc_locks = false) ?(home_migration = false)
@@ -191,7 +202,7 @@ let make ?(page_words = 1024) ?(costs = Machine.Costs.default)
     coproc_locks;
     home_migration;
     paranoid;
-    chaos;
+    chaos = { chaos with Machine.Chaos.faults = kind_major chaos.Machine.Chaos.faults };
     trace_spans;
     fault_batch;
     replicas;

@@ -114,7 +114,10 @@ type t = {
       (** Network fault injection and CPU stragglers. With
           {!Machine.Chaos.none} (the default) the run is fault-free and
           the reliable-transport layer is bypassed entirely, so reports
-          are byte-identical to a build without the chaos machinery. *)
+          are byte-identical to a build without the chaos machinery.
+          {!make} stores the fault schedule kind-major (the kills, then
+          the pauses, then the partitions, each kind in the order given),
+          the order svm_run's flags build it in. *)
   trace_spans : bool;
       (** Emit the causal layer — {!Obs.Trace.Wait_begin}/[Wait_end] spans,
           memory counter samples, and diff-reply correlation events — into

@@ -229,8 +229,8 @@ type run = {
 
 (* Each fault flag takes its kind's argument of {!Machine.Chaos.to_string}'s
    spelling and may repeat. The schedule lists the kills, then the pauses,
-   then the partitions, each in the order given; no run depends on the
-   order across kinds. *)
+   then the partitions, each in the order given: the order in which
+   {!Svm.Config.make} stores any schedule. *)
 let schedule =
   let faults kind docv doc =
     let parse s = Result.map_error (fun e -> `Msg e) (Machine.Chaos.of_string (kind ^ " " ^ s)) in

@@ -210,16 +210,36 @@ let test_soak_replay_line () =
     line;
   (* The line replays: svm_run's parser rebuilds exactly this config, so no
      knob is omitted and every flag is spelled as the CLI spells it. *)
-  let args =
-    match String.split_on_char ' ' line with
-    | "dune" :: "exec" :: _exe :: "--" :: args -> args
-    | _ -> Alcotest.fail line
+  let replays cfg =
+    let line = Harness.Soak.replay_line ~scale:Apps.Registry.Test ~app:"Water-Nsquared" cfg in
+    let args =
+      match String.split_on_char ' ' line with
+      | "dune" :: "exec" :: _exe :: "--" :: args -> args
+      | _ -> Alcotest.fail line
+    in
+    match Test_cli.parse_run args with
+    | Ok o ->
+        check Alcotest.bool "parsed config = printed config" true (o.Harness.Cli.cfg = cfg);
+        check Alcotest.string "application" "Water-Nsquared" o.Harness.Cli.app.Apps.Registry.name
+    | Error e -> Alcotest.fail e
   in
-  match Test_cli.parse_run args with
-  | Ok o ->
-      check Alcotest.bool "parsed config = printed config" true (o.Harness.Cli.cfg = cfg);
-      check Alcotest.string "application" "Water-Nsquared" o.Harness.Cli.app.Apps.Registry.name
-  | Error e -> Alcotest.fail e
+  replays cfg;
+  (* A schedule given with its kinds interleaved is stored kind-major, the
+     order the CLI builds, so its replay line parses back to an equal
+     config too. *)
+  replays
+    (Svm.Config.make ~nprocs:4 ~replicas:2 Svm.Config.Hlrc
+       ~chaos:
+         {
+           Machine.Chaos.none with
+           Machine.Chaos.faults =
+             [
+               Machine.Chaos.Pause { node = 1; from_ = 10.; until = 20. };
+               Machine.Chaos.Kill { node = 3; at = 500. };
+               Machine.Chaos.Partition { group = [ 2 ]; from_ = 30.; until = 40. };
+               Machine.Chaos.Kill { node = 2; at = 100. };
+             ];
+         })
 
 let suite =
   [
