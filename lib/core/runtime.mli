@@ -90,8 +90,9 @@ val run :
   (Api.ctx -> unit) ->
   report
 
-(** [sort_floats a] sorts [a] ascending in place: a heapsort specialised
-    to float arrays, so it neither boxes an element nor allocates a
-    buffer. Without NaNs and negative zeros its result is bit for bit
-    that of [Array.sort Float.compare]. *)
+(** [sort_floats a] sorts [a] ascending in place: an LSD radix sort on
+    the IEEE-754 bits, six passes of 11 bits, that boxes no element and
+    allocates one scratch array of [a]'s length. Without NaNs and
+    negative zeros its result is bit for bit that of
+    [Array.sort Float.compare]. *)
 val sort_floats : float array -> unit

@@ -90,7 +90,7 @@ type node_state = {
   own_diffs : (int, (int * Mem.Diff.t * Proto.Vclock.t) list) Hashtbl.t;
       (* page -> (interval, diff, vt at interval end), newest first *)
   homes : (int, home_page) Hashtbl.t;  (* pages homed at this node *)
-  locks : (int, lock_state) Hashtbl.t;
+  mutable locks : lock_state option array;  (* by lock id, grown by [grow] *)
   stats : Stats.t;
   mutable reported : int;  (* own interval index last sent to the barrier mgr *)
   (* Blocking state of the node's application process. *)
@@ -210,7 +210,9 @@ type t = {
   scratch_tbl : (int, unit) Hashtbl.t;
       (* pages of allocations marked [~scratch]: schedule-dependent state
          (e.g. task-queue cursors) excluded from the result digest *)
-  lock_last : (int, int) Hashtbl.t;  (* manager state: lock -> last requester *)
+  mutable lock_last : int array;
+      (* manager state by lock id, grown by [grow]: the last requester, or
+         -1 before the first remote acquire *)
   channels : float array;
       (* (src * nprocs + dst) -> last arrival; a flat float array so the
          per-message FIFO-clamp lookup allocates no tuple key *)
@@ -404,7 +406,7 @@ let create (cfg : Config.t) =
       known = Array.make nprocs [];
       own_diffs = Hashtbl.create 64;
       homes = Hashtbl.create 64;
-      locks = Hashtbl.create 16;
+      locks = [||];
       stats = Stats.create ();
       reported = -1;
       cont = None;
@@ -441,7 +443,7 @@ let create (cfg : Config.t) =
     keeper_tbl = Hashtbl.create 256;
     copyset_tbl = Hashtbl.create 256;
     roots = Hashtbl.create 16;
-    lock_last = Hashtbl.create 16;
+    lock_last = [||];
     channels = Array.make (nprocs * nprocs) 0.;
     barrier =
       {
@@ -751,14 +753,17 @@ let record_suspicion t ~by ~peer ~time ~raised =
 (* ------------------------------------------------------------------ *)
 (* Page metadata                                                      *)
 
+(* The doubling rule of the tables indexed by page or lock id: [a] grown
+   to hold index [i], at least 64 slots and twice its length, the new
+   slots holding [fill]. *)
+let grow a i fill =
+  let capacity = Array.length a in
+  let a' = Array.make (max 64 (max (2 * capacity) (i + 1))) fill in
+  Array.blit a 0 a' 0 capacity;
+  a'
+
 let page_info t node page =
-  let capacity = Array.length node.pinfo in
-  if page >= capacity then begin
-    let capacity' = max 64 (max (2 * capacity) (page + 1)) in
-    let pinfo' = Array.make capacity' None in
-    Array.blit node.pinfo 0 pinfo' 0 capacity;
-    node.pinfo <- pinfo'
-  end;
+  if page >= Array.length node.pinfo then node.pinfo <- grow node.pinfo page None;
   match node.pinfo.(page) with
   | Some pi -> pi
   | None ->

@@ -82,7 +82,7 @@ type node_state = {
   known : Proto.Interval.t list array;  (** Records per creator, newest first. *)
   own_diffs : (int, (int * Mem.Diff.t * Proto.Vclock.t) list) Hashtbl.t;
   homes : (int, home_page) Hashtbl.t;
-  locks : (int, lock_state) Hashtbl.t;
+  mutable locks : lock_state option array;  (** By lock id, grown by {!grow}. *)
   stats : Stats.t;
   mutable reported : int;
   mutable cont : (unit, unit) Effect.Deep.continuation option;
@@ -168,7 +168,9 @@ type t = {
   copyset_tbl : (int, int array) Hashtbl.t;
   roots : (string, int) Hashtbl.t;
   scratch_tbl : (int, unit) Hashtbl.t;
-  lock_last : (int, int) Hashtbl.t;
+  mutable lock_last : int array;
+      (** Manager state by lock id, grown by {!grow}: the last requester,
+          or -1 before the first remote acquire. *)
   channels : float array;  (** (src * nprocs + dst) -> last arrival. *)
   barrier : barrier_state;
   migration_prev : (int, int) Hashtbl.t;
@@ -344,6 +346,11 @@ val record_suspicion : t -> by:int -> peer:int -> time:float -> raised:bool -> u
     [--trace-out] JSONL output stays byte-identical to the pre-span
     format. *)
 val spans_on : t -> bool
+
+(** [grow a i fill] is [a] copied into an array that holds index [i]: at
+    least 64 slots and twice [a]'s length, the new slots holding [fill].
+    The one growth rule of the tables indexed by page or lock id. *)
+val grow : 'a array -> int -> 'a -> 'a array
 
 (** Per-page metadata of a node, created on first use. *)
 val page_info : t -> node_state -> int -> page_info
