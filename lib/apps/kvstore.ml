@@ -70,6 +70,9 @@ let reference p =
 let validate ~page_words p =
   Traffic.validate p.traffic;
   if p.buckets < 1 then invalid_arg "Kvstore: buckets must be >= 1";
+  (* Bucket [b] is lock [b]. *)
+  if p.buckets > Svm.Api.max_lock_id + 1 then
+    invalid_arg (Printf.sprintf "Kvstore: buckets must be <= %d" (Svm.Api.max_lock_id + 1));
   if p.op_us < 0. then invalid_arg "Kvstore: op_us must be >= 0";
   let keys = p.traffic.Traffic.keys in
   let slots = (keys + p.buckets - 1) / p.buckets in

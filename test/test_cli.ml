@@ -94,6 +94,7 @@ let test_bad_values_rejected () =
       [ "--app"; "kvstore"; "--kv-write-ratio"; "nan" ];
       [ "--app"; "kvstore"; "--kv-rate"; "0" ];
       [ "--app"; "kvstore"; "--kv-buckets"; "0" ];
+      [ "--app"; "kvstore"; "--kv-buckets"; "1048577" ];
       [ "--app"; "lu"; "--kv-ops"; "5" ];
       [ "--app"; "kvstore"; "--kv-keys"; "100000"; "--kv-buckets"; "4" ];
       [ "--drop-rate"; "2" ];
