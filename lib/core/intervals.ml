@@ -288,90 +288,112 @@ let invalidate_copy (c : Machine.Costs.t) node page =
   if Mem.Page_table.invalidate (Mem.Page_table.ensure node.pt page) then
     charge_protocol node c.Machine.Costs.page_invalidate
 
-(* Records in (creator, index) order, compared without building tuples. *)
-let by_creator_then_index (a : Proto.Interval.t) (b : Proto.Interval.t) =
-  match Int.compare a.Proto.Interval.node b.Proto.Interval.node with
-  | 0 -> Int.compare a.Proto.Interval.index b.Proto.Interval.index
-  | c -> c
+(* [node] learns that [iv] wrote [pages]. Home-based protocols raise each
+   page's [needed] flush level and invalidate the copy, or, on a page homed
+   here, add it to [waits] when the level is not reached yet; homeless ones
+   queue the notice for fault-time diff collection. *)
+let rec notice_pages sys node c (iv : Proto.Interval.t) waits = function
+  | [] -> waits
+  | page :: pages ->
+      let creator = iv.Proto.Interval.node and index = iv.Proto.Interval.index in
+      let pi = page_info sys node page in
+      let waits =
+        if home_based sys then begin
+          if index > Proto.Vclock.get pi.needed creator then
+            Proto.Vclock.set pi.needed creator index;
+          if not pi.needed_counted then begin
+            pi.needed_counted <- true;
+            Mem.Accounting.add node.stats.Stats.proto_mem (Proto.Vclock.size_bytes pi.needed)
+          end;
+          if home_of sys page = node.id then begin
+            let hp = home_page sys node page in
+            if Proto.Vclock.leq pi.needed hp.hp_flush then waits else (page, hp) :: waits
+          end
+          else begin
+            invalidate_copy c node page;
+            waits
+          end
+        end
+        else begin
+          if index > Proto.Vclock.get pi.applied creator then begin
+            pi.missing <- iv :: pi.missing;
+            Mem.Accounting.add node.stats.Stats.proto_mem missing_entry_bytes;
+            invalidate_copy c node page
+          end;
+          waits
+        end
+      in
+      notice_pages sys node c iv waits pages
+
+(* Apply one record [node] had not seen. *)
+let apply_record sys node c waits (iv : Proto.Interval.t) =
+  let creator = iv.Proto.Interval.node and index = iv.Proto.Interval.index in
+  let pages = List.length iv.Proto.Interval.pages in
+  account_interval node iv;
+  Proto.Vclock.set node.vt creator index;
+  charge_protocol node (c.Machine.Costs.write_notice_handle *. float_of_int pages);
+  if observing sys then event sys node (Obs.Trace.Write_notice { writer = creator; index; pages });
+  notice_pages sys node c iv waits iv.Proto.Interval.pages
+
+(* Stage [chain]'s records above [seen] in [sys.iv_scratch], newest first,
+   and return their number. Tail-recursive, so a chain of any length is
+   safe. *)
+let rec stage sys seen n = function
+  | (iv : Proto.Interval.t) :: rest when iv.Proto.Interval.index > seen ->
+      if n = Array.length sys.iv_scratch then sys.iv_scratch <- grow sys.iv_scratch n no_interval;
+      sys.iv_scratch.(n) <- iv;
+      stage sys seen (n + 1) rest
+  | _ -> n
+
+(* Apply the records of one creator's [chain] that [node] has not seen,
+   oldest first (the seen-before guard advances vt.(creator) record by
+   record), then adopt [chain] as [node]'s list for that creator: below
+   the unseen records it is, cell for cell, the list [node] already held. *)
+let apply_chain sys node c waits chain ~cut =
+  match chain with
+  | [] -> waits
+  | (newest : Proto.Interval.t) :: _ ->
+      let creator = newest.Proto.Interval.node in
+      let seen = Int.max cut (Proto.Vclock.get node.vt creator) in
+      if creator = node.id || newest.Proto.Interval.index <= seen then waits
+      else begin
+        let n = stage sys seen 0 chain in
+        let waits = ref waits in
+        for i = n - 1 downto 0 do
+          let iv = sys.iv_scratch.(i) in
+          sys.iv_scratch.(i) <- no_interval;
+          waits := apply_record sys node c !waits iv
+        done;
+        node.known.(creator) <- chain;
+        !waits
+      end
+
+let rec apply_batch sys node c waits = function
+  | Proto.Interval.Nil -> waits
+  | Proto.Interval.News { chain; cut; rest } ->
+      apply_batch sys node c (apply_chain sys node c waits chain ~cut) rest
 
 (* Apply a batch of remote interval records (write notices) received on a
-   lock grant or barrier release. Pages with a valid local copy are
+   lock grant or barrier release, creator by creator in ascending order and
+   oldest first within a creator. Pages with a valid local copy are
    invalidated; home-based protocols additionally raise the per-page
    [needed] flush level, homeless ones queue the notice for fault-time diff
    collection. The home node never invalidates its own master copy; instead
    the caller receives the list of own-homed pages whose required flush
    level is not yet reached, and must delay the process until the in-flight
-   diffs land (DESIGN.md, timing model). *)
-let apply_remote_intervals sys node ivs =
-  match ivs with
-  | [] -> [] (* most lock grants carry no records: allocate nothing *)
-  | _ ->
-      let c = costs sys in
-      (* Batches may arrive newest-first; the seen-before guard below bumps
-         vt.(creator) as records are processed, so they must be handled in
-         ascending index order or older-but-unseen records would be dropped. *)
-      let ivs = List.sort by_creator_then_index ivs in
-      let home_waits = ref [] in
-      List.iter
-        (fun (iv : Proto.Interval.t) ->
-          let creator = iv.Proto.Interval.node in
-          let index = iv.Proto.Interval.index in
-          if creator <> node.id && index > Proto.Vclock.get node.vt creator then begin
-            node.known.(creator) <- iv :: node.known.(creator);
-            account_interval node iv;
-            Proto.Vclock.set node.vt creator index;
-            charge_protocol node
-              (c.Machine.Costs.write_notice_handle
-               *. float_of_int (List.length iv.Proto.Interval.pages));
-            if observing sys then
-              event sys node
-                (Obs.Trace.Write_notice
-                   { writer = creator; index; pages = List.length iv.Proto.Interval.pages });
-            List.iter
-              (fun page ->
-                let pi = page_info sys node page in
-                if home_based sys then begin
-                  if index > Proto.Vclock.get pi.needed creator then
-                    Proto.Vclock.set pi.needed creator index;
-                  if not pi.needed_counted then begin
-                    pi.needed_counted <- true;
-                    Mem.Accounting.add node.stats.Stats.proto_mem
-                      (Proto.Vclock.size_bytes pi.needed)
-                  end;
-                  if home_of sys page = node.id then begin
-                    let hp = home_page sys node page in
-                    if not (Proto.Vclock.leq pi.needed hp.hp_flush) then
-                      home_waits := (page, hp) :: !home_waits
-                  end
-                  else invalidate_copy c node page
-                end
-                else if index > Proto.Vclock.get pi.applied creator then begin
-                  pi.missing <- iv :: pi.missing;
-                  Mem.Accounting.add node.stats.Stats.proto_mem missing_entry_bytes;
-                  invalidate_copy c node page
-                end)
-              iv.Proto.Interval.pages
-          end)
-        ivs;
-      !home_waits
+   diffs land (DESIGN.md, timing model). A batch without records allocates
+   nothing. *)
+let apply_remote_intervals sys node batch = apply_batch sys node (costs sys) [] batch
 
-(* Interval records the receiver (with cut [their_vt]) has not seen yet.
-   Each [known] list is newest-first and index-complete, so the unseen
-   records are a prefix: stop scanning at the first seen one (this keeps
-   grant construction proportional to its payload, not to history).
-   [take_unseen] pushes one creator's prefix onto [acc], a top-level
-   function so that a grant allocates no closure per creator. *)
-let rec take_unseen seen acc = function
-  | (iv : Proto.Interval.t) :: rest when iv.Proto.Interval.index > seen ->
-      take_unseen seen (iv :: acc) rest
-  | _ -> acc
-
+(* What the receiver (with cut [their_vt]) has not seen yet: for each
+   creator, this node's list and the receiver's cut. Each [known] list is
+   newest-first and index-complete, so the unseen records are its prefix
+   above the cut; nothing is copied, and a creator without news costs
+   nothing. *)
 let missing_intervals node their_vt =
-  let acc = ref [] in
-  for creator = 0 to Array.length node.known - 1 do
-    acc := take_unseen (Proto.Vclock.get their_vt creator) !acc node.known.(creator)
+  let batch = ref Proto.Interval.Nil in
+  for creator = Array.length node.known - 1 downto 0 do
+    batch :=
+      Proto.Interval.news node.known.(creator) ~cut:(Proto.Vclock.get their_vt creator) !batch
   done;
-  !acc
-
-let intervals_bytes ivs =
-  List.fold_left (fun acc iv -> acc + Proto.Interval.size_bytes iv) 0 ivs
+  !batch

@@ -44,15 +44,17 @@ val end_interval : System.t -> System.node_state -> unit
     lock grant or barrier release: record them, advance the receiver's
     vector time, invalidate affected cached pages (homeless protocols also
     queue the notices for fault-time diff collection; home-based ones raise
-    the per-page required-flush level). Returns the receiver's own-homed
-    pages whose required flush level is not yet reached — the caller must
-    delay the process until those in-flight updates land. *)
+    the per-page required-flush level). Records are applied creator by
+    creator in ascending order, oldest first within a creator; the
+    receiver's own records are skipped, as is every record at or below its
+    vector time. For each creator with news the receiver then adopts the
+    batch's chain as its list, consing nothing. Returns the receiver's
+    own-homed pages whose required flush level is not yet reached — the
+    caller must delay the process until those in-flight updates land. *)
 val apply_remote_intervals :
-  System.t -> System.node_state -> Proto.Interval.t list -> (int * System.home_page) list
+  System.t -> System.node_state -> Proto.Interval.batch -> (int * System.home_page) list
 
-(** Interval records the receiver (whose cut is [their_vt]) has not seen
-    yet; cost proportional to the result, not to history. *)
-val missing_intervals : System.node_state -> Proto.Vclock.t -> Proto.Interval.t list
-
-(** Total wire size of a set of interval records. *)
-val intervals_bytes : Proto.Interval.t list -> int
+(** The records the receiver (whose cut is [their_vt]) has not seen yet,
+    as a batch of this node's own lists; it copies no record, and its cost
+    is one step per creator. *)
+val missing_intervals : System.node_state -> Proto.Vclock.t -> Proto.Interval.batch

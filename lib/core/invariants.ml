@@ -1,6 +1,5 @@
-(* Global coherence invariants, checked at barrier completion when
-   [Config.paranoid] is set (testing aid; not part of the simulated cost
-   model).
+(* Global coherence invariants, checked at barriers when [Config.paranoid]
+   is set (testing aid; not part of the simulated cost model).
 
    At a barrier every write notice has been collected by the manager and
    every process is suspended, so the memory-consistency obligations are
@@ -79,8 +78,32 @@ let check_page sys page =
             data)
         rest
 
-(* Invoked by the barrier manager at completion (before releases, while
-   every process is suspended). *)
+(* [tail] is a physical suffix of [list]; tail-recursive. *)
+let rec is_suffix tail list =
+  list == tail || match list with [] -> false | _ :: rest -> is_suffix tail rest
+
+(* Write notices are shared, not copied: every live node's list of a
+   creator's records is a physical suffix of the creator's own list (a
+   crash-stopped node's lists are frozen, and outside the obligation).
+   Invoked by the barrier manager at completion, before it applies the
+   arrivals: every live node has arrived, so no grant is in flight. *)
+let check_chains sys =
+  if sys.cfg.Config.paranoid then
+    Array.iter
+      (fun (node : node_state) ->
+        if is_alive sys node.id then
+          Array.iteri
+            (fun creator list ->
+              if not (is_suffix list sys.nodes.(creator).known.(creator)) then
+                raise
+                  (Violation
+                     (Printf.sprintf
+                        "node %d's records of node %d are not a suffix of node %d's own list"
+                        node.id creator creator)))
+            node.known)
+      sys.nodes
+
+(* Invoked once every node has applied the barrier's release. *)
 let check sys =
   if sys.cfg.Config.paranoid then begin
     let npages = Mem.Layout.pages_for sys.layout sys.next_addr in

@@ -23,17 +23,18 @@ open System
 let decision_cost_per_page = 2.
 
 (* page -> (new_home, per-writer flush level the transfer must wait for),
-   from the epoch's interval records. *)
-let plan sys epoch_ivs =
+   from the interval records the epoch's barrier arrivals carry. *)
+let plan sys arrivals =
   let writes : (int, (int * int) list) Hashtbl.t = Hashtbl.create 32 in
   List.iter
-    (fun (iv : Proto.Interval.t) ->
-      List.iter
-        (fun page ->
-          let prev = try Hashtbl.find writes page with Not_found -> [] in
-          Hashtbl.replace writes page ((iv.Proto.Interval.node, iv.Proto.Interval.index) :: prev))
-        iv.Proto.Interval.pages)
-    epoch_ivs;
+    (Proto.Interval.iter_batch (fun (iv : Proto.Interval.t) ->
+         List.iter
+           (fun page ->
+             let prev = try Hashtbl.find writes page with Not_found -> [] in
+             Hashtbl.replace writes page
+               ((iv.Proto.Interval.node, iv.Proto.Interval.index) :: prev))
+           iv.Proto.Interval.pages))
+    arrivals;
   Hashtbl.fold
     (fun page events acc ->
       let counts = Hashtbl.create 8 in
@@ -107,9 +108,9 @@ let transfer sys ~page ~old_home ~new_home ~landed ~at =
    barrier's releases as [release]. With no page to move, [release] runs
    at once; otherwise it runs when the last transfer has landed, with the
    manager's clock at that landing. *)
-let run sys epoch_ivs release =
+let run sys arrivals release =
   let moves =
-    if home_based sys && sys.cfg.Config.home_migration then plan sys epoch_ivs else []
+    if home_based sys && sys.cfg.Config.home_migration then plan sys arrivals else []
   in
   let mgr = sys.nodes.(0) in
   let pending = ref (List.length moves) in

@@ -8,10 +8,11 @@
     new home installs it as any fetched copy ({!Faults.install_copy}). See
     the module implementation for the quiescence argument. *)
 
-(** [run sys ivs release] is called by the barrier manager at completion
-    with the epoch's interval records and the barrier's releases. It moves
+(** [run sys arrivals release] is called by the barrier manager at
+    completion with the write notices of the barrier's arrivals, in queue
+    order, and the barrier's releases. It moves
     no page unless the protocol is home-based and migration is enabled.
     [release] runs at once when no page moves, and otherwise once every
     transfer has landed, so no node resumes before the masters it will
     flush to are in place. *)
-val run : System.t -> Proto.Interval.t list -> (unit -> unit) -> unit
+val run : System.t -> Proto.Interval.batch list -> (unit -> unit) -> unit

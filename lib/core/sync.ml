@@ -73,8 +73,9 @@ let resume_after_home_waits sys node waits =
 (* ------------------------------------------------------------------ *)
 (* Locks                                                              *)
 
-let grant_bytes sys ivs =
-  header_bytes + (4 * nprocs sys) + Intervals.intervals_bytes ivs
+(* Wire size of a message that carries a timestamp and the write notices
+   [news]: a lock grant, a barrier arrival or a barrier release. *)
+let notice_bytes sys news = header_bytes + (4 * nprocs sys) + Proto.Interval.batch_bytes news
 
 (* Send the lock to [requester]: end the holder's interval, gather the
    intervals the requester lacks, ship them with the holder's timestamp.
@@ -84,21 +85,34 @@ let send_grant sys holder ~lock ~requester ~req_vt ~at =
   Intervals.end_interval sys holder;
   charge_protocol holder (costs sys).Machine.Costs.lock_service;
   let inline_work = holder.mach.Machine.Node.ck.Machine.Node.clock -. c0 in
-  let ivs = Intervals.missing_intervals holder req_vt in
+  let news = Intervals.missing_intervals holder req_vt in
   let vt_copy = Proto.Vclock.copy holder.vt in
   let requester_node = sys.nodes.(requester) in
   if observing sys then
-    event sys holder (Obs.Trace.Lock_grant { lock; dst = requester; intervals = List.length ivs });
-  send sys ~src:holder ~dst:requester ~at:(at +. inline_work) ~bytes:(grant_bytes sys ivs)
+    event sys holder
+      (Obs.Trace.Lock_grant
+         { lock; dst = requester; intervals = Proto.Interval.batch_length news });
+  send sys ~src:holder ~dst:requester ~at:(at +. inline_work) ~bytes:(notice_bytes sys news)
     ~update:0 (fun arrival ->
       Machine.Node.sync_to requester_node.mach arrival;
       let ls = lock_state sys requester_node lock in
       ls.lk_token <- true;
       ls.lk_held <- true;
       ls.lk_waiting <- false;
-      let home_waits = Intervals.apply_remote_intervals sys requester_node ivs in
+      let home_waits = Intervals.apply_remote_intervals sys requester_node news in
       Proto.Vclock.merge_into requester_node.vt vt_copy;
       resume_after_home_waits sys requester_node home_waits)
+
+(* Grant no earlier than [at]. Eager RC defers the handoff until it cannot
+   overtake the holder's pushed updates; otherwise the grant goes at once,
+   and no deferred closure is built for it. *)
+let grant_when_drained sys holder ~lock ~requester ~req_vt ~at =
+  if rc_drained sys holder then
+    send_grant sys holder ~lock ~requester ~req_vt
+      ~at:(Float.max holder.mach.Machine.Node.ck.Machine.Node.clock at)
+  else
+    rc_when_drained sys holder (fun drain_at ->
+        send_grant sys holder ~lock ~requester ~req_vt ~at:(Float.max drain_at at))
 
 (* A forwarded request reaches the current chain tail. *)
 let receive_forward sys holder ~lock ~requester ~req_vt ~arrival =
@@ -117,9 +131,7 @@ let receive_forward sys holder ~lock ~requester ~req_vt ~arrival =
   else begin
     assert ls.lk_token;
     ls.lk_token <- false;
-    (* Eager RC: the handoff must not overtake this node's pushed updates. *)
-    rc_when_drained sys holder (fun drain_at ->
-        send_grant sys holder ~lock ~requester ~req_vt ~at:(Float.max drain_at (done_t +. extra)))
+    grant_when_drained sys holder ~lock ~requester ~req_vt ~at:(done_t +. extra)
   end
 
 (* The manager forwards the request to the last requester and records the
@@ -175,9 +187,8 @@ let release sys node lock =
   | Some (requester, req_vt) ->
       ls.lk_waiter <- None;
       ls.lk_token <- false;
-      rc_when_drained sys node (fun drain_at ->
-          send_grant sys node ~lock ~requester ~req_vt
-            ~at:(Float.max drain_at node.mach.Machine.Node.ck.Machine.Node.clock))
+      grant_when_drained sys node ~lock ~requester ~req_vt
+        ~at:node.mach.Machine.Node.ck.Machine.Node.clock
 
 (* ------------------------------------------------------------------ *)
 (* Barriers                                                           *)
@@ -233,12 +244,18 @@ let complete_barrier sys =
   bar.bar_epoch <- bar.bar_epoch + 1;
   let gc = homeless_lazy sys && bar.bar_mem_high in
   bar.bar_mem_high <- false;
+  Invariants.check_chains sys;
   (* Fold everyone's knowledge into the manager: all records first, then the
      arrival timestamps. Merging a timestamp earlier would mark intervals as
      seen before their records (from a later arrival) were processed, and
-     their invalidations would be lost. *)
-  let all_ivs = List.concat_map (fun (_, _, ivs) -> ivs) arrivals in
-  let mgr_waits = Intervals.apply_remote_intervals sys mgr all_ivs in
+     their invalidations would be lost. Each arrival carries its sender's
+     own chain; they are applied in creator order, as a grant's are. *)
+  let own = Array.make (nprocs sys) Proto.Interval.Nil in
+  List.iter (fun (from, _, news) -> own.(from) <- news) arrivals;
+  let mgr_waits =
+    Intervals.apply_remote_intervals sys mgr
+      (Array.fold_right Proto.Interval.append own Proto.Interval.Nil)
+  in
   List.iter (fun (_, vt, _) -> Proto.Vclock.merge_into mgr.vt vt) arrivals;
   let max_vt = Proto.Vclock.copy mgr.vt in
   (* The release-apply rendezvous counts the manager plus the live remote
@@ -250,7 +267,7 @@ let complete_barrier sys =
   (* Adaptive home migration (extension): re-home drifting pages before the
      releases go out, so everyone resumes against the new directory and
      the moved masters. *)
-  Migration.run sys all_ivs (fun () ->
+  Migration.run sys (List.map (fun (_, _, news) -> news) arrivals) (fun () ->
       let c = costs sys in
       if observing sys then
         event sys mgr (Obs.Trace.Barrier_release { epoch = bar.bar_epoch; gc });
@@ -259,22 +276,22 @@ let complete_barrier sys =
         (fun (from, vt, _) ->
           if from <> 0 && is_alive sys from then begin
             let node = sys.nodes.(from) in
-            let ivs = Intervals.missing_intervals mgr vt in
+            let news = Intervals.missing_intervals mgr vt in
             charge_protocol mgr c.Machine.Costs.barrier_service;
-            let bytes = header_bytes + (4 * nprocs sys) + Intervals.intervals_bytes ivs in
+            let bytes = notice_bytes sys news in
             send sys ~src:mgr ~dst:from ~at:mgr.mach.Machine.Node.ck.Machine.Node.clock ~bytes
               ~update:0 (fun arrival ->
                 Machine.Node.sync_to node.mach arrival;
-                apply_release sys node ~max_vt ~gc (Intervals.apply_remote_intervals sys node ivs))
+                apply_release sys node ~max_vt ~gc (Intervals.apply_remote_intervals sys node news))
           end)
         arrivals;
       (* The manager applies its own release locally; its records went in
          above, and [max_vt] is its own timestamp. *)
       apply_release sys mgr ~max_vt ~gc mgr_waits)
 
-let arrive sys ~from ~vt ~ivs ~mem =
+let arrive sys ~from ~vt ~own ~mem =
   let bar = sys.barrier in
-  bar.bar_queue <- (from, vt, ivs) :: bar.bar_queue;
+  bar.bar_queue <- (from, vt, own) :: bar.bar_queue;
   bar.bar_arrived <- bar.bar_arrived + 1;
   if mem > sys.cfg.Config.gc_threshold_bytes then bar.bar_mem_high <- true;
   if all_live_arrived sys then complete_barrier sys
@@ -293,27 +310,23 @@ let barrier sys node k =
   block sys node ~resource:sys.barrier.bar_epoch Wait_barrier k;
   (* Report the node's own new intervals; every other creator reports its
      own, so the manager hears about everything. *)
-  let own =
-    List.filter
-      (fun (iv : Proto.Interval.t) -> iv.Proto.Interval.index > node.reported)
-      node.known.(node.id)
-  in
+  let own = Proto.Interval.news node.known.(node.id) ~cut:node.reported Proto.Interval.Nil in
+  let records = Proto.Interval.batch_length own in
   node.reported <- Proto.Vclock.get node.vt node.id;
   let vt = Proto.Vclock.copy node.vt in
   let mem = Mem.Accounting.current node.stats.Stats.proto_mem in
-  record_barrier_arrive sys node ~epoch:sys.barrier.bar_epoch ~intervals:(List.length own);
+  record_barrier_arrive sys node ~epoch:sys.barrier.bar_epoch ~intervals:records;
   if spans_on sys then event sys node (Obs.Trace.Mem_sample { bytes = mem });
   (* Eager RC: the barrier arrival waits for this node's update acks. *)
   rc_when_drained sys node (fun drain_at ->
       let at = Float.max drain_at node.mach.Machine.Node.ck.Machine.Node.clock in
-      if node.id = 0 then arrive sys ~from:0 ~vt ~ivs:own ~mem
+      if node.id = 0 then arrive sys ~from:0 ~vt ~own ~mem
       else
-        let bytes = header_bytes + (4 * nprocs sys) + Intervals.intervals_bytes own in
-        send sys ~src:node ~dst:0 ~at ~bytes ~update:0 (fun arrival ->
+        send sys ~src:node ~dst:0 ~at ~bytes:(notice_bytes sys own) ~update:0 (fun arrival ->
             let c = costs sys in
             ignore
               (serve_compute sys sys.nodes.(0) ~arrival
                  ~cost:
                    (c.Machine.Costs.barrier_service
-                   +. (c.Machine.Costs.write_notice_handle *. float_of_int (List.length own))));
-            arrive sys ~from:node.id ~vt ~ivs:own ~mem))
+                   +. (c.Machine.Costs.write_notice_handle *. float_of_int records)));
+            arrive sys ~from:node.id ~vt ~own ~mem))

@@ -86,7 +86,9 @@ type node_state = {
   mutable pinfo : page_info option array;
   vt : Proto.Vclock.t;  (* vt.(i) = latest completed interval of i known *)
   mutable dirty : int list;  (* pages written during the current interval *)
-  known : Proto.Interval.t list array;  (* per creator, newest first *)
+  known : Proto.Interval.t list array;
+      (* per creator, newest first: a physical suffix of the creator's own
+         list, which receivers adopt instead of copying (Intervals) *)
   own_diffs : (int, (int * Mem.Diff.t * Proto.Vclock.t) list) Hashtbl.t;
       (* page -> (interval, diff, vt at interval end), newest first *)
   homes : (int, home_page) Hashtbl.t;  (* pages homed at this node *)
@@ -122,8 +124,9 @@ type node_state = {
 
 type barrier_state = {
   mutable bar_arrived : int;
-  mutable bar_queue : (int * Proto.Vclock.t * Proto.Interval.t list) list;
-      (* queued arrivals: (node, vt, its new interval records) *)
+  mutable bar_queue : (int * Proto.Vclock.t * Proto.Interval.batch) list;
+      (* queued arrivals, newest first: (node, vt, its own chain above its
+         last report) *)
   mutable bar_mem_high : bool;  (* some node exceeded the GC threshold *)
   mutable bar_epoch : int;
   mutable bar_released : int;  (* releases applied (paranoid-check trigger) *)
@@ -256,7 +259,14 @@ type t = {
   frames : Mem.Words.free_list;
       (* free page frames for home-fetch snapshots, per run since homes
          take them and readers release them *)
+  mutable iv_scratch : Proto.Interval.t array;
+      (* Intervals' staging buffer for applying a chain's unseen records
+         oldest first, grown by [grow]; every slot is [no_interval] between
+         walks, so it keeps no record alive *)
 }
+
+(* The filler of [iv_scratch]'s free slots. *)
+let no_interval = Proto.Interval.make ~node:(-1) ~index:(-1) ~vt:None ~pages:[]
 
 (* The effects through which application processes enter the runtime. Only
    operations that may block are effects; everything else is a direct call. *)
@@ -471,6 +481,7 @@ let create (cfg : Config.t) =
       metrics = None;
       serving = None;
       frames = Mem.Words.free_list ~poison:cfg.Config.paranoid;
+      iv_scratch = [||];
     }
   in
   (match chaos with
@@ -1409,8 +1420,10 @@ let installed_member t page =
 
 (* Run [f] once all of this node's pushed updates are acknowledged (eager
    RC release semantics: the handoff must not overtake the updates). *)
+let rc_drained t node = (not (eager_rc t)) || node.rc_acks = 0
+
 let rc_when_drained t node f =
-  if (not (eager_rc t)) || node.rc_acks = 0 then f node.mach.Machine.Node.ck.Machine.Node.clock
+  if rc_drained t node then f node.mach.Machine.Node.ck.Machine.Node.clock
   else node.rc_drain <- f :: node.rc_drain
 
 let rc_ack_arrived t node ~at =

@@ -79,7 +79,9 @@ type node_state = {
   mutable pinfo : page_info option array;
   vt : Proto.Vclock.t;  (** vt.(i) = latest completed interval of i known. *)
   mutable dirty : int list;  (** Pages written during the current interval. *)
-  known : Proto.Interval.t list array;  (** Records per creator, newest first. *)
+  known : Proto.Interval.t list array;
+      (** Records per creator, newest first: a physical suffix of the
+          creator's own list (see {!Proto.Interval.batch}). *)
   own_diffs : (int, (int * Mem.Diff.t * Proto.Vclock.t) list) Hashtbl.t;
   homes : (int, home_page) Hashtbl.t;
   mutable locks : lock_state option array;  (** By lock id, grown by {!grow}. *)
@@ -113,7 +115,9 @@ type node_state = {
 
 type barrier_state = {
   mutable bar_arrived : int;
-  mutable bar_queue : (int * Proto.Vclock.t * Proto.Interval.t list) list;
+  mutable bar_queue : (int * Proto.Vclock.t * Proto.Interval.batch) list;
+      (** Queued arrivals, newest first: the node, its timestamp and its
+          own chain above its last report. *)
   mutable bar_mem_high : bool;
   mutable bar_epoch : int;
   mutable bar_released : int;
@@ -212,7 +216,13 @@ type t = {
   frames : Mem.Words.free_list;
       (** Free page frames for home-fetch snapshots (poisoned under
           [Config.paranoid]); see [Faults.install_copy]. *)
+  mutable iv_scratch : Proto.Interval.t array;
+      (** Staging buffer for applying a chain's unseen records oldest
+          first ([Intervals]); its free slots hold {!no_interval}. *)
 }
+
+(** A placeholder record (node and index [-1], no pages). *)
+val no_interval : Proto.Interval.t
 
 (** The effects through which application processes enter the runtime; only
     operations that may suspend the process are effects. *)
@@ -584,6 +594,10 @@ val mark_copy_installed : t -> node_state -> int -> unit
 
 (** Some installed member, if any. *)
 val installed_member : t -> int -> int option
+
+(** No pushed update of the node awaits its acknowledgement (always true
+    outside eager RC). *)
+val rc_drained : t -> node_state -> bool
 
 (** Run [f] once all of the node's pushed updates are acknowledged. *)
 val rc_when_drained : t -> node_state -> (float -> unit) -> unit

@@ -13,3 +13,25 @@ let vt_exn t =
 
 let causally_before a b =
   Vclock.leq (vt_exn a) (vt_exn b) && not (Vclock.equal (vt_exn a) (vt_exn b))
+
+type batch = Nil | News of { chain : t list; cut : int; rest : batch }
+
+let news chain ~cut rest =
+  match chain with iv :: _ when iv.index > cut -> News { chain; cut; rest } | _ -> rest
+
+let rec append a b = match a with Nil -> b | News n -> News { n with rest = append n.rest b }
+
+(* Tail-recursive over the records, so a chain of any length is safe. *)
+let rec fold_prefix f cut acc = function
+  | iv :: rest when iv.index > cut -> fold_prefix f cut (f acc iv) rest
+  | _ -> acc
+
+let rec fold_batch f acc = function
+  | Nil -> acc
+  | News { chain; cut; rest } -> fold_batch f (fold_prefix f cut acc chain) rest
+
+let batch_length b = fold_batch (fun n _ -> n + 1) 0 b
+
+let batch_bytes b = fold_batch (fun n iv -> n + size_bytes iv) 0 b
+
+let iter_batch f b = fold_batch (fun () iv -> f iv) () b

@@ -25,3 +25,32 @@ val size_bytes : t -> int
     vector timestamps; both must carry timestamps.
     @raise Invalid_argument if either lacks a timestamp. *)
 val causally_before : t -> t -> bool
+
+(** {1 Write-notice batches}
+
+    A creator's records form one chain, newest first, and every node's list
+    for that creator is a physical suffix of it. A batch (a lock grant, a
+    barrier arrival or a barrier release) therefore carries no copy: for
+    each creator with news, in ascending creator order, it holds the
+    sender's chain and the cut at or below which the receiver already has
+    every record. The records it carries are the chain's prefix above the
+    cut. *)
+
+type batch = Nil | News of { chain : t list; cut : int; rest : batch }
+
+(** [news chain ~cut rest] adds [chain]'s records above [cut] in front of
+    [rest], or is [rest] when there are none. *)
+val news : t list -> cut:int -> batch -> batch
+
+(** [append a b] carries [a]'s creators, then [b]'s. *)
+val append : batch -> batch -> batch
+
+(** Records the batch carries. *)
+val batch_length : batch -> int
+
+(** Wire size of the records the batch carries (see {!size_bytes}). *)
+val batch_bytes : batch -> int
+
+(** [iter_batch f b] calls [f] on each carried record, creator by creator
+    in the batch's order, newest first within a creator. *)
+val iter_batch : (t -> unit) -> batch -> unit

@@ -74,10 +74,50 @@ let test_checker_detects_divergence () =
        in
        has msg "page 0" && has msg "word 3"))
 
+(* Write notices are shared, not copied. The paranoid check runs at each
+   barrier's completion, before the manager applies the arrivals, so on a
+   kvstore run, whose barriers come only at the start and the end, it sees
+   every list the grants built up: each node's list of a creator's records
+   must be a physical suffix of the creator's own. *)
+let test_kvstore_chains_shared () =
+  let carried = ref 0 in
+  let sink =
+    Obs.Trace.create_sink ~capacity:0
+      ~tap:(fun ev ->
+        match ev.Obs.Trace.kind with
+        | Obs.Trace.Lock_grant { intervals; _ } -> carried := !carried + intervals
+        | _ -> ())
+      ()
+  in
+  let app = Apps.Registry.kvstore Apps.Registry.Test in
+  ignore
+    (Svm.Runtime.run ~sink
+       (Svm.Config.make ~paranoid:true ~nprocs:8 Svm.Config.Hlrc)
+       (app.Apps.Registry.body ~verify:true));
+  check Alcotest.bool "grants carried write notices" true (!carried > 0)
+
+(* The chain check must see a copied list: an equal list of fresh cells is
+   not the creator's. *)
+let test_chain_check_detects_copy () =
+  let sys = Svm.System.create (Svm.Config.make ~paranoid:true ~nprocs:2 Svm.Config.Hlrc) in
+  let n0 = sys.Svm.System.nodes.(0) and n1 = sys.Svm.System.nodes.(1) in
+  let iv index = Proto.Interval.make ~node:0 ~index ~vt:None ~pages:[ 0 ] in
+  n0.Svm.System.known.(0) <- [ iv 1; iv 0 ];
+  n1.Svm.System.known.(0) <- List.tl n0.Svm.System.known.(0);
+  Svm.Invariants.check_chains sys;
+  n1.Svm.System.known.(0) <- [ iv 0 ];
+  match Svm.Invariants.check_chains sys with
+  | () -> Alcotest.fail "a copied list must be reported"
+  | exception Svm.Invariants.Violation msg ->
+      check Alcotest.string "names the nodes"
+        "node 1's records of node 0 are not a suffix of node 0's own list" msg
+
 let suite =
   [
     ("all apps, all protocols, paranoid", `Slow, test_all_apps_paranoid);
     ("paranoid with extensions on", `Quick, test_paranoid_with_extensions);
     ("paranoid under GC pressure", `Quick, test_paranoid_under_gc_pressure);
     ("checker detects forged divergence", `Quick, test_checker_detects_divergence);
+    ("kvstore HLRC shares write-notice chains", `Quick, test_kvstore_chains_shared);
+    ("chain check detects a copied list", `Quick, test_chain_check_detects_copy);
   ]

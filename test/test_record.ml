@@ -396,7 +396,8 @@ let test_report_cases () =
    drops and duplicates; then, on 16-word pages in blocks of one home (so
    the program spans many pages and homes, and misses batch), with
    replicas, and with a node paused long enough for the heartbeat detector
-   to suspect it, depose it and fail its pages over. *)
+   to suspect it, depose it and fail its pages over; and HLRC with
+   adaptive home migration, on the same small pages. *)
 let configs protocol (p : Test_random.program) seed =
   let make =
     Svm.Config.make ~nprocs:p.Test_random.nprocs ~trace_spans:true ~metrics_interval:100.
@@ -409,6 +410,8 @@ let configs protocol (p : Test_random.program) seed =
     ("fault-free", make ~gc_threshold_bytes:2048 protocol);
     ("drops", make ~chaos:{ (chaos []) with drop_rate = 0.05; dup_rate = 0.05 } protocol);
   ]
+  @ (if protocol = Svm.Config.Hlrc then [ ("migrate", small ~home_migration:true protocol) ]
+     else [])
   @
   match protocol with
   | Svm.Config.Lrc | Olrc | Hlrc | Ohlrc ->
