@@ -52,13 +52,12 @@ let slot_of p key = key / p.buckets
 
 (* Sequential reference: replay the whole plan into per-key (count, delta)
    accumulators. Commutativity makes replay order irrelevant. *)
-let reference p =
+let replay p z =
   let tp = p.traffic in
   let counts = Array.make tp.Traffic.keys 0 in
   let deltas = Array.make tp.Traffic.keys 0 in
-  let z = Sim.Rng.zipf_create ~n:tp.Traffic.keys ~theta:tp.Traffic.theta in
   for j = 0 to tp.Traffic.ops - 1 do
-    match Traffic.op_at tp z j with
+    match Traffic.op_at tp (Lazy.force z) j with
     | Traffic.Get _ -> ()
     | Traffic.Put k -> counts.(k) <- counts.(k) + 1
     | Traffic.Txn (src, dst) ->
@@ -66,6 +65,8 @@ let reference p =
         deltas.(dst) <- deltas.(dst) + 1
   done;
   (counts, deltas)
+
+let reference p = replay p (Traffic.zipf p.traffic)
 
 let validate ~page_words p =
   Traffic.validate p.traffic;
@@ -81,7 +82,7 @@ let validate ~page_words p =
       (Printf.sprintf "Kvstore: %d keys / %d buckets need %d words per page (have %d)" keys
          p.buckets (2 * slots) page_words)
 
-let body ?(verify = true) p ctx =
+let serve ~verify p z ctx =
   let page_words = Svm.Api.page_words ctx in
   validate ~page_words p;
   let tp = p.traffic in
@@ -118,7 +119,7 @@ let body ?(verify = true) p ctx =
   let txn src dst =
     (* Ordered acquire, then a local atomic step on both shards. *)
     let bs = bucket_of p src and bd = bucket_of p dst in
-    let b1 = min bs bd and b2 = max bs bd in
+    let b1 = Int.min bs bd and b2 = Int.max bs bd in
     Svm.Api.lock ctx b1;
     if b2 <> b1 then Svm.Api.lock ctx b2;
     let asrc = cell bs (slot_of p src) + 1 and adst = cell bd (slot_of p dst) + 1 in
@@ -132,7 +133,7 @@ let body ?(verify = true) p ctx =
     if b2 <> b1 then Svm.Api.unlock ctx b2;
     Svm.Api.unlock ctx b1
   in
-  Traffic.iter_node tp ~node:me ~nodes:np (fun ~index:_ ~at_us op ->
+  Traffic.iter_node tp z ~node:me ~nodes:np (fun ~index:_ ~at_us op ->
       let issued_at = t0 +. at_us in
       Svm.Api.idle_until ctx issued_at;
       match op with
@@ -147,7 +148,7 @@ let body ?(verify = true) p ctx =
           Svm.Api.record_op ctx Svm.System.Op_txn ~issued_at);
   Svm.Api.barrier ctx;
   if verify && me = 0 then begin
-    let counts, deltas = reference p in
+    let counts, deltas = replay p z in
     let sum = Array.fold_left ( + ) 0 deltas in
     if sum <> 0 then App_util.failf "kvstore: transfer deltas sum to %d, not 0" sum;
     for key = 0 to tp.Traffic.keys - 1 do
@@ -160,3 +161,9 @@ let body ?(verify = true) p ctx =
         App_util.failf "kvstore: key %d delta %d, expected %d" key got_delta deltas.(key)
     done
   end
+
+(* The sampler is built once per application of [body ~verify p], before
+   it takes [ctx], so every node of the run shares it. *)
+let body ?(verify = true) p =
+  let z = Traffic.zipf p.traffic in
+  fun ctx -> serve ~verify p z ctx

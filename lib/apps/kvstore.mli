@@ -32,5 +32,7 @@ val reference : params -> int array * int array
 val validate : page_words:int -> params -> unit
 
 (** The SPMD process body; with [~verify:true] process 0 replays the plan
-    and checks every cell plus global delta conservation. *)
+    and checks every cell plus global delta conservation. [body ~verify p]
+    makes one {!Traffic.zipf} sampler, which every node it is applied to
+    shares: apply it once per run. *)
 val body : ?verify:bool -> params -> Svm.Api.ctx -> unit

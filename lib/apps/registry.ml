@@ -130,7 +130,7 @@ let kvstore_of_params p =
   let tp = p.Kvstore.traffic in
   {
     name = Kvstore.name;
-    body = (fun ~verify ctx -> Kvstore.body ~verify p ctx);
+    body = (fun ~verify -> Kvstore.body ~verify p);
     description =
       Printf.sprintf
         "sharded KV store, %d buckets, %d keys (theta %.2f), %d ops at %.0f/s"

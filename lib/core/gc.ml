@@ -19,7 +19,7 @@ let later (a : Proto.Interval.t) (b : Proto.Interval.t) =
     causal_key (Option.get iv.Proto.Interval.vt) ~writer:iv.Proto.Interval.node
       ~index:iv.Proto.Interval.index
   in
-  key a > key b
+  compare_causal_keys (key a) (key b) > 0
 
 (* page -> the designated keeper interval: the maximum under the [later]
    total order. After a barrier every node holds the same set of interval

@@ -192,7 +192,7 @@ let end_interval sys node =
               let words = entry.Mem.Page_table.mirror_pending in
               entry.Mem.Page_table.mirror_pending <- 0;
               let au_messages =
-                max 1 ((words + au_combine_words - 1) / au_combine_words)
+                Int.max 1 ((words + au_combine_words - 1) / au_combine_words)
               in
               let payload = 12 * words in
               (* one send models the last combined message + the stamp; the

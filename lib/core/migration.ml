@@ -48,7 +48,7 @@ let plan sys arrivals =
           (fun w c best ->
             match best with
             | Some (_, bc) when bc > c -> best
-            | Some (bw, bc) when bc = c -> Some ((min bw w, bc) : int * int)
+            | Some (bw, bc) when bc = c -> Some (Int.min bw w, bc)
             | _ -> Some (w, c))
           counts None
       in
@@ -57,7 +57,7 @@ let plan sys arrivals =
           (* Hysteresis: move only when the same writer dominated the
              previous epoch too, so a one-off phase (e.g. initialization by
              process 0) cannot thrash the placement. *)
-          let stable = Hashtbl.find_opt sys.migration_prev page = Some w in
+          let stable = Option.equal Int.equal (Hashtbl.find_opt sys.migration_prev page) (Some w) in
           Hashtbl.replace sys.migration_prev page w;
           if stable && w <> home_of sys page then begin
             let required = Proto.Vclock.create ~nprocs:(nprocs sys) in

@@ -877,9 +877,15 @@ let causal_key vt ~writer ~index =
   done;
   (!sum, writer, index)
 
+(* [compare] on the key triples, without the polymorphic comparison. *)
+let compare_causal_keys (s1, w1, i1) (s2, w2, i2) =
+  if s1 <> s2 then Int.compare s1 s2
+  else if w1 <> w2 then Int.compare w1 w2
+  else Int.compare i1 i2
+
 let causal_sort diffs =
   List.map (fun ((writer, index, _, vt) as d) -> (causal_key vt ~writer ~index, d)) diffs
-  |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
+  |> List.sort (fun (ka, _) (kb, _) -> compare_causal_keys ka kb)
   |> List.map snd
 
 let diff_apply_cost (c : Machine.Costs.t) diff =
@@ -988,13 +994,19 @@ let send t ~src ~dst ~at ~bytes ~update handler =
               (Obs.Trace.Msg_recv { src = src.id; bytes; update });
           handler arrival)
   | _ ->
-      (* Fault-free (or loopback) fast path: exactly the pre-chaos code. *)
-      let transfer = Machine.Network.transfer_time t.net ~src:src.id ~dst ~bytes in
-      let arrival = at +. transfer in
+      (* Fault-free (or loopback) fast path: exactly the pre-chaos code.
+         The transfer time is [Network.transfer_time]'s sum, written out so
+         that no float is boxed across the module boundary. *)
       let arrival =
-        if src.id = dst then arrival
+        if src.id = dst then at
         else begin
           let key = (src.id * Array.length t.nodes) + dst in
+          let net = t.net in
+          let arrival =
+            at
+            +. (Array.unsafe_get net.Machine.Network.link key
+               +. (float_of_int bytes *. net.Machine.Network.costs.Machine.Costs.byte_transfer))
+          in
           let last = Array.unsafe_get t.channels key in
           let arrival = if arrival <= last then last +. 1e-6 else arrival in
           Array.unsafe_set t.channels key arrival;

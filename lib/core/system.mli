@@ -406,6 +406,9 @@ val await_own_master : t -> node_state -> home_page -> (unit -> unit) -> unit
     extension of causality. *)
 val causal_key : Proto.Vclock.t -> writer:int -> index:int -> int * int * int
 
+(** The lexicographic order on {!causal_key}s: [compare], typed. *)
+val compare_causal_keys : int * int * int -> int * int * int -> int
+
 (** Sort [(writer, index, diff, writer's vt)] by {!causal_key}, stably:
     the order a fault applies collected diffs in (paper §2.1), and failover
     recovery applies pulled ones. *)

@@ -43,12 +43,13 @@ let op_at p z j =
     let key = Sim.Rng.zipf rng z in
     if Sim.Rng.float rng 1.0 < p.write_ratio then Put key else Get key
 
-let iter_node p ~node ~nodes f =
+let zipf p = lazy (Sim.Rng.zipf_create ~n:p.keys ~theta:p.theta)
+
+let iter_node p z ~node ~nodes f =
   validate p;
   if node < 0 || node >= nodes then invalid_arg "Traffic.iter_node: node";
-  let z = Sim.Rng.zipf_create ~n:p.keys ~theta:p.theta in
   let j = ref node in
   while !j < p.ops do
-    f ~index:!j ~at_us:(arrival_us p !j) (op_at p z !j);
+    f ~index:!j ~at_us:(arrival_us p !j) (op_at p (Lazy.force z) !j);
     j := !j + nodes
   done

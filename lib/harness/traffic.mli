@@ -35,11 +35,17 @@ val arrival_us : params -> int -> float
 (** The operation at global index [j]; deterministic in [(params, j)]. *)
 val op_at : params -> Sim.Rng.zipf -> int -> op
 
-(** [iter_node p ~node ~nodes f] runs [f ~index ~at_us op] over this
+(** The plan's Zipfian sampler, built when first forced. Its normalizer
+    takes one [**] per key, so the nodes of a run share one. *)
+val zipf : params -> Sim.Rng.zipf Lazy.t
+
+(** [iter_node p z ~node ~nodes f] runs [f ~index ~at_us op] over this
     node's round-robin slice of the stream (indices congruent to [node]
-    modulo [nodes]) in arrival order. *)
+    modulo [nodes]) in arrival order, drawing keys from [z] ({!zipf} of
+    [p]), which it forces only if the slice is not empty. *)
 val iter_node :
   params ->
+  Sim.Rng.zipf Lazy.t ->
   node:int ->
   nodes:int ->
   (index:int -> at_us:float -> op -> unit) ->

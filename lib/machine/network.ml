@@ -1,19 +1,30 @@
-type t = { costs : Costs.t; width : int }
+type t = {
+  costs : Costs.t;
+  width : int;
+  nprocs : int;
+  link : float array;
+}
+
+let hops_on ~width ~src ~dst =
+  let x1 = src mod width and y1 = src / width in
+  let x2 = dst mod width and y2 = dst / width in
+  abs (x1 - x2) + abs (y1 - y2)
 
 let create ~costs ~nprocs =
   if nprocs <= 0 then invalid_arg "Network.create: nprocs must be positive";
   let width = int_of_float (ceil (sqrt (float_of_int nprocs))) in
-  { costs; width }
+  let link =
+    Array.init (nprocs * nprocs) (fun key ->
+        let src = key / nprocs and dst = key mod nprocs in
+        if src = dst then 0.
+        else
+          costs.Costs.message_latency
+          +. (float_of_int (hops_on ~width ~src ~dst) *. costs.Costs.per_hop))
+  in
+  { costs; width; nprocs; link }
 
-let hops t ~src ~dst =
-  let x1 = src mod t.width and y1 = src / t.width in
-  let x2 = dst mod t.width and y2 = dst / t.width in
-  abs (x1 - x2) + abs (y1 - y2)
+let hops t ~src ~dst = hops_on ~width:t.width ~src ~dst
 
 let transfer_time t ~src ~dst ~bytes =
   if src = dst then 0.
-  else
-    let c = t.costs in
-    c.Costs.message_latency
-    +. (float_of_int (hops t ~src ~dst) *. c.Costs.per_hop)
-    +. (float_of_int bytes *. c.Costs.byte_transfer)
+  else t.link.((src * t.nprocs) + dst) +. (float_of_int bytes *. t.costs.Costs.byte_transfer)

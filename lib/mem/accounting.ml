@@ -9,7 +9,7 @@ let add t bytes =
 
 let sub t bytes =
   assert (bytes >= 0);
-  t.current <- max 0 (t.current - bytes)
+  t.current <- Int.max 0 (t.current - bytes)
 
 let current t = t.current
 

@@ -146,7 +146,7 @@ let test_traffic_partition_covers_plan () =
   let z = Sim.Rng.zipf_create ~n:tp.Traffic.keys ~theta:tp.Traffic.theta in
   for node = 0 to nodes - 1 do
     let last = ref neg_infinity in
-    Traffic.iter_node tp ~node ~nodes (fun ~index ~at_us op ->
+    Traffic.iter_node tp (Lazy.from_val z) ~node ~nodes (fun ~index ~at_us op ->
         check Alcotest.bool "index in range" true (index >= 0 && index < tp.Traffic.ops);
         check Alcotest.bool "not seen twice" false seen.(index);
         seen.(index) <- true;

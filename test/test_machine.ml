@@ -39,6 +39,46 @@ let test_network_monotone_in_size () =
   let t b = Machine.Network.transfer_time net ~src:3 ~dst:42 ~bytes:b in
   check Alcotest.bool "monotone" true (t 0 < t 100 && t 100 < t 10000)
 
+(* The per-link table must give exactly the formula it replaced, bit for
+   bit, and so must the sum [System.send] writes out from its fields. *)
+let test_network_link_table_exact () =
+  List.iter
+    (fun costs ->
+      for nprocs = 1 to 64 do
+        let net = Machine.Network.create ~costs ~nprocs in
+        let width = int_of_float (ceil (sqrt (float_of_int nprocs))) in
+        for src = 0 to nprocs - 1 do
+          for dst = 0 to nprocs - 1 do
+            let hops =
+              abs ((src mod width) - (dst mod width)) + abs ((src / width) - (dst / width))
+            in
+            List.iter
+              (fun bytes ->
+                let formula =
+                  if src = dst then 0.
+                  else
+                    costs.Machine.Costs.message_latency
+                    +. (float_of_int hops *. costs.Machine.Costs.per_hop)
+                    +. (float_of_int bytes *. costs.Machine.Costs.byte_transfer)
+                in
+                let inline =
+                  net.Machine.Network.link.((src * nprocs) + dst)
+                  +. (float_of_int bytes
+                     *. net.Machine.Network.costs.Machine.Costs.byte_transfer)
+                in
+                let got = Machine.Network.transfer_time net ~src ~dst ~bytes in
+                if
+                  Int64.bits_of_float got <> Int64.bits_of_float formula
+                  || (src <> dst && Int64.bits_of_float inline <> Int64.bits_of_float formula)
+                then
+                  Alcotest.failf "%d nodes, %d -> %d, %d bytes: %h (inline %h), formula %h"
+                    nprocs src dst bytes got inline formula)
+              [ 0; 8; 8192 ]
+          done
+        done
+      done)
+    [ Machine.Costs.paragon; Machine.Costs.low_latency ]
+
 let test_network_rejects_empty () =
   Alcotest.check_raises "nprocs must be positive"
     (Invalid_argument "Network.create: nprocs must be positive") (fun () ->
@@ -78,6 +118,7 @@ let suite =
     ("paragon derived costs (paper 4.3)", `Quick, test_paragon_derived_costs);
     ("mesh hops", `Quick, test_network_hops);
     ("transfer time", `Quick, test_network_transfer_time);
+    ("link table is the transfer formula", `Quick, test_network_link_table_exact);
     ("transfer monotone in size", `Quick, test_network_monotone_in_size);
     ("network rejects nprocs=0", `Quick, test_network_rejects_empty);
     ("node clock", `Quick, test_node_advance);

@@ -79,6 +79,35 @@ let prop_leq_partial_order =
       Proto.Vclock.leq a a
       && ((not (Proto.Vclock.leq a b && Proto.Vclock.leq b a)) || Proto.Vclock.equal a b))
 
+(* Entries anywhere in the int range, not only indices >= -1: the
+   comparisons must be the integer ones at the extremes too. *)
+let wide_entry =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-5) 5;
+        map (fun k -> max_int - k) (int_bound 3);
+        map (fun k -> min_int + k) (int_bound 3);
+        int;
+      ])
+
+let prop_matches_list_reference =
+  QCheck.Test.make ~name:"leq, merge_into and equal match a list reference" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 1 9 >>= fun n ->
+         pair (list_repeat n wide_entry) (list_repeat n wide_entry)))
+    (fun (xs, ys) ->
+      let a = vt_of_list xs and b = vt_of_list ys in
+      let m = Proto.Vclock.copy a in
+      Proto.Vclock.merge_into m b;
+      let entries vt = List.init (Proto.Vclock.nprocs vt) (Proto.Vclock.get vt) in
+      Proto.Vclock.leq a b = List.for_all2 ( <= ) xs ys
+      && Proto.Vclock.leq b a = List.for_all2 ( <= ) ys xs
+      && Proto.Vclock.equal a b = List.equal Int.equal xs ys
+      && Proto.Vclock.is_initial a = List.for_all (Int.equal (-1)) xs
+      && entries m = List.map2 Int.max xs ys)
+
 (* ------------------------------------------------------------------ *)
 (* Interval *)
 
@@ -137,6 +166,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_upper_bound;
     QCheck_alcotest.to_alcotest prop_merge_least;
     QCheck_alcotest.to_alcotest prop_leq_partial_order;
+    QCheck_alcotest.to_alcotest prop_matches_list_reference;
     ("interval sizes", `Quick, test_interval_size);
     ("interval causal order", `Quick, test_interval_causally_before);
     ("interval without vt", `Quick, test_interval_no_vt_ordering);

@@ -89,6 +89,56 @@ let test_heap_releases_payloads () =
   check Alcotest.int "a drained engine holds no thunk" 0
     (Sim.Engine.pending (Sys.opaque_identity e) + !alive)
 
+(* Builds the thunk out of line, so no stack slot of the test keeps it. *)
+let[@inline never] schedule_tracked e live i ~at =
+  let payload = ref i in
+  let thunk () = incr payload in
+  Weak.set live i (Some thunk);
+  Sim.Engine.schedule e ~at thunk
+
+(* [step] drops its slot's thunk before the event runs: once it has run,
+   the engine holds nothing of it, not even in the slot it freed. *)
+let test_popped_thunk_not_retained () =
+  let e = Sim.Engine.create ~capacity:2 () in
+  let live = Weak.create 2 in
+  schedule_tracked e live 0 ~at:1.;
+  schedule_tracked e live 1 ~at:2.;
+  check Alcotest.bool "step" true (Sim.Engine.step e);
+  Gc.full_major ();
+  check Alcotest.bool "popped thunk collected" false (Weak.check live 0);
+  check Alcotest.bool "pending thunk kept" true (Weak.check live 1);
+  check Alcotest.int "one pending" 1 (Sim.Engine.pending (Sys.opaque_identity e))
+
+(* An event's slot is free while it runs, so an event that schedules
+   reuses it at once, and an engine created with one slot grows while
+   events are pending. Either way the run is the stable sort by time of
+   everything scheduled, and each thunk runs exactly once. *)
+let test_engine_slot_reuse_and_growth () =
+  let e = Sim.Engine.create ~capacity:1 () in
+  let scheduled = ref [] and ran = ref [] and next_id = ref 0 in
+  let rec schedule at fanout =
+    let id = !next_id in
+    incr next_id;
+    scheduled := (at, id) :: !scheduled;
+    Sim.Engine.schedule e ~at (fun () ->
+        ran := (Sim.Engine.now e, id) :: !ran;
+        let now = Sim.Engine.now e in
+        (* First into the slot this event just freed, at its own time, then
+           enough later ones to outgrow the slab mid-run. *)
+        for k = 0 to fanout - 1 do
+          schedule (now +. float_of_int (k mod 3)) (fanout - 1)
+        done)
+  in
+  schedule 5. 4;
+  schedule 5. 3;
+  schedule 0. 4;
+  ignore (Sim.Engine.run e);
+  let by_time (a, _) (b, _) = Float.compare a b in
+  check Alcotest.int "every event ran once" !next_id (List.length !ran);
+  check
+    Alcotest.(list (pair (float 0.) int))
+    "stable order" (List.stable_sort by_time (List.rev !scheduled)) (List.rev !ran)
+
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops keys in nondecreasing order" ~count:200
     QCheck.(list (float_bound_inclusive 1000.))
@@ -307,6 +357,7 @@ let suite =
     ("heap fifo ties", `Quick, test_heap_fifo_ties);
     ("heap empty pop", `Quick, test_heap_empty_pop);
     ("heap releases payloads", `Quick, test_heap_releases_payloads);
+    ("popped thunk not retained", `Quick, test_popped_thunk_not_retained);
     QCheck_alcotest.to_alcotest prop_heap_sorted;
     QCheck_alcotest.to_alcotest prop_heap_conserves;
     QCheck_alcotest.to_alcotest prop_heap_stable_sort;
@@ -324,5 +375,6 @@ let suite =
     ("engine step and counts", `Quick, test_engine_step_and_counts);
     ("engine rejects NaN time", `Quick, test_engine_rejects_nan);
     QCheck_alcotest.to_alcotest prop_engine_stable_sort;
+    ("engine slot reuse and growth keep the order", `Quick, test_engine_slot_reuse_and_growth);
     ("engine allocates nothing per event", `Quick, test_engine_allocation_free);
   ]
