@@ -26,9 +26,9 @@ let apply_one_diff sys node entry diff =
 (* Re-apply the node's own retained diffs newer than [applied.(self)] after a
    full-page fetch overwrote the local copy (homeless protocols only). *)
 let reapply_own_diffs sys node pi entry =
-  match Hashtbl.find_opt node.own_diffs pi.pi_page with
-  | None -> ()
-  | Some diffs ->
+  match pi.own_diffs with
+  | [] -> ()
+  | diffs ->
       let newer =
         List.filter (fun (idx, _, _) -> idx > Proto.Vclock.get pi.applied node.id) diffs
       in
@@ -85,7 +85,7 @@ let batch_candidates sys node page =
   let rec scan q acc n =
     if
       n > 0
-      && Hashtbl.mem sys.alloc_tbl q
+      && dir sys q != no_page
       && home_of sys q = home
       && (Mem.Page_table.ensure node.pt q).Mem.Page_table.prot = Mem.Page_table.No_access
     then scan (q + 1) (q :: acc) (n - 1)
@@ -291,7 +291,7 @@ let collect_diffs sys node page ~on_valid =
         if is_alive sys writer then begin
           let writer_node = sys.nodes.(writer) in
           request writer idxs (fun arrival ->
-              let stored = try Hashtbl.find writer_node.own_diffs page with Not_found -> [] in
+              let stored = (page_info sys writer_node page).own_diffs in
               let diffs =
                 List.map
                   (fun idx ->
@@ -470,7 +470,7 @@ let make_valid sys node page ~on_valid =
            flushes): a failover must not re-issue it, or the park would be
            duplicated and the process resumed twice. *)
         node.fault_retry <- None;
-        await_own_master sys node hp (fun () ->
+        await_own_master sys node page (fun () ->
             entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
             on_valid ())
       end

@@ -46,14 +46,12 @@ let scan_cost_per_page = 2.
 
 (* Drop all retained diffs and interval records. *)
 let discard_all sys node =
-  Hashtbl.iter
-    (fun _ diffs ->
-      List.iter
-        (fun (_, diff, _) ->
-          Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff))
-        diffs)
-    node.own_diffs;
-  Hashtbl.reset node.own_diffs;
+  let release (_, diff, _) =
+    Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff)
+  in
+  Array.iter
+    (Option.iter (fun pi -> List.iter release pi.own_diffs; pi.own_diffs <- []))
+    node.pinfo;
   Array.iteri
     (fun creator ivs ->
       List.iter (fun iv -> release_interval node iv) ivs;
@@ -73,8 +71,7 @@ let sweep sys node ~k =
      update order relative to other nodes' sweeps is immaterial. *)
   if node.id = 0 then
     Hashtbl.iter
-      (fun page (iv : Proto.Interval.t) ->
-        Hashtbl.replace sys.keeper_tbl page iv.Proto.Interval.node)
+      (fun page (iv : Proto.Interval.t) -> (dir_entry sys page).keeper <- iv.Proto.Interval.node)
       best;
   Mem.Page_table.iter node.pt (fun entry ->
       let page = entry.Mem.Page_table.page in

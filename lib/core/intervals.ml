@@ -62,7 +62,7 @@ let deliver_flush sys home_node ~arrival ~writer ~index ~page diff =
        for exactly those flushes before shipping the master away. *)
     ()
   else
-  match Hashtbl.find_opt sys.recovering page with
+  match (dir sys page).recovering with
   | Some rc ->
       (* The home is mid-failover-recovery: applying into the master now
          would be clobbered when the reconstructed copy is installed, so
@@ -102,12 +102,6 @@ let take_diff sys node entry =
   Mem.Accounting.sub node.stats.Stats.proto_mem (Mem.Layout.page_bytes sys.layout);
   Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Diff.size_bytes diff);
   diff
-
-(* Keep [node]'s diff of [page] for its interval [index], with the
-   timestamp [vt] at the interval's end. *)
-let retain_diff node page ~index diff vt =
-  let prev = try Hashtbl.find node.own_diffs page with Not_found -> [] in
-  Hashtbl.replace node.own_diffs page ((index, diff, vt) :: prev)
 
 (* End the node's current interval, if it wrote anything. *)
 let end_interval sys node =
@@ -230,7 +224,7 @@ let end_interval sys node =
                      let done_t =
                        local_protocol_work sys node ~cost:(diff_create_cost c ~page_words)
                      in
-                     retain_diff node page ~index diff (Proto.Vclock.copy node.vt);
+                     pi.own_diffs <- (index, diff, Proto.Vclock.copy node.vt) :: pi.own_diffs;
                      propagate_update sys node ~page ~writer:node.id ~index ~diff
                        ~vt:(Some (Proto.Vclock.copy node.vt)) ~at:done_t ~payload:true
                  | None -> ());
@@ -248,7 +242,7 @@ let end_interval sys node =
                    memory profile, the honest price of recoverability): if
                    the home dies, the promoted backup pulls every retained
                    diff back to rebuild the lost flush state. *)
-                retain_diff node page ~index diff (Proto.Vclock.copy node.vt)
+                pi.own_diffs <- (index, diff, Proto.Vclock.copy node.vt) :: pi.own_diffs
               end
               else
                 (* Diffs are transient in home-based protocols: the add/sub
@@ -268,7 +262,7 @@ let end_interval sys node =
             let vt =
               match vt_snap with Some vt -> vt | None -> assert false
             in
-            retain_diff node page ~index diff vt;
+            pi.own_diffs <- (index, diff, vt) :: pi.own_diffs;
             Proto.Vclock.set pi.applied node.id index;
             (* Replicated homeless runs stream the retained diff to the
                page's replica members, which archive it: a dead writer's
@@ -307,7 +301,7 @@ let rec notice_pages sys node c (iv : Proto.Interval.t) waits = function
           end;
           if home_of sys page = node.id then begin
             let hp = home_page sys node page in
-            if Proto.Vclock.leq pi.needed hp.hp_flush then waits else (page, hp) :: waits
+            if Proto.Vclock.leq pi.needed hp.hp_flush then waits else page :: waits
           end
           else begin
             invalidate_copy c node page;

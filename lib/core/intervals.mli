@@ -52,7 +52,7 @@ val end_interval : System.t -> System.node_state -> unit
     own-homed pages whose required flush level is not yet reached — the
     caller must delay the process until those in-flight updates land. *)
 val apply_remote_intervals :
-  System.t -> System.node_state -> Proto.Interval.batch -> (int * System.home_page) list
+  System.t -> System.node_state -> Proto.Interval.batch -> int list
 
 (** The records the receiver (whose cut is [their_vt]) has not seen yet,
     as a batch of this node's own lists; it copies no record, and its cost

@@ -57,8 +57,9 @@ let plan sys arrivals =
           (* Hysteresis: move only when the same writer dominated the
              previous epoch too, so a one-off phase (e.g. initialization by
              process 0) cannot thrash the placement. *)
-          let stable = Option.equal Int.equal (Hashtbl.find_opt sys.migration_prev page) (Some w) in
-          Hashtbl.replace sys.migration_prev page w;
+          let d = dir_entry sys page in
+          let stable = Option.equal Int.equal d.migration_prev (Some w) in
+          d.migration_prev <- Some w;
           if stable && w <> home_of sys page then begin
             let required = Proto.Vclock.create ~nprocs:(nprocs sys) in
             List.iter
@@ -70,7 +71,7 @@ let plan sys arrivals =
           end
           else acc
       | _ ->
-          Hashtbl.remove sys.migration_prev page;
+          (dir_entry sys page).migration_prev <- None;
           acc)
     writes []
 
@@ -87,7 +88,7 @@ let transfer sys ~page ~old_home ~new_home ~landed ~at =
   assert (hp_old.hp_pending = []);
   (* The old home is no longer authoritative: drop the directory entry and
      invalidate its (now ordinary) cached copy. *)
-  Hashtbl.remove old_node.homes page;
+  old_node.homes.(page) <- None;
   Mem.Accounting.sub old_node.stats.Stats.proto_mem (Proto.Vclock.size_bytes flush);
   hentry.Mem.Page_table.prot <- Mem.Page_table.No_access;
   record_home_migration sys old_node ~page ~dst:new_home;
@@ -126,7 +127,7 @@ let run sys arrivals release =
     (fun (page, new_home, required) ->
       charge_protocol mgr decision_cost_per_page;
       let old_home = home_of sys page in
-      Hashtbl.replace sys.home_tbl page new_home;
+      (dir_entry sys page).home <- new_home;
       (* Every node's automatic-update mapping (AURC) now points at a
          stale master: tear them down; the next write fault re-binds. *)
       Array.iter

@@ -49,10 +49,8 @@ let pull sys b ~page ~cut ~(rc : recovery) ~complete ~at =
         send sys ~src:b ~dst:w.id ~at ~bytes:req_bytes ~update:0 (fun arrival ->
             let done_t = serve sys w ~arrival ~cost:Faults.request_service_cost in
             let mine =
-              match Hashtbl.find_opt w.own_diffs page with
-              | None -> []
-              | Some diffs ->
-                  List.filter (fun (idx, _, _) -> idx > Proto.Vclock.get cut w.id) diffs
+              List.filter (fun (idx, _, _) -> idx > Proto.Vclock.get cut w.id)
+                (page_info sys w page).own_diffs
             in
             let reply_bytes =
               List.fold_left
@@ -78,18 +76,14 @@ let pull sys b ~page ~cut ~(rc : recovery) ~complete ~at =
    the new primary's uncommitted local writes), restore the flush vector,
    and let the parked fetches and stashed flushes drain. *)
 let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at =
-  Hashtbl.remove sys.recovering page;
+  (dir_entry sys page).recovering <- None;
   (* The new primary's own retained diffs need no message. Collected now,
      not at promotion: its writes while recovery was in flight already went
      into the copy about to be replaced, and exist nowhere else. *)
-  (match Hashtbl.find_opt b.own_diffs page with
-  | None -> ()
-  | Some diffs ->
-      List.iter
-        (fun (idx, diff, vt) ->
-          if idx > Proto.Vclock.get cut b.id then
-            rc.rc_pull <- (b.id, idx, diff, vt) :: rc.rc_pull)
-        diffs);
+  List.iter
+    (fun (idx, diff, vt) ->
+      if idx > Proto.Vclock.get cut b.id then rc.rc_pull <- (b.id, idx, diff, vt) :: rc.rc_pull)
+    (page_info sys b page).own_diffs;
   let page_words = Mem.Layout.page_words sys.layout in
   let page_bytes = page_words * Mem.Layout.word_bytes in
   let base =
@@ -133,13 +127,14 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
 let promote sys ~page ~dead ~to_ ~at =
   let b = sys.nodes.(to_) in
   record_failover sys b ~time:at ~page ~from_:dead ~to_;
-  Hashtbl.replace sys.home_tbl page to_;
+  let d = dir_entry sys page in
+  d.home <- to_;
   (* New authority epoch: any serve closure the old home still holds was
      accepted under the previous epoch and fences itself off. *)
   bump_epoch sys page;
-  Hashtbl.replace sys.failover_at page at;
+  d.failover_at <- Some at;
   ignore (home_page sys b page);
-  let rp = Hashtbl.find_opt b.repl page in
+  let rp = (page_info sys b page).repl in
   let backup_scheme = sys.cfg.Config.repl_scheme = Config.Backup in
   let cut =
     match rp with
@@ -166,7 +161,7 @@ let promote sys ~page ~dead ~to_ ~at =
       rc_outstanding = 0;
     }
   in
-  Hashtbl.replace sys.recovering page rc;
+  d.recovering <- Some rc;
   pull sys b ~page ~cut ~rc ~at
     ~complete:(fun ~at -> complete_recovery sys b ~page ~cut ~warm ~rc ~at)
 
@@ -193,18 +188,13 @@ let reissue_blocked sys ~at =
 
 let failover sys ~dead ~at =
   if home_based sys then begin
-    let pages =
-      Hashtbl.fold
-        (fun page _ acc -> if home_of sys page = dead then page :: acc else acc)
-        sys.repl_tbl []
-      |> List.sort compare
-    in
-    List.iter
-      (fun page ->
-        match live_replica sys page with
-        | None -> () (* every replica dead: the page is lost; let the watchdog report *)
-        | Some b -> promote sys ~page ~dead ~to_:b ~at)
-      pages
+    Array.iteri
+      (fun page d ->
+        if Option.is_some d.replicas && d.home = dead then
+          match live_replica sys page with
+          | None -> () (* every replica dead: the page is lost; let the watchdog report *)
+          | Some b -> promote sys ~page ~dead ~to_:b ~at)
+      sys.dir
   end;
   (* Homeless protocols need no promotion: dead-writer diffs and dead-keeper
      pages are served from the replica archives on the fetch path
@@ -276,28 +266,24 @@ let rejoin sys ~ex ~at =
   sys.deposed.(ex) <- false;
   let node = sys.nodes.(ex) in
   if observing sys then event_at sys ~node:ex ~time:at (Obs.Trace.Rejoin { node = ex });
-  let stale =
-    Hashtbl.fold
-      (fun page _ acc -> if home_of sys page <> ex then page :: acc else acc)
-      node.homes []
-    |> List.sort compare
-  in
-  List.iter
-    (fun page ->
-      let parked = take_pending (Hashtbl.find node.homes page) in
-      let own, foreign = List.partition (fun pf -> pf.pf_requester = ex) parked in
-      List.iter
-        (fun pf -> record_fenced_fetch sys node ~time:at ~page ~requester:pf.pf_requester)
-        foreign;
-      Hashtbl.remove node.homes page;
-      ignore (Mem.Page_table.invalidate (Mem.Page_table.ensure node.pt page));
-      List.iter
-        (fun pf ->
-          Machine.Node.sync_to node.mach at;
-          Faults.fetch_from_home sys node page ~extras:[] ~on_valid:(fun () ->
-              pf.pf_serve node.mach.Machine.Node.ck.Machine.Node.clock))
-        own)
-    stale
+  Array.iteri
+    (fun page hp ->
+      match hp with
+      | Some hp when home_of sys page <> ex ->
+          let own, foreign = List.partition (fun pf -> pf.pf_requester = ex) (take_pending hp) in
+          List.iter
+            (fun pf -> record_fenced_fetch sys node ~time:at ~page ~requester:pf.pf_requester)
+            foreign;
+          node.homes.(page) <- None;
+          ignore (Mem.Page_table.invalidate (Mem.Page_table.ensure node.pt page));
+          List.iter
+            (fun pf ->
+              Machine.Node.sync_to node.mach at;
+              Faults.fetch_from_home sys node page ~extras:[] ~on_valid:(fun () ->
+                  pf.pf_serve node.mach.Machine.Node.ck.Machine.Node.clock))
+            own
+      | _ -> ())
+    node.homes
 
 let refute sys ~by ~peer ~at =
   if sys.suspects.(by).(peer) then begin

@@ -108,7 +108,7 @@ let stall_dump sys =
                      ranks)))
     in
     let last =
-      match Hashtbl.find_opt sys.System.failover_at page with
+      match (System.dir sys page).System.failover_at with
       | None -> ""
       | Some t -> Printf.sprintf ", failed over at %.0f us" t
     in
@@ -118,47 +118,44 @@ let stall_dump sys =
   in
   Array.iter
     (fun (n : System.node_state) ->
-      let pending =
-        Hashtbl.fold
-          (fun page (hp : System.home_page) acc ->
-            match hp.System.hp_pending with
-            | [] -> acc
-            | l -> (page, List.length l) :: acc)
-          n.System.homes []
-      in
-      List.iter
-        (fun (page, k) ->
-          (* Which writers' flushes the parked fetches are short of:
-             [needed > flush] per vector entry. *)
-          let hp = Hashtbl.find n.System.homes page in
-          let missing =
-            List.concat_map
-              (fun (pf : System.pending_fetch) ->
-                List.filter_map
-                  (fun w ->
-                    let need = Proto.Vclock.get pf.System.pf_needed w in
-                    let have = Proto.Vclock.get hp.System.hp_flush w in
-                    if need > have then Some (Printf.sprintf "writer %d: %d > %d" w need have)
-                    else None)
-                  (List.init (System.nprocs sys) Fun.id))
-              hp.System.hp_pending
-            |> List.sort_uniq compare
-          in
+      Array.iteri
+        (fun page (hp : System.home_page option) ->
+          match hp with
+          | None | Some { System.hp_pending = []; _ } -> ()
+          | Some hp ->
+              (* Which writers' flushes the parked fetches are short of:
+                 [needed > flush] per vector entry. *)
+              let missing =
+                List.concat_map
+                  (fun (pf : System.pending_fetch) ->
+                    List.filter_map
+                      (fun w ->
+                        let need = Proto.Vclock.get pf.System.pf_needed w in
+                        let have = Proto.Vclock.get hp.System.hp_flush w in
+                        if need > have then Some (Printf.sprintf "writer %d: %d > %d" w need have)
+                        else None)
+                      (List.init (System.nprocs sys) Fun.id))
+                  hp.System.hp_pending
+                |> List.sort_uniq compare
+              in
+              Buffer.add_string buf
+                (Printf.sprintf
+                   "\n  node %d: %d fetch(es) of page %d waiting for flushes at the home (%s%s)"
+                   n.System.id (List.length hp.System.hp_pending) page (describe_page page)
+                   (if missing = [] then ""
+                    else "; missing " ^ String.concat ", " missing)))
+        n.System.homes)
+    sys.System.nodes;
+  Array.iteri
+    (fun page (d : System.page_dir) ->
+      match d.System.recovering with
+      | None -> ()
+      | Some rc ->
           Buffer.add_string buf
             (Printf.sprintf
-               "\n  node %d: %d fetch(es) of page %d waiting for flushes at the home (%s%s)"
-               n.System.id k page (describe_page page)
-               (if missing = [] then ""
-                else "; missing " ^ String.concat ", " missing)))
-        (List.sort compare pending))
-    sys.System.nodes;
-  Hashtbl.iter
-    (fun page (rc : System.recovery) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n  page %d: failover recovery incomplete, %d writer repl(ies) outstanding (%s)"
-           page rc.System.rc_outstanding (describe_page page)))
-    sys.System.recovering;
+               "\n  page %d: failover recovery incomplete, %d writer repl(ies) outstanding (%s)"
+               page rc.System.rc_outstanding (describe_page page)))
+    sys.System.dir;
   (* Every lock some node acquired remotely, in ascending lock order. *)
   let locks =
     Array.to_list sys.System.lock_last

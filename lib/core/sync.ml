@@ -52,19 +52,22 @@ let resume_after_home_waits sys node waits =
     match waits with
     | [] -> [] (* a grant with no own-homed page to wait on allocates nothing *)
     | _ ->
-        List.sort_uniq (fun (a, _) (b, _) -> Int.compare a b) waits
-        |> List.filter (fun (page, hp) ->
-               let pi = page_info sys node page in
-               not (Proto.Vclock.leq pi.needed hp.hp_flush))
+        List.sort_uniq Int.compare waits
+        |> List.filter (fun page ->
+               (* a barrier's migration may have moved the page away since *)
+               home_of sys page = node.id
+               && not
+                    (Proto.Vclock.leq (page_info sys node page).needed
+                       (home_page sys node page).hp_flush))
   in
   match waits with
   | [] -> resume sys node ~at:node.mach.Machine.Node.ck.Machine.Node.clock
   | _ ->
       let remaining = ref (List.length waits) in
       List.iter
-        (fun (page, hp) ->
+        (fun page ->
           if observing sys then event sys node (Obs.Trace.Home_wait { page });
-          await_own_master sys node hp (fun () ->
+          await_own_master sys node page (fun () ->
               decr remaining;
               if !remaining = 0 then
                 resume sys node ~at:node.mach.Machine.Node.ck.Machine.Node.clock))

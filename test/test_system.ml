@@ -84,6 +84,43 @@ let test_home_maps_respected () =
   check Alcotest.int "page 0 home" 3 (Svm.System.home_of sys page0);
   check Alcotest.int "page 2 home" 1 (Svm.System.home_of sys (page0 + 2))
 
+(* A page no malloc registered reads the directory's defaults, from the
+   one record every run shares: a write that reaches it would show on
+   every other such page, here and in later runs. Page 5 lies inside the
+   directory once the allocation grew it, page 1000 past its end; page 7
+   gets a record of its own at its first write. *)
+let test_unregistered_page_defaults () =
+  let sys = Svm.System.create (Svm.Config.make ~replicas:2 ~nprocs:4 Svm.Config.Lrc) in
+  let defaults when_ page =
+    let name what = Printf.sprintf "page %d %s, %s" page when_ what in
+    check Alcotest.int (name "home") (page mod 4) (Svm.System.home_of sys page);
+    check Alcotest.int (name "keeper: the allocator, 0") 0 (Svm.System.keeper_of sys page);
+    check Alcotest.int (name "epoch") 0 (Svm.System.epoch_of sys page);
+    check Alcotest.bool (name "no replica ranks") true (Svm.System.replica_ranks sys page = None);
+    check Alcotest.bool (name "not scratch") false (Svm.System.is_scratch sys page)
+  in
+  List.iter (defaults "before") [ 5; 1000 ];
+  let node = sys.Svm.System.nodes.(2) in
+  let page = Svm.System.malloc sys node ~scratch:true (2 * 1024) / 1024 in
+  Svm.System.bump_epoch sys page;
+  Svm.System.bump_epoch sys 7;
+  Svm.System.register_copy sys node page;
+  let d = Svm.System.dir_entry sys (page + 1) in
+  d.Svm.System.home <- 3;
+  d.Svm.System.keeper <- 1;
+  d.Svm.System.migration_prev <- Some 1;
+  d.Svm.System.failover_at <- Some 7.;
+  check Alcotest.int "registered: keeper is the allocator" 2 (Svm.System.keeper_of sys page);
+  check Alcotest.int "registered: epoch bumped" 1 (Svm.System.epoch_of sys page);
+  check Alcotest.bool "registered: scratch" true (Svm.System.is_scratch sys page);
+  check Alcotest.(option (array int)) "registered: replica ranks" (Some [| 0; 1 |])
+    (Svm.System.replica_ranks sys page);
+  check Alcotest.int "written: home" 3 (Svm.System.home_of sys (page + 1));
+  check Alcotest.int "unregistered, written: epoch" 1 (Svm.System.epoch_of sys 7);
+  check Alcotest.bool "only the writes' own page reads them" true
+    (Svm.System.dir sys 5 == Svm.System.no_page);
+  List.iter (defaults "after") [ 5; 1000 ]
+
 let test_protocol_predicates () =
   let open Svm.Config in
   List.iter
@@ -308,6 +345,7 @@ let suite =
     ("traffic split", `Quick, test_traffic_split);
     ("malloc layout", `Quick, test_malloc_layout);
     ("home maps respected", `Quick, test_home_maps_respected);
+    ("an unregistered page reads the directory defaults", `Quick, test_unregistered_page_defaults);
     ("protocol predicates", `Quick, test_protocol_predicates);
     ("protocol string roundtrip", `Quick, test_protocol_string_roundtrip);
     ("service placement", `Quick, test_serve_placement);
