@@ -45,8 +45,8 @@ let micro () =
     let sys = Svm.System.create (Svm.Config.make ~page_words ~nprocs:1 Svm.Config.Hlrc) in
     let node = sys.Svm.System.nodes.(0) in
     let e = Mem.Page_table.ensure node.Svm.System.pt 0 in
-    e.Mem.Page_table.data <- Some (Mem.Words.copy twin);
-    e.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+    e.Mem.Page_table.data <- Mem.Words.copy twin;
+    Mem.Page_table.protect e Mem.Page_table.Read_write;
     Mem.Page_table.make_twin e;
     Svm.Api.write (Svm.Api.make_ctx sys node) 500 0.5;
     e
@@ -69,7 +69,7 @@ let micro () =
     let node = sys.Svm.System.nodes.(0) in
     let e = Mem.Page_table.ensure node.Svm.System.pt 0 in
     ignore (Mem.Page_table.attach_copy node.Svm.System.pt e);
-    e.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+    Mem.Page_table.protect e Mem.Page_table.Read_write;
     Svm.Api.make_ctx sys node
   in
   let vt_a = Proto.Vclock.create ~nprocs:64 in

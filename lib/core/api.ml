@@ -1,10 +1,10 @@
 (* Every simulated load and store runs [read] or [write], the simulator's
    innermost loop: perfbench's sor-lrc16 makes about 63M accesses, of
    which some 26k fault. An access to a page the node can already use
-   (its entry exists, has a copy and has the protection the access needs)
-   makes no call at all. That holds under the dev profile's [-opaque]
-   too, where a call into another module is a real call that boxes its
-   float arguments and results, so the hit path is written out here:
+   (its entry has the protection the access needs) makes no call at all.
+   That holds under the dev profile's [-opaque] too, where a call into
+   another module is a real call that boxes its float arguments and
+   results, so the hit path is written out here:
 
    - [ctx] caches what an access touches, all immutable for a run: the
      node's page table, its clock record and its time breakdown (all-float
@@ -18,9 +18,15 @@
      ([Mem.Page_table.entry] documents the log) and the AURC mirror.
 
    So a hit is a charge, a bounds check, a load of the entry and a match
-   on its protection and copy, then the load or [store]. The offset is
-   valid by construction ([addr land mask] < page_words, the length of
-   every page buffer). Every other access calls [read_slow] or
+   on its protection, then the load or [store], with no option on the
+   way: a slot of a page never touched holds the shared sentinel entry
+   [Mem.Page_table.no_entry], and an entry without a copy holds the
+   shared empty frame [Mem.Page_table.no_copy], both [No_access]. The
+   frame is read on the protection alone, which [Mem.Page_table] makes
+   sound: an accessible entry holds a frame of page_words words, and
+   every write of [prot] goes through its [protect], which refuses access
+   to an entry without one. The offset is then valid by construction
+   ([addr land mask] < page_words). Every other access calls [read_slow] or
    [write_slow], never inlined, which create the entry if need be and
    perform the fault effects. A fault re-checks protection and retries,
    like a restarted instruction: an interval can end (write-protecting the
@@ -82,7 +88,7 @@ let[@inline] lookup ctx page =
   let pt = ctx.pt in
   if page >= 0 && page < pt.Mem.Page_table.npages then
     Array.unsafe_get pt.Mem.Page_table.entries page
-  else None
+  else Mem.Page_table.no_entry
 
 let[@inline] store (e : Mem.Page_table.entry) data off value =
   Mem.Words.unsafe_set data off value;
@@ -118,7 +124,7 @@ let[@inline] read ctx addr =
   charge ctx ctx.access_cost;
   let page = addr lsr ctx.shift in
   match lookup ctx page with
-  | Some { Mem.Page_table.prot = Read_only | Read_write; data = Some data; _ } ->
+  | { Mem.Page_table.prot = Read_only | Read_write; data; _ } ->
       Mem.Words.unsafe_get data (addr land ctx.mask)
   | _ -> read_slow ctx page addr
 
@@ -126,8 +132,7 @@ let[@inline] write ctx addr value =
   charge ctx ctx.access_cost;
   let page = addr lsr ctx.shift in
   match lookup ctx page with
-  | Some ({ Mem.Page_table.prot = Read_write; data = Some data; _ } as e) ->
-      store e data (addr land ctx.mask) value
+  | { Mem.Page_table.prot = Read_write; data; _ } as e -> store e data (addr land ctx.mask) value
   | _ -> write_slow ctx page addr value
 
 let read_int ctx addr = int_of_float (read ctx addr)

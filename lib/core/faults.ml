@@ -46,23 +46,24 @@ let reapply_own_diffs sys node pi entry =
    (possible when a false-sharing invalidation hit a page the node was
    still writing); under AURC's write-through the copy already holds them.
    The replaced copy goes back on the run's free list, after the node's
-   own writes were diffed out of it. The new twin is the received copy, so
-   the copy differs from it only at [own]'s words, which the written-word
-   log already holds: the log is kept. *)
+   own writes were diffed out of it; the shared empty frame of an entry
+   without a copy never does. The new twin is the received copy, so the
+   copy differs from it only at [own]'s words, which the written-word log
+   already holds: the log is kept. *)
 let install_copy sys entry (data : Mem.Words.t) =
-  let old = entry.Mem.Page_table.data in
+  let had_copy = Mem.Page_table.has_copy entry and old = entry.Mem.Page_table.data in
   (match (entry.Mem.Page_table.dirty, entry.Mem.Page_table.twin) with
   | true, Some _ ->
       let own = Mem.Diff.of_entry ~check:sys.cfg.Config.paranoid entry in
-      entry.Mem.Page_table.data <- Some data;
+      entry.Mem.Page_table.data <- data;
       Mem.Page_table.retwin entry;
       Mem.Diff.apply own data
-  | true, None when aurc sys -> entry.Mem.Page_table.data <- Some data
+  | true, None when aurc sys -> entry.Mem.Page_table.data <- data
   | true, None -> invalid_arg "install_copy: dirty page without twin"
   | false, _ ->
-      entry.Mem.Page_table.data <- Some data;
+      entry.Mem.Page_table.data <- data;
       Mem.Page_table.drop_twin entry);
-  match old with Some frame -> Mem.Words.release sys.frames frame | None -> ()
+  if had_copy then Mem.Words.release sys.frames old
 
 (* A home-fetch reply: install the snapshot and open the page up. *)
 let install_fetched sys entry snapshot =
@@ -412,7 +413,7 @@ let fetch_full_page sys node page ~on_valid =
         let sentry = Mem.Page_table.ensure source_node.pt page in
         (* An RC source is always an installed member: only the homeless-lazy
            protocols materialize the source's copy here. *)
-        assert (sentry.Mem.Page_table.data <> None || not (eager_rc sys));
+        assert (Mem.Page_table.has_copy sentry || not (eager_rc sys));
         let sdata = Mem.Page_table.materialize source_node.pt sentry in
         (* Eager RC: the requester joins the copyset before the snapshot is
            taken, so any update pushed from now on reaches it (held in its
@@ -459,10 +460,10 @@ let make_valid sys node page ~on_valid =
          landed before reads are allowed. *)
       let hp = home_page sys node page in
       let pi = page_info sys node page in
-      if entry.Mem.Page_table.data = None then
+      if not (Mem.Page_table.has_copy entry) then
         ignore (Mem.Page_table.attach_copy node.pt entry);
       if Proto.Vclock.leq pi.needed hp.hp_flush then begin
-        entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+        Mem.Page_table.protect entry Mem.Page_table.Read_only;
         on_valid ()
       end
       else begin
@@ -471,7 +472,7 @@ let make_valid sys node page ~on_valid =
            duplicated and the process resumed twice. *)
         node.fault_retry <- None;
         await_own_master sys node page (fun () ->
-            entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+            Mem.Page_table.protect entry Mem.Page_table.Read_only;
             on_valid ())
       end
     end
@@ -483,7 +484,7 @@ let make_valid sys node page ~on_valid =
   end
   else begin
     record_read_miss node;
-    if entry.Mem.Page_table.data = None then fetch_full_page sys node page ~on_valid
+    if not (Mem.Page_table.has_copy entry) then fetch_full_page sys node page ~on_valid
     else collect_diffs sys node page ~on_valid
   end
 
@@ -508,7 +509,7 @@ let make_writable sys node page =
       charge_protocol node c.Machine.Costs.twin_copy;
       Mem.Accounting.add node.stats.Stats.proto_mem (Mem.Layout.page_bytes sys.layout)
     end;
-    entry.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+    Mem.Page_table.protect entry Mem.Page_table.Read_write;
     charge_protocol node c.Machine.Costs.page_protect;
     if not entry.Mem.Page_table.dirty then begin
       entry.Mem.Page_table.dirty <- true;

@@ -83,15 +83,14 @@ let sweep sys node ~k =
         | None -> keeper_of sys page
       in
       if keeper = node.id then begin
-        if entry.Mem.Page_table.data <> None && Faults.still_missing pi <> [] then
+        if Mem.Page_table.has_copy entry && Faults.still_missing pi <> [] then
           to_validate := page :: !to_validate
       end
       else begin
         (* Non-last-writer: drop the copy; future faults re-fetch from the
            keeper. *)
-        if entry.Mem.Page_table.data <> None then begin
-          entry.Mem.Page_table.data <- None;
-          entry.Mem.Page_table.prot <- Mem.Page_table.No_access;
+        if Mem.Page_table.has_copy entry then begin
+          Mem.Page_table.drop_copy entry;
           charge_protocol node (costs sys).Machine.Costs.page_invalidate
         end;
         Mem.Accounting.sub node.stats.Stats.proto_mem

@@ -126,7 +126,7 @@ let end_interval sys node =
       if observing sys then event sys node (Obs.Trace.Interval_end { index; pages });
       let finish_page entry =
         entry.Mem.Page_table.dirty <- false;
-        entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+        Mem.Page_table.protect entry Mem.Page_table.Read_only;
         charge_protocol node c.Machine.Costs.page_protect
       in
       List.iter
@@ -148,18 +148,19 @@ let end_interval sys node =
                   let member = sys.nodes.(m) in
                   (* state change at push time; see deliver_rc_update *)
                   let mentry = Mem.Page_table.ensure member.pt page in
-                  (match mentry.Mem.Page_table.data with
-                  | Some data ->
-                      Mem.Diff.apply diff data;
-                      record_diff_apply sys member diff ~counted:false;
-                      (match mentry.Mem.Page_table.twin with
-                      | Some t -> Mem.Diff.apply diff t
-                      | None -> ())
-                  | None ->
-                      (* the member's copy is still being fetched; replay on
-                         install *)
-                      let pi_m = page_info sys member page in
-                      pi_m.rc_backlog <- diff :: pi_m.rc_backlog);
+                  if Mem.Page_table.has_copy mentry then begin
+                    Mem.Diff.apply diff mentry.Mem.Page_table.data;
+                    record_diff_apply sys member diff ~counted:false;
+                    match mentry.Mem.Page_table.twin with
+                    | Some t -> Mem.Diff.apply diff t
+                    | None -> ()
+                  end
+                  else begin
+                    (* the member's copy is still being fetched; replay on
+                       install *)
+                    let pi_m = page_info sys member page in
+                    pi_m.rc_backlog <- diff :: pi_m.rc_backlog
+                  end;
                   node.rc_acks <- node.rc_acks + 1;
                   let bytes = header_bytes + Mem.Diff.size_bytes diff in
                   send sys ~src:node ~dst:m ~at:done_t ~bytes

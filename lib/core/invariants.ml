@@ -33,33 +33,29 @@ let page_currents sys page =
       else
         match node.pinfo.(page) with
         | None -> acc
-        | Some pi -> (
-            match Mem.Page_table.find node.pt page with
-            | None -> acc
-            | Some entry -> (
-                match entry.Mem.Page_table.data with
-                | None -> acc
-                | Some data ->
-                    let current =
-                      if eager_rc sys then true
-                      else if home_based sys then
-                        (* current iff every required flush has landed at home *)
-                        let home = sys.nodes.(home_of sys page) in
-                        let flush_met =
-                          match
-                            if page < Array.length home.homes then home.homes.(page) else None
-                          with
-                          | Some hp -> Proto.Vclock.leq pi.needed hp.hp_flush
-                          | None -> Proto.Vclock.is_initial pi.needed
-                        in
-                        entry.Mem.Page_table.prot <> Mem.Page_table.No_access && flush_met
-                      else
-                        entry.Mem.Page_table.prot <> Mem.Page_table.No_access
-                        && Faults.still_missing pi = []
-                    in
-                    (* a page being written right now may legitimately lead *)
-                    if current && not entry.Mem.Page_table.dirty then (node.id, data) :: acc
-                    else acc)))
+        | Some pi ->
+            let entry = Mem.Page_table.find node.pt page in
+            if not (Mem.Page_table.has_copy entry) then acc
+            else
+              let current =
+                if eager_rc sys then true
+                else if home_based sys then
+                  (* current iff every required flush has landed at home *)
+                  let home = sys.nodes.(home_of sys page) in
+                  let flush_met =
+                    match if page < Array.length home.homes then home.homes.(page) else None with
+                    | Some hp -> Proto.Vclock.leq pi.needed hp.hp_flush
+                    | None -> Proto.Vclock.is_initial pi.needed
+                  in
+                  entry.Mem.Page_table.prot <> Mem.Page_table.No_access && flush_met
+                else
+                  entry.Mem.Page_table.prot <> Mem.Page_table.No_access
+                  && Faults.still_missing pi = []
+              in
+              (* a page being written right now may legitimately lead *)
+              if current && not entry.Mem.Page_table.dirty then
+                (node.id, entry.Mem.Page_table.data) :: acc
+              else acc)
     [] sys.nodes
 
 let check_page sys page =
@@ -105,11 +101,36 @@ let check_chains sys =
             node.known)
       sys.nodes
 
+(* [Svm.Api]'s hit path reads a frame on an entry's protection alone: an
+   accessible entry must hold a full frame, and the shared sentinel entry
+   and empty frame, which stand for every page a node never touched or
+   does not cache, must keep their initial state. *)
+let check_page_tables sys =
+  let module P = Mem.Page_table in
+  let s = P.no_entry in
+  let initial =
+    s.P.page = -1 && s.P.prot = P.No_access && s.P.data == P.no_copy
+    && Option.is_none s.P.twin && (not s.P.dirty) && Option.is_none s.P.mirror
+    && s.P.mirror_pending = 0 && Array.length s.P.log = 0 && s.P.log_free = 0
+    && Mem.Words.length P.no_copy = 0
+  in
+  if not initial then raise (Violation "the page tables' sentinel entry or empty frame was written");
+  let page_words = Mem.Layout.page_words sys.layout in
+  Array.iter
+    (fun (node : node_state) ->
+      P.iter node.pt (fun e ->
+          if e.P.prot <> P.No_access && Mem.Words.length e.P.data <> page_words then
+            raise
+              (Violation
+                 (Printf.sprintf "node %d can access page %d without a copy" node.id e.P.page))))
+    sys.nodes
+
 (* Invoked once every node has applied the barrier's release. *)
 let check sys =
   if sys.cfg.Config.paranoid then begin
     if not (Proto.Vclock.is_initial sys.unused_clock) then
       raise (Violation "a page's clock of the other protocol family was written");
+    check_page_tables sys;
     let npages = Mem.Layout.pages_for sys.layout sys.next_addr in
     for page = 0 to npages - 1 do
       check_page sys page

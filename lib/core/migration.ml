@@ -90,7 +90,7 @@ let transfer sys ~page ~old_home ~new_home ~landed ~at =
      invalidate its (now ordinary) cached copy. *)
   old_node.homes.(page) <- None;
   Mem.Accounting.sub old_node.stats.Stats.proto_mem (Proto.Vclock.size_bytes flush);
-  hentry.Mem.Page_table.prot <- Mem.Page_table.No_access;
+  Mem.Page_table.protect hentry Mem.Page_table.No_access;
   record_home_migration sys old_node ~page ~dst:new_home;
   let bytes = header_bytes + Mem.Layout.page_bytes sys.layout + Proto.Vclock.size_bytes flush in
   send sys ~src:old_node ~dst:new_home ~at ~bytes ~update:(Mem.Layout.page_bytes sys.layout)
@@ -99,7 +99,7 @@ let transfer sys ~page ~old_home ~new_home ~landed ~at =
       let entry = Mem.Page_table.ensure new_node.pt page in
       Faults.install_copy sys entry snapshot;
       entry.Mem.Page_table.mirror <- None;
-      entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+      Mem.Page_table.protect entry Mem.Page_table.Read_only;
       let hp_new = home_page sys new_node page in
       Proto.Vclock.merge_into hp_new.hp_flush flush;
       serve_pending hp_new ~at:done_t;

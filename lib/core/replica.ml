@@ -113,7 +113,7 @@ let complete_recovery sys (b : node_state) ~page ~cut ~warm ~(rc : recovery) ~at
     ordered;
   if entry.Mem.Page_table.dirty || Proto.Vclock.leq (page_info sys b page).needed hp.hp_flush
   then Mem.Page_table.open_copy entry
-  else entry.Mem.Page_table.prot <- Mem.Page_table.No_access;
+  else Mem.Page_table.protect entry Mem.Page_table.No_access;
   serve_pending hp ~at:done_t;
   (* Replay the flushes that raced the recovery, oldest first, through the
      normal (idempotent) flush path: they apply, raise the flush level,

@@ -2,7 +2,7 @@ type protection = No_access | Read_only | Read_write
 
 type entry = {
   page : int;
-  mutable data : Words.t option;
+  mutable data : Words.t;
   mutable prot : protection;
   mutable twin : Words.t option;
   mutable dirty : bool;
@@ -12,7 +12,26 @@ type entry = {
   mutable log_free : int;
 }
 
-type t = { layout : Layout.t; mutable entries : entry option array; mutable npages : int }
+type t = { layout : Layout.t; mutable entries : entry array; mutable npages : int }
+
+let no_copy = Words.make 0
+
+let has_copy e = e.data != no_copy
+
+let blank page =
+  {
+    page;
+    data = no_copy;
+    prot = No_access;
+    twin = None;
+    dirty = false;
+    mirror = None;
+    mirror_pending = 0;
+    log = [||];
+    log_free = 0;
+  }
+
+let no_entry = blank (-1)
 
 let create layout = { layout; entries = [||]; npages = 0 }
 
@@ -20,7 +39,7 @@ let grow t page =
   let capacity = Array.length t.entries in
   if page >= capacity then begin
     let capacity' = max 64 (max (2 * capacity) (page + 1)) in
-    let entries' = Array.make capacity' None in
+    let entries' = Array.make capacity' no_entry in
     Array.blit t.entries 0 entries' 0 capacity;
     t.entries <- entries'
   end;
@@ -28,59 +47,58 @@ let grow t page =
 
 let ensure t page =
   grow t page;
-  match t.entries.(page) with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          page;
-          data = None;
-          prot = No_access;
-          twin = None;
-          dirty = false;
-          mirror = None;
-          mirror_pending = 0;
-          log = [||];
-          log_free = 0;
-        }
-      in
-      t.entries.(page) <- Some e;
-      e
+  let e = t.entries.(page) in
+  if e != no_entry then e
+  else begin
+    let e = blank page in
+    t.entries.(page) <- e;
+    e
+  end
 
-let find t page = if page < 0 || page >= t.npages then None else t.entries.(page)
+let find t page = if page < 0 || page >= t.npages then no_entry else t.entries.(page)
 
 let entry t page =
   if page < 0 || page >= t.npages then
     invalid_arg (Printf.sprintf "Page_table.entry: page %d out of range" page)
   else
-    match t.entries.(page) with
-    | Some e -> e
-    | None -> invalid_arg (Printf.sprintf "Page_table.entry: page %d never touched" page)
+    let e = t.entries.(page) in
+    if e == no_entry then invalid_arg (Printf.sprintf "Page_table.entry: page %d never touched" page)
+    else e
 
 let data_exn e =
-  match e.data with
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Page_table.data_exn: page %d not cached" e.page)
+  if has_copy e then e.data
+  else invalid_arg (Printf.sprintf "Page_table.data_exn: page %d not cached" e.page)
+
+(* The one writer of [prot]: [Svm.Api]'s hit path reads [data] on [prot]
+   alone, so an accessible entry must hold a frame. *)
+let protect e prot =
+  if prot <> No_access && not (has_copy e) then
+    invalid_arg (Printf.sprintf "Page_table.protect: page %d has no copy" e.page);
+  e.prot <- prot
 
 let attach_copy t e =
   let data = Words.make (Layout.page_words t.layout) in
-  e.data <- Some data;
+  e.data <- data;
   data
 
 let materialize t e =
-  match e.data with
-  | Some d -> d
-  | None ->
-      let d = attach_copy t e in
-      e.prot <- Read_only;
-      d
+  if has_copy e then e.data
+  else begin
+    let d = attach_copy t e in
+    protect e Read_only;
+    d
+  end
 
-let open_copy e = e.prot <- (if e.dirty then Read_write else Read_only)
+let drop_copy e =
+  protect e No_access;
+  e.data <- no_copy
+
+let open_copy e = protect e (if e.dirty then Read_write else Read_only)
 
 let invalidate e =
-  if e.data = None || e.prot = No_access then false
+  if e.prot = No_access then false
   else begin
-    e.prot <- No_access;
+    protect e No_access;
     true
   end
 
@@ -133,10 +151,6 @@ let compact_log e =
 
 let iter t f =
   for page = 0 to t.npages - 1 do
-    match t.entries.(page) with Some e -> f e | None -> ()
+    let e = t.entries.(page) in
+    if e != no_entry then f e
   done
-
-let cached_pages t =
-  let acc = ref [] in
-  iter t (fun e -> if e.data <> None then acc := e :: !acc);
-  List.rev !acc

@@ -3,13 +3,20 @@
     Every node has its own table. An entry tracks the node's local copy of
     the page (if any), its software protection state, the twin used for diff
     creation with the log of words written since it was made, and whether
-    the page was written during the current interval. *)
+    the page was written during the current interval.
+
+    [Svm.Api]'s access fast path reads an entry's [data] on its [prot]
+    alone, so the table keeps one invariant: an entry whose [prot] is not
+    [No_access] holds a frame of [page_words] words. Every write of [prot]
+    goes through {!protect} (or {!open_copy}, {!materialize},
+    {!invalidate} and {!drop_copy}, which call it), and it refuses access
+    to an entry without a copy. *)
 
 type protection = No_access | Read_only | Read_write
 
 type entry = {
   page : int;
-  mutable data : Words.t option;  (** Local copy; [None] = not cached. *)
+  mutable data : Words.t;  (** Local copy; {!no_copy} = not cached. *)
   mutable prot : protection;
   mutable twin : Words.t option;
   mutable dirty : bool;  (** Written during the current interval. *)
@@ -35,11 +42,26 @@ type entry = {
     would be a real call per simulated load and store. *)
 type t = private {
   layout : Layout.t;
-  mutable entries : entry option array;
-      (** Indexed by page: at least [npages] slots, [None] for a page
+  mutable entries : entry array;
+      (** Indexed by page: at least [npages] slots, {!no_entry} for a page
           never touched. *)
   mutable npages : int;  (** Highest touched page + 1. *)
 }
+
+(** The shared empty frame (length 0): the [data] of every entry without
+    a copy. Nothing writes it, and nothing may read it with
+    [Words.unsafe_get]. *)
+val no_copy : Words.t
+
+(** The shared sentinel entry ([page] -1, [No_access], {!no_copy}, no
+    twin, no mirror, a saturated empty log) in every slot of [entries]
+    for a page never touched. Nothing writes it: {!ensure} replaces it in
+    its slot before anything is written. *)
+val no_entry : entry
+
+(** [has_copy e] is whether [e] holds a local copy, a frame of
+    [page_words] words. *)
+val has_copy : entry -> bool
 
 val create : Layout.t -> t
 
@@ -47,16 +69,14 @@ val create : Layout.t -> t
     inaccessible one if needed. *)
 val ensure : t -> int -> entry
 
-(** [find t page] is the entry if the page was ever touched, without
-    creating or growing anything (safe for read-only inspection). *)
-val find : t -> int -> entry option
+(** [find t page] is the entry if the page was ever touched, else
+    {!no_entry}, without creating or growing anything (for read-only
+    inspection). *)
+val find : t -> int -> entry
 
 (** [entry t page] like {!ensure} but raises [Invalid_argument] if the page
     was never touched on this node. *)
 val entry : t -> int -> entry
-
-(** All entries with a local copy. *)
-val cached_pages : t -> entry list
 
 (** [data_exn e] returns the local copy of [e].
     @raise Invalid_argument if the page is not cached. *)
@@ -71,14 +91,21 @@ val attach_copy : t -> entry -> Words.t
     into being. *)
 val materialize : t -> entry -> Words.t
 
+(** [protect e prot] sets [e]'s protection.
+    @raise Invalid_argument if [prot] grants access and [e] has no copy. *)
+val protect : entry -> protection -> unit
+
 (** Open a validated copy: read-write if the page was written during the
     current interval, else read-only. *)
 val open_copy : entry -> unit
 
-(** Close a cached, accessible copy ([No_access]); the data stays. Returns
+(** Close an accessible copy ([No_access]); the data stays. Returns
     whether the entry changed, so the caller can charge the
     invalidation. *)
 val invalidate : entry -> bool
+
+(** Close [e] and drop its copy, which is not recycled. *)
+val drop_copy : entry -> unit
 
 (** Make a twin (clean copy) of the current data, and empty the log. The
     log has 16 slots. *)

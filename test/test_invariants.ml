@@ -54,7 +54,7 @@ let test_checker_detects_divergence () =
   let plant node v =
     let entry = Mem.Page_table.ensure node.Svm.System.pt 0 in
     let data = Mem.Page_table.attach_copy node.Svm.System.pt entry in
-    entry.Mem.Page_table.prot <- Mem.Page_table.Read_only;
+    Mem.Page_table.protect entry Mem.Page_table.Read_only;
     ignore (Svm.System.page_info sys node 0);
     Mem.Words.set data 3 v
   in

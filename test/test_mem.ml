@@ -55,7 +55,7 @@ let logged_entry base stores =
   let e = Mem.Page_table.ensure node.Svm.System.pt 7 in
   let data = Mem.Page_table.attach_copy node.Svm.System.pt e in
   Mem.Words.blit ~src:(Mem.Words.of_array base) ~dst:data;
-  e.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+  Mem.Page_table.protect e Mem.Page_table.Read_write;
   Mem.Page_table.make_twin e;
   List.iteri
     (fun i (offset, value) ->
@@ -367,9 +367,58 @@ let test_page_table_ensure () =
   let pt = Mem.Page_table.create l in
   let e = Mem.Page_table.ensure pt 5 in
   check Alcotest.int "page id" 5 e.Mem.Page_table.page;
-  check Alcotest.bool "uncached" true (e.Mem.Page_table.data = None);
+  check Alcotest.bool "uncached" false (Mem.Page_table.has_copy e);
   check Alcotest.bool "same entry" true (e == Mem.Page_table.ensure pt 5);
-  check Alcotest.int "npages" 6 pt.Mem.Page_table.npages
+  check Alcotest.bool "found" true (e == Mem.Page_table.find pt 5);
+  check Alcotest.int "npages" 6 pt.Mem.Page_table.npages;
+  List.iter
+    (fun page ->
+      check Alcotest.bool
+        (Printf.sprintf "page %d never touched: the sentinel" page)
+        true
+        (Mem.Page_table.find pt page == Mem.Page_table.no_entry))
+    [ -1; 0; 4; 6; 64 ]
+
+(* The shared sentinel entry and empty frame keep their initial state:
+   [Svm.Api]'s hit path reads the sentinel for every page a node never
+   touched, and the empty frame is the data of every entry without a
+   copy. *)
+let check_sentinel label =
+  let s = Mem.Page_table.no_entry in
+  let is what b = check Alcotest.bool (Printf.sprintf "%s: the sentinel's %s" label what) true b in
+  is "page" (s.Mem.Page_table.page = -1);
+  is "protection" (s.Mem.Page_table.prot = Mem.Page_table.No_access);
+  is "frame" (s.Mem.Page_table.data == Mem.Page_table.no_copy);
+  is "twin" (Option.is_none s.Mem.Page_table.twin);
+  is "dirty bit" (not s.Mem.Page_table.dirty);
+  is "mirror" (Option.is_none s.Mem.Page_table.mirror);
+  is "mirrored words" (s.Mem.Page_table.mirror_pending = 0);
+  is "log" (Array.length s.Mem.Page_table.log = 0 && s.Mem.Page_table.log_free = 0);
+  check Alcotest.int (label ^ ": the empty frame's length") 0
+    (Mem.Words.length Mem.Page_table.no_copy)
+
+(* Access to an entry without a copy is refused: [Svm.Api]'s hit path
+   would read the empty frame out of bounds. Closing it is allowed. *)
+let test_page_table_protect_needs_copy () =
+  let pt = Mem.Page_table.create (Mem.Layout.create ~page_words:8) in
+  let e = Mem.Page_table.ensure pt 5 in
+  let refused = Invalid_argument "Page_table.protect: page 5 has no copy" in
+  Alcotest.check_raises "Read_only" refused (fun () ->
+      Mem.Page_table.protect e Mem.Page_table.Read_only);
+  Alcotest.check_raises "Read_write" refused (fun () ->
+      Mem.Page_table.protect e Mem.Page_table.Read_write);
+  Alcotest.check_raises "open_copy" refused (fun () -> Mem.Page_table.open_copy e);
+  Mem.Page_table.protect e Mem.Page_table.No_access;
+  check Alcotest.bool "still closed" true (e.Mem.Page_table.prot = Mem.Page_table.No_access);
+  ignore (Mem.Page_table.attach_copy pt e);
+  Mem.Page_table.protect e Mem.Page_table.Read_write;
+  check Alcotest.bool "granted with a copy" true
+    (e.Mem.Page_table.prot = Mem.Page_table.Read_write);
+  Mem.Page_table.drop_copy e;
+  check Alcotest.bool "dropped: closed" true (e.Mem.Page_table.prot = Mem.Page_table.No_access);
+  Alcotest.check_raises "Read_only after the copy was dropped" refused (fun () ->
+      Mem.Page_table.protect e Mem.Page_table.Read_only);
+  check_sentinel "after the grants"
 
 let test_page_table_entry_missing () =
   let l = Mem.Layout.create ~page_words:64 in
@@ -391,16 +440,6 @@ let test_page_table_twin () =
   | None -> Alcotest.fail "twin missing");
   Mem.Page_table.drop_twin e;
   check Alcotest.bool "twin dropped" true (e.Mem.Page_table.twin = None)
-
-let test_page_table_cached_pages () =
-  let l = Mem.Layout.create ~page_words:8 in
-  let pt = Mem.Page_table.create l in
-  ignore (Mem.Page_table.ensure pt 0);
-  let e1 = Mem.Page_table.ensure pt 1 in
-  ignore (Mem.Page_table.attach_copy pt e1);
-  let cached = Mem.Page_table.cached_pages pt in
-  check Alcotest.(list int) "only cached" [ 1 ]
-    (List.map (fun e -> e.Mem.Page_table.page) cached)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
@@ -437,6 +476,6 @@ let suite =
     ("page table ensure", `Quick, test_page_table_ensure);
     ("page table missing entry", `Quick, test_page_table_entry_missing);
     ("page table twin", `Quick, test_page_table_twin);
-    ("page table cached pages", `Quick, test_page_table_cached_pages);
+    ("page table grants need a copy", `Quick, test_page_table_protect_needs_copy);
     ("accounting", `Quick, test_accounting);
   ]

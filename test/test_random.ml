@@ -108,8 +108,9 @@ let body ~label program ctx =
     want
 
 (* Paranoid: every diff taken from a written-word log is checked against
-   the full scan. The 3-40-word locked regions leave pages with logs that
-   hold and logs that saturate. *)
+   the full scan, and every accessible page holds a full frame. The
+   3-40-word locked regions leave pages with logs that hold and logs that
+   saturate. *)
 let run_program protocol program =
   Svm.Runtime.run
     (Svm.Config.make ~paranoid:true ~nprocs:program.nprocs protocol)
@@ -121,6 +122,7 @@ let prop_protocol protocol =
     ~count:40 (QCheck.make gen_program)
     (fun program ->
       ignore (run_program protocol program);
+      Test_mem.check_sentinel (Svm.Config.protocol_name protocol);
       true)
 
 (* All four protocols also agree on performance determinism: the same

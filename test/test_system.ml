@@ -169,12 +169,12 @@ let test_write_allocation_free () =
   let writable page ~twin =
     let e = Mem.Page_table.ensure node.Svm.System.pt page in
     ignore (Mem.Page_table.attach_copy node.Svm.System.pt e);
-    e.Mem.Page_table.prot <- Mem.Page_table.Read_write;
+    Mem.Page_table.protect e Mem.Page_table.Read_write;
     if twin then Mem.Page_table.make_twin e;
     e
   in
   let logged = writable 0 ~twin:true and saturated = writable 1 ~twin:false in
-  (writable 2 ~twin:false).Mem.Page_table.prot <- Mem.Page_table.Read_only;
+  Mem.Page_table.protect (writable 2 ~twin:false) Mem.Page_table.Read_only;
   let values = Array.init 100_000 (fun i -> ref (float_of_int i)) in
   let n = Array.length values in
   let minor_words f =
@@ -246,7 +246,7 @@ let test_access_paths () =
         let e = Mem.Page_table.ensure pt page in
         let data = Mem.Page_table.attach_copy pt e in
         Mem.Words.set data off 7.;
-        e.Mem.Page_table.prot <- prot;
+        Mem.Page_table.protect e prot;
         if logging then Mem.Page_table.make_twin e;
         if mirrored then e.Mem.Page_table.mirror <- Some (Mem.Words.make page_words));
     let faults = ref [] in
@@ -254,7 +254,7 @@ let test_access_paths () =
       faults := Printf.sprintf "%s fault on page %d" what p :: !faults;
       let e = Mem.Page_table.ensure pt p in
       ignore (Mem.Page_table.materialize pt e);
-      e.Mem.Page_table.prot <- prot
+      Mem.Page_table.protect e prot
     in
     let under_faults f =
       let open Effect.Deep in
@@ -284,9 +284,7 @@ let test_access_paths () =
     let before = Svm.Api.now ctx in
     let addr = (page * page_words) + off in
     if write then begin
-      let log_free =
-        Option.fold (Mem.Page_table.find pt page) ~none:0 ~some:(fun e -> e.Mem.Page_table.log_free)
-      in
+      let log_free = (Mem.Page_table.find pt page).Mem.Page_table.log_free in
       under_faults (fun () -> Svm.Api.write ctx addr 42.);
       check Alcotest.(list string) (name ^ ": faults") want_faults !faults;
       let e = Mem.Page_table.entry pt page in
@@ -309,7 +307,8 @@ let test_access_paths () =
     end;
     check (Alcotest.float 0.) (name ^ ": one access charged")
       (Svm.System.costs sys).Machine.Costs.mem_access
-      (Svm.Api.now ctx -. before)
+      (Svm.Api.now ctx -. before);
+    Test_mem.check_sentinel name
   in
   List.iter
     (fun write ->
